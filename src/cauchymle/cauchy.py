@@ -26,9 +26,9 @@ from itertools import combinations
 
 import numpy as np
 
-from . import halfspace, spd
-from .descent import (DescentConfig, FitReport, FitStatus, minimize_on_halfspace,
-                      minimize_on_spd)
+from . import conformal, halfspace, spd
+from .descent import (DescentConfig, FitReport, FitStatus, minimize_on_spd,
+                      shared_oracle)
 
 GENERAL_POSITION_EXACT_CAP = 20
 # normalized true scalar multiples agree to ~machine eps; genuinely distinct
@@ -64,15 +64,18 @@ def lift_univariate(values):
 
     x -> (x, 1); the point at infinity -> (1, 0).
     """
-    rows = []
-    for v in values:
-        if halfspace.is_infinity(v):
-            rows.append((1.0, 0.0))
-        else:
-            rows.append((float(v), 1.0))
-    if not rows:
+    try:
+        x = np.asarray(values, dtype=float)
+        at_inf = np.zeros(x.shape, dtype=bool)
+    except TypeError:  # INFINITY among the values
+        obj = np.asarray(values, dtype=object)
+        at_inf = np.frompyfunc(halfspace.is_infinity, 1, 1)(obj).astype(bool)
+        x = np.where(at_inf, 1.0, obj).astype(float)
+    if x.ndim != 1:
+        raise ValueError(f"expected a sequence of reals, got shape {x.shape}")
+    if x.size == 0:
         raise ValueError("empty dataset")
-    return np.asarray(rows, dtype=float)
+    return np.column_stack([x, np.where(at_inf, 0.0, 1.0)])
 
 
 def _check_lifted(X):
@@ -88,29 +91,40 @@ def _check_lifted(X):
     return X
 
 
-def _quad_forms(T, X):
-    q = np.einsum("ij,jk,ik->i", X, T, X)
+def _columns(X):
+    # the kernels take one observation per column: at small n the products
+    # and reductions over N run several times faster on a contiguous
+    # (n+1, N) array than on (N, n+1) rows
+    return np.ascontiguousarray(X.T)
+
+
+def _quad_forms(T, Xt):
+    q = np.einsum("ij,ij->j", T @ Xt, Xt)
     if np.any(q <= 0):
         raise ValueError("non-positive quadratic form; parameter is not SPD")
     return q
 
 
+def _loss(q):
+    return float(np.mean(np.log(q)))
+
+
+def _grad(T, Xt, q):
+    M = (Xt / q) @ Xt.T / q.size
+    return spd.project_tangent(T, T @ M @ T - T / T.shape[0])
+
+
 def loss(T, lifted):
     """Averaged negative log likelihood up to a data-independent constant."""
-    X = _check_lifted(lifted)
-    T = np.asarray(T, dtype=float)
-    return float(np.mean(np.log(_quad_forms(T, X))))
+    Xt = _columns(_check_lifted(lifted))
+    return _loss(_quad_forms(np.asarray(T, dtype=float), Xt))
 
 
 def loss_grad(T, lifted):
     """Riemannian gradient of loss at T, a valid tangent vector."""
-    X = _check_lifted(lifted)
+    Xt = _columns(_check_lifted(lifted))
     T = np.asarray(T, dtype=float)
-    p = T.shape[0]
-    q = _quad_forms(T, X)
-    M = (X / q[:, None]).T @ X / X.shape[0]
-    G = T @ M @ T - T / p
-    return spd.project_tangent(T, G)
+    return _grad(T, Xt, _quad_forms(T, Xt))
 
 
 def datum_grad(T, xt):
@@ -215,14 +229,18 @@ def fit(lifted, config=None):
     return _fit_core(X, n, config)
 
 
+def _oracle(X):
+    """(loss_fn, grad_fn) on validated lifted data, sharing the quadratic forms."""
+    Xt = _columns(X)
+    return shared_oracle(lambda T: _quad_forms(T, Xt), lambda T, q: _loss(q),
+                         lambda T, q: _grad(T, Xt, q))
+
+
 def _fit_core(X, n, config):
-    return minimize_on_spd(
-        np.eye(n + 1),
-        lambda T: loss(T, X),
-        lambda T: loss_grad(T, X),
-        improved_step=step_size(n, "improved"),
-        config=config,
-    )
+    loss_fn, grad_fn = _oracle(X)
+    return minimize_on_spd(np.eye(n + 1), loss_fn, grad_fn,
+                           improved_step=step_size(n, "improved"),
+                           config=config)
 
 
 def to_params(T):
@@ -272,52 +290,17 @@ def fit_univariate(data, config=None):
     data is a sequence of reals, possibly containing the point at infinity.
     Each datum pulls with a unit force along the geodesic toward it; descent
     follows the mean force with step 1, which is safe for the averaged loss.
-    Returns ((u, v), FitReport) and agrees with fit + to_params.
+    This is the conformal family at n = 1, whose descent it runs once the
+    data pass the general-position check.  Returns ((u, v), FitReport) and
+    agrees with fit + to_params.
     """
     config = config or DescentConfig()
-    points = [halfspace.INFINITY if halfspace.is_infinity(v) else float(v)
-              for v in data]
-    if not points:
-        raise ValueError("empty dataset")
-    X = lift_univariate(points)
+    X = lift_univariate(data)
     if not check_general_position(X, 1):
         report = FitReport(FitStatus.DEGENERATE_DATA, 0,
                            [loss(np.eye(2), X)], [], 0.0)
         return (0.0, 1.0), report
-    if config.standardize:
-        finite = np.array([v for v in points if not halfspace.is_infinity(v)])
-        med = float(np.median(finite)) if finite.size else 0.0
-        mad = float(np.median(np.abs(finite - med))) if finite.size else 1.0
-        mad = mad if mad > 0 else 1.0
-        scaled = [v if halfspace.is_infinity(v) else (v - med) / mad
-                  for v in points]
-        inner_config = DescentConfig(config.step_policy, config.tol,
-                                     config.max_iters, standardize=False)
-        (u, v), report = fit_univariate(scaled, inner_config)
-        return (med + mad * u, mad * v), report
-
-    finite = np.array([v for v in points if not halfspace.is_infinity(v)])
-    n_inf = len(points) - finite.size
-    N = len(points)
-
-    def loss_fn(z):
-        total = n_inf * (-math.log(z.a))
-        if finite.size:
-            q = z.a * z.a + (z.b[0] - finite) ** 2
-            total += float(np.sum(np.log(q / z.a)))
-        return total / N
-
-    def grad_fn(z):
-        da = n_inf * (-z.a)
-        db = 0.0
-        if finite.size:
-            diff = z.b[0] - finite
-            q = z.a * z.a + diff ** 2
-            da += float(np.sum(z.a * (z.a * z.a - diff ** 2) / q))
-            db += float(np.sum(2.0 * z.a * z.a * diff / q))
-        return halfspace.HTangent(z, da / N, np.array([db / N]))
-
-    z0 = halfspace.HPoint(1.0, np.zeros(1))
-    z, report = minimize_on_halfspace(z0, loss_fn, grad_fn, safe_step=1.0,
-                                      config=config)
+    finite = X[:, 1] != 0.0
+    z, report = conformal.fit_arrays(X[finite, :1], int(np.sum(~finite)),
+                                     config)
     return (float(z.b[0]), float(z.a)), report

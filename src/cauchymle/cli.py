@@ -126,6 +126,7 @@ def _base_report(family, report, n, m=None):
         "final_grad_norm": final if np.isfinite(final) else None,
         "loss_trace": [float(x) for x in report.loss_trace],
         "grad_norm_trace": [float(x) for x in report.grad_norm_trace],
+        "wall_time": report.wall_time,
     }
 
 

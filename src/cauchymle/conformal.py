@@ -17,70 +17,83 @@ unit-speed geodesics; 1/n is a safe descent step.  The point at infinity
 is an admissible datum (Busemann -log a).
 """
 
+import dataclasses
 import math
 
 import numpy as np
 
 from . import halfspace
-from .descent import DescentConfig, minimize_on_halfspace
+from .descent import DescentConfig, minimize_on_halfspace, shared_oracle
 
 
 def _split_data(data, n):
-    """Separate finite observations (stacked array) from data at infinity."""
-    finite = []
+    """Finite observations as an (N_finite, n) array, and the count at infinity.
+
+    A 1-d array or list of reals is a sample of n = 1 observations.
+    """
     n_inf = 0
-    for x in data:
-        if halfspace.is_infinity(x):
-            n_inf += 1
-        else:
-            x = np.atleast_1d(np.asarray(x, dtype=float))
-            if x.shape != (n,):
-                raise ValueError(f"datum of shape {x.shape}, expected ({n},)")
-            finite.append(x)
-    F = np.asarray(finite, dtype=float) if finite else np.zeros((0, n))
+    if not isinstance(data, np.ndarray):
+        finite = [x for x in data if not halfspace.is_infinity(x)]
+        n_inf = len(data) - len(finite)
+        data = finite if finite else np.zeros((0, n))
+    F = np.asarray(data, dtype=float)
+    if F.ndim == 1:
+        F = F[:, None]
+    if F.ndim != 2 or F.shape[1] != n:
+        raise ValueError(f"finite data of shape {F.shape}, expected (N, {n})")
+    if F.shape[0] + n_inf == 0:
+        raise ValueError("empty dataset")
     if not np.all(np.isfinite(F)):
         raise ValueError("finite observations must have finite coordinates")
     return F, n_inf
 
 
-def _as_sequence(data):
-    if isinstance(data, np.ndarray):
-        if data.ndim == 1:
-            return [np.atleast_1d(row) for row in data[:, None]]
-        return list(data)
-    return list(data)
+def _columns(F):
+    # the kernels take one observation per column: at small n the reductions
+    # over N run several times faster on a contiguous (n, N) array than on rows
+    return np.ascontiguousarray(F.T)
+
+
+def _forms(z, Ft):
+    """Offsets b - x and quadratic forms a^2 + |b - x|^2 of the finite data."""
+    diff = z.b[:, None] - Ft
+    return diff, z.a * z.a + np.einsum("ij,ij->j", diff, diff)
+
+
+def _loss(z, n_inf, q):
+    # n * mean of log(q / a) over finite data and -log a over data at infinity
+    N = q.size + n_inf
+    return z.n * (float(np.sum(np.log(q))) - N * math.log(z.a)) / N
+
+
+def _grad(z, n_inf, diff, q):
+    N = q.size + n_inf
+    w = 1.0 / q
+    a2 = z.a * z.a
+    # finite data: a (a^2 - r^2) / q = a (2 a^2 / q - 1); at infinity: -a
+    da = z.a * (2.0 * a2 * float(np.sum(w)) - N)
+    db = 2.0 * a2 * (diff @ w)
+    return halfspace.HTangent(z, z.n * da / N, z.n * db / N)
+
+
+def _oracle(F, n_inf):
+    """(loss_fn, grad_fn) on validated data, sharing the offsets and forms."""
+    Ft = _columns(F)
+    return shared_oracle(lambda z: _forms(z, Ft),
+                         lambda z, f: _loss(z, n_inf, f[1]),
+                         lambda z, f: _grad(z, n_inf, *f))
 
 
 def loss(z, data, n=None):
     """Averaged negative log likelihood, n * mean Busemann, up to a constant."""
-    n = z.n if n is None else n
-    F, n_inf = _split_data(_as_sequence(data), n)
-    N = F.shape[0] + n_inf
-    if N == 0:
-        raise ValueError("empty dataset")
-    total = n_inf * (-math.log(z.a))
-    if F.shape[0]:
-        q = z.a * z.a + np.sum((z.b - F) ** 2, axis=1)
-        total += float(np.sum(np.log(q / z.a)))
-    return n * total / N
+    F, n_inf = _split_data(data, z.n if n is None else n)
+    return _loss(z, n_inf, _forms(z, _columns(F))[1])
 
 
 def grad(z, data, n=None):
     """Riemannian gradient of loss at z; norm at most n (mean of n-scaled unit forces)."""
-    n = z.n if n is None else n
-    F, n_inf = _split_data(_as_sequence(data), n)
-    N = F.shape[0] + n_inf
-    if N == 0:
-        raise ValueError("empty dataset")
-    da = n_inf * (-z.a)
-    db = np.zeros(z.n)
-    if F.shape[0]:
-        diff = z.b - F
-        r2 = np.sum(diff ** 2, axis=1)
-        q = z.a * z.a + r2
-        da += float(np.sum(z.a * (z.a * z.a - r2) / q))
-        db += 2.0 * z.a * z.a * np.sum(diff / q[:, None], axis=0)
-    return halfspace.HTangent(z, n * da / N, n * db / N)
+    F, n_inf = _split_data(data, z.n if n is None else n)
+    return _grad(z, n_inf, *_forms(z, _columns(F)))
 
 
 def fit(data, n, config=None):
@@ -89,42 +102,21 @@ def fit(data, n, config=None):
     Returns (HPoint, FitReport).  Divergence to the boundary (the scale
     collapsing or exploding past the caps) is reported as degenerate data.
     """
+    F, n_inf = _split_data(data, n)
+    return fit_arrays(F, n_inf, config)
+
+
+def fit_arrays(F, n_inf, config=None):
+    """fit on validated data: finite observations F (N, n) and n_inf at infinity."""
     config = config or DescentConfig()
-    seq = _as_sequence(data)
-    if not seq:
-        raise ValueError("empty dataset")
+    n = F.shape[1]
     if config.standardize:
-        F, _ = _split_data(seq, n)
         med = np.median(F, axis=0) if F.shape[0] else np.zeros(n)
         mad = float(np.median(np.abs(F - med))) if F.shape[0] else 1.0
         mad = mad if mad > 0 else 1.0
-        scaled = [x if halfspace.is_infinity(x) else (np.asarray(x) - med) / mad
-                  for x in seq]
-        inner_config = DescentConfig(config.step_policy, config.tol,
-                                     config.max_iters, standardize=False)
-        z, report = fit(scaled, n, inner_config)
+        z, report = fit_arrays((F - med) / mad, n_inf,
+                               dataclasses.replace(config, standardize=False))
         return halfspace.HPoint(mad * z.a, med + mad * z.b), report
-    F, n_inf = _split_data(seq, n)
-    z0 = halfspace.HPoint(1.0, np.zeros(n))
-
-    def loss_fn(z):
-        total = n_inf * (-math.log(z.a))
-        if F.shape[0]:
-            q = z.a * z.a + np.sum((z.b - F) ** 2, axis=1)
-            total += float(np.sum(np.log(q / z.a)))
-        return n * total / (F.shape[0] + n_inf)
-
-    def grad_fn(z):
-        da = n_inf * (-z.a)
-        db = np.zeros(n)
-        if F.shape[0]:
-            diff = z.b - F
-            r2 = np.sum(diff ** 2, axis=1)
-            q = z.a * z.a + r2
-            da += float(np.sum(z.a * (z.a * z.a - r2) / q))
-            db += 2.0 * z.a * z.a * np.sum(diff / q[:, None], axis=0)
-        scale = n / (F.shape[0] + n_inf)
-        return halfspace.HTangent(z, scale * da, scale * db)
-
-    return minimize_on_halfspace(z0, loss_fn, grad_fn, safe_step=1.0 / n,
-                                 config=config)
+    loss_fn, grad_fn = _oracle(F, n_inf)
+    return minimize_on_halfspace(halfspace.HPoint(1.0, np.zeros(n)), loss_fn,
+                                 grad_fn, safe_step=1.0 / n, config=config)

@@ -14,6 +14,7 @@ Dataset files are headerless CSV, one observation per row:
   regression   two columns t, x
 """
 
+import io
 import math
 from dataclasses import dataclass
 
@@ -174,6 +175,11 @@ def _parse_float(tok, lineno):
     return val
 
 
+# str.splitlines ends a line at these as well as at \n and \r; np.loadtxt
+# does not, so on a file holding one it would join what the line reader splits
+_OTHER_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
 def parse_dataset(path, mode="multivariate", rows=None, cols=None):
     """Read a dataset file.
 
@@ -181,12 +187,56 @@ def parse_dataset(path, mode="multivariate", rows=None, cols=None):
     (multivariate), an (N, rows, cols) array (matrix), or a pair of arrays
     (t, x) in regression mode.  Malformed rows raise DataFormatError with
     their line number; "inf" is accepted only in univariate mode.
+
+    A file of finite numbers with the right arity is read in one vectorised
+    pass; any other file goes through the line reader, which decides what
+    it holds and which line is wrong.  Both give bit-identical values.
     """
     if hasattr(path, "read"):
         text = path.read()
+        source = io.StringIO(text)
     else:
         with open(path) as fh:
             text = fh.read()
+        source = path  # np.loadtxt reads a named file faster than a StringIO
+    arr = _parse_array(text, source, mode, rows, cols)
+    if arr is None:
+        records = _parse_lines(text, mode, rows, cols)
+        if mode == "univariate":
+            return records
+        arr = np.asarray(records, dtype=float)
+    if mode == "univariate":
+        return arr[:, 0].tolist()
+    if mode == "multivariate":
+        return arr
+    if mode == "matrix":
+        return arr.reshape(-1, rows, cols)
+    ts, xs = arr.T.copy()
+    return ts, xs
+
+
+def _parse_array(text, source, mode, rows, cols):
+    """The file as one (N, columns) float array, or None when it needs the line reader.
+
+    text is the file's content and source what np.loadtxt reads it from.
+    """
+    # columns per row; -1 matches no file, so the line reader names the error
+    widths = {"univariate": 1, "multivariate": None, "regression": 2,
+              "matrix": rows * cols if rows and cols else -1}
+    if (mode not in widths or not text or text.isspace()
+            or any(c in text for c in _OTHER_LINE_BREAKS)):
+        return None
+    try:
+        arr = np.loadtxt(source, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if not np.isfinite(arr).all() or widths[mode] not in (None, arr.shape[1]):
+        return None
+    return arr
+
+
+def _parse_lines(text, mode, rows, cols):
+    """The line reader: one record per row, errors with their line number."""
     records = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -216,7 +266,7 @@ def parse_dataset(path, mode="multivariate", rows=None, cols=None):
             if len(vals) != rows * cols:
                 raise DataFormatError(
                     f"line {lineno}: expected {rows * cols} values")
-            records.append(np.asarray(vals).reshape(rows, cols))
+            records.append(vals)
         elif mode == "regression":
             if len(vals) != 2:
                 raise DataFormatError(f"line {lineno}: expected two columns t,x")
@@ -225,12 +275,4 @@ def parse_dataset(path, mode="multivariate", rows=None, cols=None):
             raise ValueError(f"unknown dataset mode {mode!r}")
     if not records:
         raise DataFormatError("dataset is empty")
-    if mode == "univariate":
-        return records
-    if mode == "multivariate":
-        return np.asarray(records, dtype=float)
-    if mode == "matrix":
-        return np.stack(records)
-    ts = np.array([r[0] for r in records])
-    xs = np.array([r[1] for r in records])
-    return ts, xs
+    return records

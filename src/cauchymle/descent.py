@@ -1,13 +1,13 @@
 """Geodesic gradient descent drivers shared by the family fitters.
 
-Two engines live here: one for losses on the unit-determinant SPD manifold
-and one for losses on the hyperbolic half-space.  Both stop when the
-gradient norm falls below the configured tolerance and otherwise classify
-the outcome: a gradient norm that is still decaying geometrically slower
-than PLATEAU_RATE per iteration when the iteration budget runs out marks
-the problem ill-conditioned (the argmin is nearly degenerate along a
-geodesic and the estimate is statistically unstable); anything else is a
-plain iteration-budget overrun.
+Two engines live here, one for losses on the unit-determinant SPD manifold
+and one for losses on the hyperbolic half-space; both run one loop.  It
+stops when the gradient norm falls below the configured tolerance and
+otherwise classifies the outcome: a gradient norm that is still decaying
+geometrically slower than PLATEAU_RATE per iteration when the iteration
+budget runs out marks the problem ill-conditioned (the argmin is nearly
+degenerate along a geodesic and the estimate is statistically unstable);
+anything else is a plain iteration-budget overrun.
 """
 
 import time
@@ -91,6 +91,29 @@ def plateau_status(grad_norms, window=PLATEAU_WINDOW, rate=PLATEAU_RATE):
     return FitStatus.MAX_ITERS_EXCEEDED
 
 
+def shared_oracle(forms, value, grad):
+    """(loss_fn, grad_fn) for a descent engine that share one O(N) pass.
+
+    forms(x) computes the per-datum quantities at x, value(x, f) the loss
+    and grad(x, f) the gradient from them.  The engines take the gradient
+    at the point of their last loss evaluation, so grad_fn reuses the forms
+    that loss_fn computed when handed that same object, and recomputes them
+    at any other point.
+    """
+    last = [None, None]
+
+    def loss_fn(x):
+        f = forms(x)
+        last[:] = x, f
+        return value(x, f)
+
+    def grad_fn(x):
+        at, f = last
+        return grad(x, f if x is at else forms(x))
+
+    return loss_fn, grad_fn
+
+
 def _step_schedule(policy, safe_step, improved_step):
     """Trial steps for one iteration: (first, halving floor)."""
     if policy == "safe":
@@ -107,46 +130,10 @@ def minimize_on_spd(T0, loss_fn, grad_fn, improved_step, config):
     tangent.  The safe step is 1 (the loss is assumed to have geodesic
     second derivative at most ||gamma'||^2).  Returns (point, FitReport).
     """
-    start = time.perf_counter()
-    T = np.asarray(T0, dtype=float)
-    losses = [loss_fn(T)]
-    grads = []
-    status = None
-    iters = 0
-    for _ in range(config.max_iters + 1):
-        V = grad_fn(T)
-        g = spd.norm(T, V)
-        grads.append(g)
-        if g < config.tol:
-            status = FitStatus.CONVERGED
-            break
-        if spd.condition_number(T) > COND_CAP:
-            status = FitStatus.DEGENERATE_DATA
-            break
-        if iters == config.max_iters:
-            status = plateau_status(grads)
-            break
-        step, floor = _step_schedule(config.step_policy, 1.0, improved_step)
-        cur = losses[-1]
-        while True:
-            try:
-                cand = spd.geodesic(T, V, -step)
-                cand_loss = loss_fn(cand)
-                ok = np.isfinite(cand_loss) and cand_loss < cur
-            except spd.NumericRangeError:
-                ok = False
-                cand = None
-            if ok or step <= floor:
-                break
-            step = max(0.5 * step, floor)
-        if cand is None:
-            status = FitStatus.DEGENERATE_DATA
-            break
-        T = cand
-        losses.append(cand_loss)
-        iters += 1
-    report = FitReport(status, iters, losses, grads, time.perf_counter() - start)
-    return T, report
+    return _descend(np.asarray(T0, dtype=float), loss_fn, grad_fn, spd.norm,
+                    lambda T: spd.condition_number(T) > COND_CAP, spd.geodesic,
+                    _step_schedule(config.step_policy, 1.0, improved_step),
+                    config)
 
 
 def minimize_on_halfspace(z0, loss_fn, grad_fn, safe_step, config,
@@ -158,34 +145,44 @@ def minimize_on_halfspace(z0, loss_fn, grad_fn, safe_step, config,
     1/safe_step).  Backtracking starts from trial_factor * safe_step and
     halves down to the safe step.  Returns (HPoint, FitReport).
     """
+    # no family-specific improved step here: improved == safe
+    first = (trial_factor * safe_step if config.step_policy == "backtracking"
+             else safe_step)
+    return _descend(z0, loss_fn, grad_fn, lambda z, v: v.norm(),
+                    lambda z: not (1.0 / SCALE_CAP < z.a < SCALE_CAP),
+                    halfspace.exp_map, (first, safe_step), config)
+
+
+def _descend(x, loss_fn, grad_fn, norm, diverged, retract, schedule, config):
+    """Descent loop of both engines.
+
+    norm(x, v) measures a gradient, diverged(x) is the boundary guard,
+    retract(x, v, t) steps along the geodesic, and schedule is (first trial
+    step, halving floor).
+    """
     start = time.perf_counter()
-    z = z0
-    losses = [loss_fn(z)]
+    losses = [loss_fn(x)]
     grads = []
     status = None
     iters = 0
     for _ in range(config.max_iters + 1):
-        v = grad_fn(z)
-        g = v.norm()
+        v = grad_fn(x)
+        g = norm(x, v)
         grads.append(g)
         if g < config.tol:
             status = FitStatus.CONVERGED
             break
-        if not (1.0 / SCALE_CAP < z.a < SCALE_CAP):
+        if diverged(x):
             status = FitStatus.DEGENERATE_DATA
             break
         if iters == config.max_iters:
             status = plateau_status(grads)
             break
-        if config.step_policy == "backtracking":
-            step, floor = trial_factor * safe_step, safe_step
-        else:
-            # no family-specific improved step here: improved == safe
-            step, floor = safe_step, safe_step
+        step, floor = schedule
         cur = losses[-1]
         while True:
             try:
-                cand = halfspace.exp_map(z, v, -step)
+                cand = retract(x, v, -step)
                 cand_loss = loss_fn(cand)
                 ok = np.isfinite(cand_loss) and cand_loss < cur
             except spd.NumericRangeError:
@@ -197,8 +194,8 @@ def minimize_on_halfspace(z0, loss_fn, grad_fn, safe_step, config,
         if cand is None:
             status = FitStatus.DEGENERATE_DATA
             break
-        z = cand
+        x = cand
         losses.append(cand_loss)
         iters += 1
     report = FitReport(status, iters, losses, grads, time.perf_counter() - start)
-    return z, report
+    return x, report

@@ -22,7 +22,7 @@ to the multivariate Cauchy family.
 import numpy as np
 
 from . import spd
-from .descent import DescentConfig, minimize_on_spd
+from .descent import DescentConfig, minimize_on_spd, shared_oracle
 
 
 def lift(data):
@@ -54,32 +54,36 @@ def _check_frames(frames):
 
 def _gram(T, F):
     # Xt^T T Xt for every frame, shape (N, m, m)
-    TF = np.einsum("pq,nqm->npm", T, F)
-    return np.einsum("npm,npk->nmk", F, TF)
+    return np.swapaxes(F, 1, 2) @ (T @ F)
+
+
+def _forms(T, F):
+    """Gram matrices of the frames and their log determinants."""
+    G = _gram(T, F)
+    sign, logdet = np.linalg.slogdet(G)
+    if np.any(sign <= 0):
+        raise ValueError("rank-deficient Gram matrix; parameter is not SPD "
+                         "or a frame lost column rank")
+    return G, logdet
+
+
+def _grad(T, F, G):
+    # M = mean of Xt G^-1 Xt^T over the frames
+    M = np.tensordot(F @ np.linalg.inv(G), F, axes=([0, 2], [0, 2])) / F.shape[0]
+    return spd.project_tangent(T, T @ M @ T - (F.shape[2] / T.shape[0]) * T)
 
 
 def loss(T, frames):
     """Averaged negative log likelihood up to a data-independent constant."""
     F = _check_frames(frames)
-    T = np.asarray(T, dtype=float)
-    sign, logdet = np.linalg.slogdet(_gram(T, F))
-    if np.any(sign <= 0):
-        raise ValueError("rank-deficient Gram matrix; parameter is not SPD "
-                         "or a frame lost column rank")
-    return float(np.mean(logdet))
+    return float(np.mean(_forms(np.asarray(T, dtype=float), F)[1]))
 
 
 def grad(T, frames):
     """Riemannian gradient of loss at T, a valid tangent vector."""
     F = _check_frames(frames)
     T = np.asarray(T, dtype=float)
-    p = T.shape[0]
-    m = F.shape[2]
-    G = _gram(T, F)
-    Ginv = np.linalg.inv(G)
-    M = np.einsum("npm,nmk,nqk->pq", F, Ginv, F) / F.shape[0]
-    out = T @ M @ T - (m / p) * T
-    return spd.project_tangent(T, out)
+    return _grad(T, F, _gram(T, F))
 
 
 def datum_grad(T, frame):
@@ -140,14 +144,18 @@ def fit(frames, m, n, config=None):
     return _fit_core(F, m, n, config)
 
 
+def _oracle(F):
+    """(loss_fn, grad_fn) on validated frames, sharing the Gram matrices."""
+    return shared_oracle(lambda T: _forms(T, F),
+                         lambda T, f: float(np.mean(f[1])),
+                         lambda T, f: _grad(T, F, f[0]))
+
+
 def _fit_core(F, m, n, config):
-    return minimize_on_spd(
-        np.eye(m + n),
-        lambda T: loss(T, F),
-        lambda T: grad(T, F),
-        improved_step=step_size(m, n, "improved"),
-        config=config,
-    )
+    loss_fn, grad_fn = _oracle(F)
+    return minimize_on_spd(np.eye(m + n), loss_fn, grad_fn,
+                           improved_step=step_size(m, n, "improved"),
+                           config=config)
 
 
 def to_params(T, n, m):

@@ -4,7 +4,8 @@ Each run r of a batch samples a fresh dataset from the generator using the
 split stream SeedSequence(master_seed, spawn_key=(r,)) and fits it.  The
 per-run estimate table and the aggregate statistics depend only on the
 master seed and the configuration, never on scheduling, and failures of
-individual runs are recorded as statuses rather than aborting the batch.
+individual runs are recorded as statuses, with the exception type and
+message in the run's "error" field, rather than aborting the batch.
 """
 
 from dataclasses import dataclass, field
@@ -43,7 +44,9 @@ class McSummary:
         for row in self.rows:
             cells = [str(row["run"]), row["status"], str(row["iterations"]),
                      repr(row["grad_norm"])]
-            cells += [repr(float(row[c])) for c in self.columns]
+            # a run that raised has no estimates: its cells stay empty
+            cells += [repr(float(row[c])) if c in row else ""
+                      for c in self.columns]
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
 
@@ -116,8 +119,8 @@ def run_mc(spec, runs, config=None):
             row["status"] = report.status.value
             row["iterations"] = report.iterations
             row["grad_norm"] = report.final_grad_norm
-        except Exception:
-            pass
+        except Exception as exc:
+            row["error"] = f"{type(exc).__name__}: {exc}"
         summary.rows.append(row)
         summary.status_counts[row["status"]] = (
             summary.status_counts.get(row["status"], 0) + 1)

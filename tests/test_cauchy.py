@@ -281,3 +281,79 @@ def test_loss_trace_monotone_with_default_policy(rng):
     _, report = cauchy.fit(X)
     diffs = np.diff(report.loss_trace)
     assert np.all(diffs <= 1e-12)
+
+
+def _rel_gap(got, want):
+    return np.linalg.norm(np.asarray(got) - want) / np.linalg.norm(want)
+
+
+def test_fused_oracle_matches_public_functions(rng):
+    X = cauchy.lift(rng.standard_normal((300, 2)) * 3.0 + 1.0)
+    loss_fn, grad_fn = cauchy._oracle(X)
+    T0 = np.eye(3)
+    assert loss_fn(T0) == pytest.approx(cauchy.loss(T0, X), rel=1e-12)
+    V = grad_fn(T0)
+    assert _rel_gap(V, cauchy.loss_grad(T0, X)) < 1e-12
+    # a backtracked trial: a long step, then a shorter one from the same base
+    far, near = (spd.geodesic(T0, V, -t) for t in (8.0, 1.0))
+    for T in (far, near):
+        assert loss_fn(T) == pytest.approx(cauchy.loss(T, X), rel=1e-12)
+    assert _rel_gap(grad_fn(near), cauchy.loss_grad(near, X)) < 1e-12
+    # away from the last loss evaluation the forms are recomputed
+    assert _rel_gap(grad_fn(far), cauchy.loss_grad(far, X)) < 1e-12
+    assert _rel_gap(grad_fn(T0), cauchy.loss_grad(T0, X)) < 1e-12
+
+
+def test_fit_oracle_agrees_with_public_functions_along_descent(rng, monkeypatch):
+    # every loss and gradient the engine sees equals the public functions',
+    # backtracked trials included
+    X = cauchy.lift(rng.standard_normal((400, 4)) @ rng.standard_normal((4, 4)))
+    seen = {"loss": 0, "grad": 0}
+    engine = cauchy.minimize_on_spd
+
+    def checked(T0, loss_fn, grad_fn, improved_step, config):
+        def loss_chk(T):
+            seen["loss"] += 1
+            val = loss_fn(T)
+            assert val == pytest.approx(cauchy.loss(T, X), rel=1e-12)
+            return val
+
+        def grad_chk(T):
+            seen["grad"] += 1
+            V = grad_fn(T)
+            assert _rel_gap(V, cauchy.loss_grad(T, X)) < 1e-12
+            return V
+
+        return engine(T0, loss_chk, grad_chk, improved_step, config)
+
+    monkeypatch.setattr(cauchy, "minimize_on_spd", checked)
+    T, report = cauchy.fit(X)
+    assert report.status is FitStatus.CONVERGED
+    backtracks = seen["loss"] - 1 - report.iterations
+    assert seen["grad"] == report.iterations + 1 and backtracks > 0
+
+
+@pytest.mark.parametrize("bad", [
+    np.array([[0.5, 1.0], [np.nan, 1.0], [2.0, 1.0], [3.0, 1.0]]),
+    np.array([[0.5, 1.0], [0.0, 0.0], [2.0, 1.0], [3.0, 1.0]]),
+    np.ones(5),
+    np.ones((5, 1)),
+    np.empty((0, 3)),
+])
+def test_fit_rejects_malformed_lifted_data(bad):
+    with pytest.raises(ValueError):
+        cauchy.fit(bad)
+
+
+@pytest.mark.parametrize("bad", [[1.0, float("nan"), 2.0, 3.0], [],
+                                 np.ones((4, 2))])
+def test_fit_univariate_rejects_malformed_data(bad):
+    with pytest.raises(ValueError):
+        cauchy.fit_univariate(bad)
+
+
+def test_lift_univariate_rows():
+    X = cauchy.lift_univariate([2.5, INFINITY, -1.0, INFINITY])
+    assert np.array_equal(X, [[2.5, 1.0], [1.0, 0.0], [-1.0, 1.0], [1.0, 0.0]])
+    assert np.array_equal(cauchy.lift_univariate(np.array([0.0, 3.0])),
+                          [[0.0, 1.0], [3.0, 1.0]])

@@ -209,3 +209,26 @@ def test_usage_error_exit_code_via_subprocess():
         [sys.executable, "-m", "cauchymle", "fit", "--family", "bogus"],
         capture_output=True, text=True)
     assert proc.returncode == 1
+
+
+REPORT_KEYS = {"family", "n", "m", "status", "iterations", "final_grad_norm",
+               "loss_trace", "grad_norm_trace"}
+
+
+@pytest.mark.parametrize("argv, text, extra", [
+    (["fit1d"], "0\n1\ninf\n", {"location", "scale"}),
+    (["fit", "--family", "cauchy"], "0,1\n1,0\n-1,2\n2,2\n",
+     {"location", "scatter"}),
+    (["fit", "--family", "conformal"], "0,1\n1,0\n-1,2\n2,2\n",
+     {"location", "scale"}),
+    (["regress", "--alpha", "1.0"], "0,-1\n1,1\n",
+     {"alpha", "knots", "junction_residuals", "objective"}),
+])
+def test_fit_commands_report_wall_time(tmp_path, capsys, argv, text, extra):
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    _, out = run_cli(argv + ["--input", str(path)], capsys)
+    doc = json.loads(out)
+    # additive: every earlier key stays
+    assert REPORT_KEYS | extra | {"wall_time"} == set(doc)
+    assert isinstance(doc["wall_time"], float) and doc["wall_time"] >= 0.0

@@ -165,3 +165,34 @@ def test_equilibrium_mean_unit_force(rng):
     assert report.status is FitStatus.CONVERGED
     g = conformal.grad(z, data, n)
     assert g.norm() / n < config.tol * (1 + 1.0 / n)
+
+
+def test_fused_oracle_matches_public_functions(rng):
+    data = list(rng.standard_normal((300, 2)) * 2.0 + 0.5) + [INFINITY] * 7
+    F, n_inf = conformal._split_data(data, 2)
+    loss_fn, grad_fn = conformal._oracle(F, n_inf)
+
+    def check_grad(z):
+        g, want = grad_fn(z), conformal.grad(z, data, 2)
+        gap = math.hypot(g.da - want.da, float(np.linalg.norm(g.db - want.db)))
+        assert gap <= 1e-12 * want.norm() * z.a
+
+    z0 = HPoint(1.0, [0.0, 0.0])
+    assert loss_fn(z0) == pytest.approx(conformal.loss(z0, data, 2), rel=1e-12)
+    check_grad(z0)
+    # a backtracked trial: a long step, then a shorter one from the same base
+    v = grad_fn(z0)
+    far, near = (exp_map(z0, v, -t) for t in (1.0, 0.5))
+    for z in (far, near):
+        assert loss_fn(z) == pytest.approx(conformal.loss(z, data, 2), rel=1e-12)
+    check_grad(near)
+    # away from the last loss evaluation the forms are recomputed
+    check_grad(far)
+    check_grad(z0)
+
+
+@pytest.mark.parametrize("bad", [np.array([[0.0, np.nan], [1.0, 2.0]]),
+                                 np.ones((4, 3)), np.empty((0, 2)), []])
+def test_fit_rejects_malformed_data(bad):
+    with pytest.raises(ValueError):
+        conformal.fit(bad, 2)

@@ -2,6 +2,7 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cauchymle import datasets as ds
 from cauchymle.halfspace import INFINITY, is_infinity
@@ -183,3 +184,97 @@ def test_generator_spec_validation():
                          covariance=np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(ValueError):
         ds.GeneratorSpec(kind="matrix_standard", sample_size=5, rows=0, cols=2)
+
+
+# -- the vectorised reader against the line reader -------------------------
+
+NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.floats(-1e6, 1e6).map(lambda x: f" {x:.4e}\t"),
+)
+ODD = st.sampled_from([
+    "nan", "-nan", "inf", "-inf", "+inf", "INF", "Inf", "Infinity", "1e400",
+    "-1e400", "1_000", "", " ", "#", "1 # c", "x", "0x10", "\ufeff1", "1\xa0",
+    "1.5\x0b", "\x0c2",
+])
+# whitespace to str.strip and float(); all but space, tab and \xa0 also end
+# a line for str.splitlines
+PAD = st.sampled_from(["", "", "", " ", "\t", "\xa0", "\x0b", "\x0c", "\x1c",
+                       "\x85", "\u2028"])
+LINE_ENDS = st.sampled_from(["\n"] * 6 + ["\r\n", "\r", "\x0c", "\x1c",
+                                          "\u2028", "\x85"])
+BLANK = st.sampled_from(["", " ", "\t", " \t "])
+SHAPES = {"univariate": (None, None), "multivariate": (None, None),
+          "matrix": (2, 2), "regression": (None, None)}
+
+
+@st.composite
+def dataset_texts(draw):
+    """(mode, text): mostly well-formed files, some with odd tokens or lines."""
+    mode = draw(st.sampled_from(sorted(SHAPES)))
+    width = {"univariate": 1, "matrix": 4, "regression": 2}.get(
+        mode, draw(st.integers(1, 4)))
+    clean = draw(st.booleans())
+    token = NUMBER if clean else st.tuples(
+        PAD, st.one_of(NUMBER, NUMBER, ODD), PAD).map("".join)
+    end = st.sampled_from(["\n", "\r\n"]) if clean else LINE_ENDS
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            lines.append(draw(st.just("") if clean else BLANK))
+            continue
+        k = width if clean or kind > 2 else draw(st.integers(1, 5))
+        lines.append(",".join(draw(token) for _ in range(k)))
+    return mode, "".join(line + draw(end) for line in lines)
+
+
+def _canonical(result):
+    """Bit-level form of a parse result: float hex, INFINITY, array bytes."""
+    if isinstance(result, tuple):
+        return tuple(_canonical(r) for r in result)
+    if isinstance(result, list):
+        return ["inf" if is_infinity(x) else (type(x), x.hex()) for x in result]
+    return result.dtype, result.shape, result.tobytes()
+
+
+def _line_reader(text, mode, rows, cols):
+    """Reference: the line reader's records in parse_dataset's return types."""
+    records = ds._parse_lines(text, mode, rows, cols)
+    if mode == "univariate":
+        return records
+    if mode == "multivariate":
+        return np.asarray(records, dtype=float)
+    if mode == "matrix":
+        return np.stack([np.asarray(r).reshape(rows, cols) for r in records])
+    return np.array([r[0] for r in records]), np.array([r[1] for r in records])
+
+
+def _outcome(parse):
+    try:
+        return "ok", _canonical(parse())
+    except ValueError as exc:  # DataFormatError included
+        return type(exc).__name__, str(exc)
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("parse") / "data.csv"
+
+
+@settings(max_examples=400, deadline=None)
+@given(dataset_texts())
+def test_parse_matches_line_reader(csv_path, case):
+    # both readers accept the same files, return bit-identical values, and
+    # raise the same error with the same line number
+    mode, text = case
+    rows, cols = SHAPES[mode]
+    got = _outcome(lambda: ds.parse_dataset(io.StringIO(text), mode, rows, cols))
+    want = _outcome(lambda: _line_reader(text, mode, rows, cols))
+    assert got == want
+    csv_path.write_text(text, newline="")
+    got = _outcome(lambda: ds.parse_dataset(str(csv_path), mode, rows, cols))
+    want = _outcome(lambda: _line_reader(csv_path.read_text(), mode, rows,
+                                         cols))
+    assert got == want

@@ -193,3 +193,25 @@ def test_fit_rejects_mismatched_dims(rng):
     F = mc.lift(rng.standard_normal((5, 2, 2)))
     with pytest.raises(ValueError):
         mc.fit(F, 3, 2, DescentConfig())
+
+
+def test_fused_oracle_matches_public_functions(rng):
+    F = mc.lift(rng.standard_normal((200, 2, 2)))
+    loss_fn, grad_fn = mc._oracle(F)
+
+    def gap(T):
+        want = mc.grad(T, F)
+        return np.linalg.norm(grad_fn(T) - want) / np.linalg.norm(want)
+
+    T0 = np.eye(4)
+    assert loss_fn(T0) == pytest.approx(mc.loss(T0, F), rel=1e-12)
+    assert gap(T0) < 1e-12
+    # a backtracked trial: a long step, then a shorter one from the same base
+    V = grad_fn(T0)
+    far, near = (spd.geodesic(T0, V, -t) for t in (8.0, 1.0))
+    for T in (far, near):
+        assert loss_fn(T) == pytest.approx(mc.loss(T, F), rel=1e-12)
+    assert gap(near) < 1e-12
+    # away from the last loss evaluation the Gram matrices are recomputed
+    assert gap(far) < 1e-12
+    assert gap(T0) < 1e-12

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cauchymle import montecarlo
 from cauchymle.datasets import GeneratorSpec
 from cauchymle.descent import DescentConfig
 from cauchymle.montecarlo import run_mc
@@ -85,3 +86,25 @@ def test_config_is_respected():
 def test_run_count_validation():
     with pytest.raises(ValueError):
         run_mc(gaussian_spec(), runs=0)
+
+
+def test_failed_run_is_recorded_and_tabulated(monkeypatch):
+    fit_one = montecarlo._fit_one
+    calls = iter(range(10))
+
+    def flaky(spec, data, config):
+        if next(calls) == 1:
+            raise RuntimeError("boom")
+        return fit_one(spec, data, config)
+
+    monkeypatch.setattr(montecarlo, "_fit_one", flaky)
+    s = run_mc(GeneratorSpec(kind="cauchy1d", sample_size=200, seed=4), runs=3)
+    assert s.rows[1]["status"] == "error"
+    assert s.rows[1]["error"] == "RuntimeError: boom"
+    assert "error" not in s.rows[0] and "error" not in s.rows[2]
+    assert s.status_counts == {"converged": 2, "error": 1}
+    assert s.aggregates["u"]["mean"] == pytest.approx(
+        np.mean([s.rows[0]["u"], s.rows[2]["u"]]))
+    lines = s.table_csv().strip().split("\n")
+    assert lines[2] == "1,error,0,nan,,"
+    assert len(lines[1].split(",")) == len(lines[0].split(","))
