@@ -94,17 +94,16 @@ def sample_matrix_standard(n, m, size, rng):
     """Draw from the standard matrix-variate family (identity parameter).
 
     A (m+n) x m standard normal frame Z, conditioned on an invertible
-    bottom m x m block, yields X = Z_top Z_bottom^-1.
+    bottom m x m block, yields X = Z_top Z_bottom^-1.  All frames are drawn
+    at once; the rare frames whose bottom block fails the determinant test
+    are drawn again.
     """
-    out = np.empty((size, n, m))
-    for i in range(size):
-        while True:
-            Z = rng.standard_normal((m + n, m))
-            bottom = Z[n:, :]
-            if abs(np.linalg.det(bottom)) > 1e-12:
-                break
-        out[i] = Z[:n, :] @ np.linalg.inv(bottom)
-    return out
+    Z = rng.standard_normal((size, m + n, m))
+    while True:
+        singular = np.abs(np.linalg.det(Z[:, n:, :])) <= 1e-12
+        if not singular.any():
+            return Z[:, :n, :] @ np.linalg.inv(Z[:, n:, :])
+        Z[singular] = rng.standard_normal((int(singular.sum()), m + n, m))
 
 
 def generate(spec, run_index=None):

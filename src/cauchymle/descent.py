@@ -1,9 +1,10 @@
 """Geodesic gradient descent drivers shared by the family fitters.
 
 Two engines live here, one for losses on the unit-determinant SPD manifold
-and one for losses on the hyperbolic half-space; both run one loop.  It
-stops when the gradient norm falls below the configured tolerance and
-otherwise classifies the outcome: a gradient norm that is still decaying
+and one for losses on the hyperbolic half-space; both, and the spline
+solver, run one loop, each with its own step.  The loop stops when the
+gradient norm falls below the configured tolerance and otherwise
+classifies the outcome: a gradient norm that is still decaying
 geometrically slower than PLATEAU_RATE per iteration when the iteration
 budget runs out marks the problem ill-conditioned (the argmin is nearly
 degenerate along a geodesic and the estimate is statistically unstable);
@@ -114,15 +115,6 @@ def shared_oracle(forms, value, grad):
     return loss_fn, grad_fn
 
 
-def _step_schedule(policy, safe_step, improved_step):
-    """Trial steps for one iteration: (first, halving floor)."""
-    if policy == "safe":
-        return safe_step, safe_step
-    if policy == "improved":
-        return improved_step, improved_step
-    return improved_step, safe_step
-
-
 def minimize_on_spd(T0, loss_fn, grad_fn, improved_step, config):
     """Geodesic gradient descent for a loss on unit-determinant SPD matrices.
 
@@ -130,35 +122,59 @@ def minimize_on_spd(T0, loss_fn, grad_fn, improved_step, config):
     tangent.  The safe step is 1 (the loss is assumed to have geodesic
     second derivative at most ||gamma'||^2).  Returns (point, FitReport).
     """
+    policy = config.step_policy
+    first = 1.0 if policy == "safe" else improved_step
+    floor = improved_step if policy == "improved" else 1.0
     return _descend(np.asarray(T0, dtype=float), loss_fn, grad_fn, spd.norm,
-                    lambda T: spd.condition_number(T) > COND_CAP, spd.geodesic,
-                    _step_schedule(config.step_policy, 1.0, improved_step),
-                    config)
+                    lambda T: spd.condition_number(T) > COND_CAP,
+                    _backtracking(loss_fn, spd.geodesic, first, floor), config)
 
 
-def minimize_on_halfspace(z0, loss_fn, grad_fn, safe_step, config,
-                          trial_factor=2.0):
+def minimize_on_halfspace(z0, loss_fn, grad_fn, safe_step, config):
     """Gradient descent for a loss on the hyperbolic half-space.
 
     safe_step must make a full step provably non-increasing (second
     derivative of the loss along unit-speed geodesics at most
-    1/safe_step).  Backtracking starts from trial_factor * safe_step and
-    halves down to the safe step.  Returns (HPoint, FitReport).
+    1/safe_step).  Backtracking starts from twice the safe step and halves
+    down to it.  Returns (HPoint, FitReport).
     """
     # no family-specific improved step here: improved == safe
-    first = (trial_factor * safe_step if config.step_policy == "backtracking"
-             else safe_step)
+    first = 2.0 * safe_step if config.step_policy == "backtracking" else safe_step
     return _descend(z0, loss_fn, grad_fn, lambda z, v: v.norm(),
-                    lambda z: not (1.0 / SCALE_CAP < z.a < SCALE_CAP),
-                    halfspace.exp_map, (first, safe_step), config)
+                    lambda z: off_scale(z.a),
+                    _backtracking(loss_fn, halfspace.exp_map, first, safe_step),
+                    config)
 
 
-def _descend(x, loss_fn, grad_fn, norm, diverged, retract, schedule, config):
-    """Descent loop of both engines.
+def off_scale(a):
+    """Half-space guard: some scale left (1/SCALE_CAP, SCALE_CAP)."""
+    return not np.all((a > 1.0 / SCALE_CAP) & (a < SCALE_CAP))
 
-    norm(x, v) measures a gradient, diverged(x) is the boundary guard,
-    retract(x, v, t) steps along the geodesic, and schedule is (first trial
-    step, halving floor).
+
+def _backtracking(loss_fn, retract, first, floor):
+    """Family step: halve from first until the loss falls; accept the floor step."""
+    def step(x, v, g, cur):
+        s = first
+        while True:
+            try:
+                cand = retract(x, v, -s)
+                cand_loss = loss_fn(cand)
+                if s <= floor or (np.isfinite(cand_loss) and cand_loss < cur):
+                    return cand, cand_loss
+            except spd.NumericRangeError:
+                if s <= floor:
+                    return None
+            s = max(0.5 * s, floor)
+    return step
+
+
+def _descend(x, loss_fn, grad_fn, norm, diverged, step, config, stuck=None):
+    """Descent loop of every solver: the stop rules and the FitReport.
+
+    norm(x, v) measures the gradient v = grad_fn(x), diverged(x) is the
+    boundary guard, and step(x, v, norm, loss) returns the next point and
+    its loss, or None when it cannot move.  stuck(grad_norms) then names
+    the outcome; by default the data are degenerate.
     """
     start = time.perf_counter()
     losses = [loss_fn(x)]
@@ -178,24 +194,12 @@ def _descend(x, loss_fn, grad_fn, norm, diverged, retract, schedule, config):
         if iters == config.max_iters:
             status = plateau_status(grads)
             break
-        step, floor = schedule
-        cur = losses[-1]
-        while True:
-            try:
-                cand = retract(x, v, -step)
-                cand_loss = loss_fn(cand)
-                ok = np.isfinite(cand_loss) and cand_loss < cur
-            except spd.NumericRangeError:
-                ok = False
-                cand = None
-            if ok or step <= floor:
-                break
-            step = max(0.5 * step, floor)
-        if cand is None:
-            status = FitStatus.DEGENERATE_DATA
+        moved = step(x, v, g, losses[-1])
+        if moved is None:
+            status = stuck(grads) if stuck else FitStatus.DEGENERATE_DATA
             break
-        x = cand
-        losses.append(cand_loss)
+        x, loss = moved
+        losses.append(loss)
         iters += 1
     report = FitReport(status, iters, losses, grads, time.perf_counter() - start)
     return x, report

@@ -15,6 +15,10 @@ Geodesics are computed by reducing to the 2-plane spanned by the vertical
 direction and the horizontal displacement, an isometrically embedded copy
 of H^2, where they are vertical rays or semicircles with feet on the
 boundary.
+
+Each formula is written once, as an array kernel on scales a (...) and
+centers b (..., n): one point or k points at a time.  The HPoint/HTangent
+functions below the kernels wrap them for single points.
 """
 
 import math
@@ -92,7 +96,7 @@ class HTangent:
 
     def norm(self):
         """Riemannian norm: Euclidean norm of (da, db) divided by the scale."""
-        return math.hypot(self.da, float(np.linalg.norm(self.db))) / self.base.a
+        return float(norm_kernel(self.base.a, self.da, self.db))
 
     def scaled(self, c):
         return HTangent(self.base, c * self.da, c * self.db)
@@ -107,45 +111,107 @@ def _boundary_vector(x, n):
     return x
 
 
+def busemann_kernel(a, b, x=None):
+    """Busemann values at (a, b) of finite boundary points x, or of infinity (None)."""
+    if x is None:
+        return -np.log(a)
+    diff = b - x
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = (a * a + (diff * diff).sum(axis=-1)) / a
+    if not ((q > 0.0) & (q < math.inf)).all():
+        raise NumericRangeError("Busemann evaluation left the numeric range")
+    return np.log(q)
+
+
+def busemann_grad_kernel(a, b, x=None):
+    """Riemannian gradients (da, db) of the Busemann functions of x at (a, b).
+
+    Each is the unit tangent to the geodesic from x through the point,
+    pointing away from x: the Euclidean gradient times a^2.
+    """
+    if x is None:
+        return -a, np.zeros_like(b)
+    diff = b - x
+    r2 = (diff * diff).sum(axis=-1)
+    q = a * a + r2
+    return a * (a * a - r2) / q, (2.0 * a * a / q)[..., None] * diff
+
+
+def norm_kernel(a, da, db):
+    """Riemannian norms: Euclidean norms of (da, db) divided by the scales."""
+    return np.hypot(da, np.sqrt((db * db).sum(axis=-1))) / a
+
+
+def distance_kernel(a, b, a2, b2):
+    """Distances (a, b) to (a2, b2): 2 asinh(|gap| / (2 sqrt(a a2)))."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        prod = a * a2
+        ratio = (((b - b2) ** 2).sum(axis=-1) + (a - a2) ** 2) / prod
+    if ((prod == 0.0) | (ratio == math.inf)).any():
+        raise NumericRangeError("distance evaluation left the numeric range")
+    return 2.0 * np.arcsinh(0.5 * np.sqrt(ratio))
+
+
+def exp_kernel(a, b, da, db, t=1.0):
+    """Points at time t on the geodesics from (a, b) with velocities (da, db).
+
+    Raises NumericRangeError when a point reaches the boundary in floats.
+    """
+    with np.errstate(all="ignore"):
+        vx = np.sqrt((db * db).sum(axis=-1))
+        ds = np.hypot(vx, da) / a * t
+        still = ds == 0.0
+        vertical = vx == 0.0
+        w = np.where(vertical, 1.0, vx)
+        # Semicircle with center c on the boundary; stable forms avoid atanh
+        # of arguments near +-1 when the circle is nearly a vertical line
+        # (huge c).  A vertical ray scales a by exp(t da / a).
+        c = a * da / w
+        rho = np.hypot(c, a)
+        td = np.tanh(ds)
+        den = 1.0 + (-c / rho) * td  # strictly positive in exact arithmetic
+        xt = td * a * a / (rho * den)
+        at = np.where(vertical, a * np.exp(t * da / a), a / (np.cosh(ds) * den))
+    # |ds| > 700 overflows cosh: the point degenerates to the boundary
+    bad = ~((at > 0.0) & (at < math.inf))
+    bad |= ~vertical & ((np.abs(ds) > 700.0) | ~np.isfinite(xt))
+    if (bad & ~still).any():
+        raise NumericRangeError("geodesic point left the numeric range")
+    shift = np.where(vertical | still, 0.0, xt)[..., None] * (db / w[..., None])
+    return np.where(still, a, at), b + shift
+
+
+def log_kernel(a, b, a2, b2):
+    """Tangents (da, db) at (a, b) pointing to (a2, b2), of norm the distance."""
+    d = distance_kernel(a, b, a2, b2)
+    diff = b2 - b
+    s = np.sqrt((diff * diff).sum(axis=-1))
+    vertical = s == 0.0
+    w = np.where(vertical, 1.0, s)
+    c = (s * s + a2 * a2 - a * a) / (2.0 * w)
+    rho = np.hypot(c, a)
+    # Euclidean unit direction (a / rho, c / rho) along the semicircle
+    da = np.where(vertical, a * np.log(a2 / a), d * a * (c / rho))
+    return da, (d * a * (a / rho))[..., None] * (diff / w[..., None])
+
+
 def busemann(x, z):
     """Busemann function of the boundary point x evaluated at z."""
-    if is_infinity(x):
-        return -math.log(z.a)
-    x = _boundary_vector(x, z.n)
-    diff = z.b - x
-    q = (z.a * z.a + float(diff @ diff)) / z.a
-    if q <= 0.0 or not math.isfinite(q):
-        raise NumericRangeError("Busemann evaluation left the numeric range")
-    return math.log(q)
+    x = None if is_infinity(x) else _boundary_vector(x, z.n)
+    return float(busemann_kernel(z.a, z.b, x))
 
 
 def busemann_grad(x, z):
-    """Riemannian gradient of the Busemann function of x at z.
-
-    It is the unit vector tangent to the geodesic from x through z, pointing
-    away from x.  The Euclidean gradient is multiplied by a^2 (the inverse
-    of the conformal metric).
-    """
-    if is_infinity(x):
-        return HTangent(z, -z.a, np.zeros(z.n))
-    x = _boundary_vector(x, z.n)
-    diff = z.b - x
-    r2 = float(diff @ diff)
-    q = z.a * z.a + r2
-    da = z.a * (z.a * z.a - r2) / q
-    db = (2.0 * z.a * z.a / q) * diff
-    return HTangent(z, da, db)
+    """Riemannian gradient of the Busemann function of x at z (a unit tangent)."""
+    x = None if is_infinity(x) else _boundary_vector(x, z.n)
+    return HTangent(z, *busemann_grad_kernel(z.a, z.b, x))
 
 
 def distance(z, w):
-    """Hyperbolic distance, via 2 asinh of half the Euclidean gap over sqrt(a a')."""
+    """Hyperbolic distance between two points."""
     if z.n != w.n:
         raise ValueError("points live in half-spaces of different dimension")
-    gap2 = float(np.sum((z.b - w.b) ** 2)) + (z.a - w.a) ** 2
-    prod = z.a * w.a
-    if prod == 0.0 or gap2 / prod == math.inf:
-        raise NumericRangeError("distance evaluation left the numeric range")
-    return 2.0 * math.asinh(0.5 * math.sqrt(gap2 / prod))
+    return float(distance_kernel(z.a, z.b, w.a, w.b))
 
 
 def exp_map(z, v, t=1.0):
@@ -156,57 +222,14 @@ def exp_map(z, v, t=1.0):
     """
     if v.db.shape != z.b.shape:
         raise ValueError("tangent dimension does not match the point")
-    vx = float(np.linalg.norm(v.db))
-    vy = v.da
-    y0 = z.a
-    speed = math.hypot(vx, vy) / y0
-    if speed * t == 0.0:
+    if v.norm() * t == 0.0:
         return z
-    if vx == 0.0:
-        try:
-            a = y0 * math.exp(t * vy / y0)
-        except OverflowError:
-            raise NumericRangeError("geodesic point left the numeric range")
-        if a == 0.0 or not math.isfinite(a):
-            raise NumericRangeError("geodesic point left the numeric range")
-        return HPoint(a, z.b.copy())
-    u = v.db / vx
-    # Semicircle with center c on the boundary; stable forms avoid atanh of
-    # arguments near +-1 when the circle is nearly a vertical line (huge c).
-    c = y0 * vy / vx
-    if not math.isfinite(c):
-        raise NumericRangeError("geodesic point left the numeric range")
-    rho = math.hypot(c, y0)
-    t0 = -c / rho  # tanh of the initial arclength parameter
-    ds = speed * t
-    if abs(ds) > 700.0:  # cosh overflow: the point degenerates to the boundary
-        raise NumericRangeError("geodesic point left the numeric range")
-    td = math.tanh(ds)
-    den = 1.0 + t0 * td
-    if den <= 0.0:  # strictly positive in exact arithmetic
-        raise NumericRangeError("geodesic point left the numeric range")
-    xt = td * y0 * y0 / (rho * den)
-    at = y0 / (math.cosh(ds) * den)
-    if at <= 0.0 or not (math.isfinite(at) and math.isfinite(xt)):
-        raise NumericRangeError("geodesic point left the numeric range")
-    return HPoint(at, z.b + xt * u)
+    a, b = exp_kernel(z.a, z.b, v.da, v.db, t)
+    return HPoint(a, b)
 
 
 def log_map(z, w):
     """Tangent v at z with exp_map(z, v, 1) = w and ||v|| = d(z, w)."""
     if z.n != w.n:
         raise ValueError("points live in half-spaces of different dimension")
-    d = distance(z, w)
-    if d == 0.0:
-        return HTangent(z, 0.0, np.zeros(z.n))
-    diff = w.b - z.b
-    s = float(np.linalg.norm(diff))
-    if s == 0.0:
-        return HTangent(z, z.a * math.log(w.a / z.a), np.zeros(z.n))
-    u = diff / s
-    c = (s * s + w.a * w.a - z.a * z.a) / (2.0 * s)
-    rho = math.hypot(c, z.a)
-    # Euclidean unit direction at z toward w along the connecting semicircle.
-    ex = z.a / rho
-    ey = c / rho
-    return HTangent(z, d * z.a * ey, (d * z.a * ex) * u)
+    return HTangent(z, *log_kernel(z.a, z.b, w.a, w.b))

@@ -5,7 +5,8 @@ split stream SeedSequence(master_seed, spawn_key=(r,)) and fits it.  The
 per-run estimate table and the aggregate statistics depend only on the
 master seed and the configuration, never on scheduling, and failures of
 individual runs are recorded as statuses, with the exception type and
-message in the run's "error" field, rather than aborting the batch.
+message in the run's "error" field (and in the summary's "errors"),
+rather than aborting the batch.
 """
 
 from dataclasses import dataclass, field
@@ -36,6 +37,8 @@ class McSummary:
             "seed": self.seed,
             "aggregates": self.aggregates,
             "status_counts": self.status_counts,
+            "errors": {row["run"]: row["error"] for row in self.rows
+                       if "error" in row},
         }
 
     def table_csv(self):

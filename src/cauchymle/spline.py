@@ -13,14 +13,12 @@ energy d^2 / D.  At a stationary point every junction balances forces:
     alpha (h'(t_i + 0) - h'(t_i - 0)) + v_i = 0,
 
 with v_i the sum of the unit forces pulling z_i toward its observations.
-The solver is joint geodesic gradient descent over the knot values,
-started from the pooled location/scale fit of all observations, with a
-conservative base step 1/(1 + 2 alpha / min gap) and an adaptive
-backtracking line search (doubling after accepted steps) so that stiff
-high-penalty problems still converge.
+The knots are held as arrays, scales a (k,) and centers b (k, 1), and
+the fit runs the shared descent loop of `descent` from the pooled
+location/scale fit of all observations, with a two-channel step (`fit`).
 """
 
-import math
+import functools
 import time
 from dataclasses import dataclass
 
@@ -28,9 +26,9 @@ import numpy as np
 
 from . import halfspace
 from .cauchy import fit_univariate
-from .descent import (DescentConfig, FitReport, FitStatus, SCALE_CAP,
-                      plateau_status)
-from .halfspace import HPoint, HTangent
+from .descent import (DescentConfig, FitReport, FitStatus, _descend,
+                      off_scale, plateau_status)
+from .halfspace import HPoint
 from .spd import NumericRangeError
 
 
@@ -89,47 +87,74 @@ class SplineFit:
     report: FitReport
 
 
-def objective(problem, values):
-    """Data Busemann terms plus the discrete path energy."""
+class _Arrays:
+    """A problem flattened once for the array kernels.
+
+    Finite observations x (m, 1) sit at knots knot (m,); n_inf (k,) counts
+    those at infinity and counts (k,) all of them.  Directed edges run
+    tail -> head, each pair of consecutive knots once in each direction,
+    with weight alpha / time gap.  terms (m + 2k - 2,) names the knot of
+    every data force and energy pull, to sum them with bincount.
+    """
+
+    def __init__(self, problem):
+        self.k = k = problem.k
+        finite = [(i, x) for i, group in enumerate(problem.observations)
+                  for x in group if not halfspace.is_infinity(x)]
+        self.knot = np.array([i for i, _ in finite], dtype=int)
+        self.x = np.reshape([halfspace._boundary_vector(x, 1) for _, x in finite],
+                            (-1, 1))
+        self.counts = np.array([len(g) for g in problem.observations], float)
+        self.n_inf = self.counts - np.bincount(self.knot, minlength=k)
+        self.weights = problem.alpha / np.diff(problem.times)
+        edges = np.arange(k - 1)
+        self.tail = np.concatenate([edges, edges + 1])
+        self.head = np.concatenate([edges + 1, edges])
+        self.pull = np.tile(self.weights, 2)
+        self.terms = np.concatenate([self.knot, self.tail])
+
+
+def _knots(problem, values):
+    """Knot values as arrays: scales a (k,) and centers b (k, 1)."""
     if len(values) != problem.k:
         raise ValueError("one value per knot is required")
-    total = 0.0
-    for group, z in zip(problem.observations, values):
-        for x in group:
-            total += halfspace.busemann(x, z)
-    for i in range(problem.k - 1):
-        gap = problem.times[i + 1] - problem.times[i]
-        d = halfspace.distance(values[i], values[i + 1])
-        total += 0.5 * problem.alpha * d * d / gap
-    return total
+    b = np.array([z.b for z in values])
+    if b.shape != (problem.k, 1):
+        raise ValueError("knot values must be points of the half-plane")
+    return np.array([z.a for z in values]), b
 
 
-def _knot_gradients(problem, values):
-    """Objective gradient per knot (data forces plus energy pulls)."""
-    grads = []
-    for i, z in enumerate(values):
-        da = 0.0
-        db = np.zeros(z.n)
-        for x in problem.observations[i]:
-            g = halfspace.busemann_grad(x, z)
-            da += g.da
-            db += g.db
-        if i > 0:
-            gap = problem.times[i] - problem.times[i - 1]
-            pull = halfspace.log_map(z, values[i - 1])
-            da -= problem.alpha * pull.da / gap
-            db -= problem.alpha * pull.db / gap
-        if i < problem.k - 1:
-            gap = problem.times[i + 1] - problem.times[i]
-            pull = halfspace.log_map(z, values[i + 1])
-            da -= problem.alpha * pull.da / gap
-            db -= problem.alpha * pull.db / gap
-        grads.append(HTangent(z, da, db))
-    return grads
+def _objective(data, x):
+    a, b = x
+    d = halfspace.distance_kernel(a[:-1], b[:-1], a[1:], b[1:])
+    at = data.knot
+    return float(halfspace.busemann_kernel(a[at], b[at], data.x).sum()
+                 + data.n_inf @ halfspace.busemann_kernel(a, b)
+                 + 0.5 * (data.weights @ (d * d)))
 
 
-def _total_norm(grads):
-    return math.sqrt(sum(g.norm() ** 2 for g in grads))
+def objective(problem, values):
+    """Data Busemann terms plus the discrete path energy."""
+    return _objective(_Arrays(problem), _knots(problem, values))
+
+
+def _gradient(data, x):
+    """Objective gradient per knot, da (k,) and db (k, 1): data forces, energy pulls."""
+    a, b = x
+    fa, fb = halfspace.busemann_grad_kernel(a[data.knot], b[data.knot], data.x)
+    ia, _ = halfspace.busemann_grad_kernel(a, b)  # at infinity: vertical, no db
+    # each knot is pulled toward both neighbours with weight alpha / gap
+    pa, pb = halfspace.log_kernel(a[data.tail], b[data.tail],
+                                  a[data.head], b[data.head])
+    w = data.pull
+    into = functools.partial(np.bincount, data.terms, minlength=data.k)
+    return (into(np.concatenate([fa, -w * pa])) + data.n_inf * ia,
+            into(np.concatenate([fb[:, 0], -w * pb[:, 0]]))[:, None])
+
+
+def _total_norm(x, grad):
+    """Root of the summed squared knot gradient norms."""
+    return float(np.sqrt((halfspace.norm_kernel(x[0], *grad) ** 2).sum()))
 
 
 def junction_residuals(problem, values):
@@ -139,44 +164,32 @@ def junction_residuals(problem, values):
     with v_i the summed unit forces toward the observations, is minus the
     objective gradient; its norm vanishes at a stationary spline.
     """
-    residuals = []
-    for i, z in enumerate(values):
-        da = 0.0
-        db = np.zeros(z.n)
-        for x in problem.observations[i]:
-            g = halfspace.busemann_grad(x, z)
-            da -= g.da
-            db -= g.db
-        if i < problem.k - 1:
-            gap = problem.times[i + 1] - problem.times[i]
-            out = halfspace.log_map(z, values[i + 1])
-            da += problem.alpha * out.da / gap
-            db += problem.alpha * out.db / gap
-        if i > 0:
-            gap = problem.times[i] - problem.times[i - 1]
-            incoming = halfspace.log_map(z, values[i - 1])
-            # incoming velocity is minus the log toward the previous knot
-            da += problem.alpha * incoming.da / gap
-            db += problem.alpha * incoming.db / gap
-        residuals.append(HTangent(z, da, db).norm())
-    return residuals
+    x = _knots(problem, values)
+    return halfspace.norm_kernel(x[0], *_gradient(_Arrays(problem), x)).tolist()
 
 
 def _initial_values(problem):
     obs = problem.all_observations()
     (u, v), report = fit_univariate(obs, DescentConfig(tol=1e-9, max_iters=200))
-    if report.status in (FitStatus.CONVERGED, FitStatus.MAX_ITERS_EXCEEDED):
-        z0 = HPoint(v, np.array([u]))
-    else:
+    if report.status not in (FitStatus.CONVERGED, FitStatus.MAX_ITERS_EXCEEDED):
         finite = [x for x in obs if not halfspace.is_infinity(x)]
-        center = float(np.median(finite)) if finite else 0.0
-        z0 = HPoint(1.0, np.array([center]))
-    return [z0] * problem.k
+        u, v = (float(np.median(finite)) if finite else 0.0), 1.0
+    return np.full(problem.k, float(v)), np.full((problem.k, 1), float(u))
 
 
-def _try_move(problem, values, tangents, cur_loss, cur_norm, step, floor,
-              ceiling=1e9):
-    """Line-search move along per-knot tangents.
+def _trial_steps(step, floor=1e-12, ceiling=1e9):
+    s = step
+    while s >= floor:
+        yield s
+        s *= 0.5
+    s = 2.0 * step
+    while s <= ceiling:
+        yield s
+        s *= 4.0
+
+
+def _try_move(data, x, tangent, cur_loss, cur_norm, step):
+    """Line-search move of the knots x = (a, b) along per-knot tangents.
 
     Accepts a candidate that certifiably decreases the objective, or one
     that keeps it flat within roundoff slack while strictly shrinking the
@@ -184,37 +197,25 @@ def _try_move(problem, values, tangents, cur_loss, cur_norm, step, floor,
     certifiable decrease has dropped below float resolution).  Halves from
     the trial step first, then scans upward, so one shrunken trial cannot
     ratchet the search away from larger workable steps.  Returns
-    (values, loss, step) or None.
+    (knots, loss, step) or None.
     """
     slack = 1e-12 * max(1.0, abs(cur_loss))
-    down = []
-    s = step
-    while s >= floor:
-        down.append(s)
-        s *= 0.5
-    up = []
-    s = 2.0 * step
-    while s <= ceiling:
-        up.append(s)
-        s *= 4.0
-    for s in down + up:
+    for s in _trial_steps(step):
         try:
-            cand = [halfspace.exp_map(z, v, -s)
-                    for z, v in zip(values, tangents)]
-            cand_loss = objective(problem, cand)
-            if np.isfinite(cand_loss):
-                if cand_loss < cur_loss:
-                    return cand, cand_loss, s
-                if cand_loss <= cur_loss + slack:
-                    cand_norm = _total_norm(_knot_gradients(problem, cand))
-                    if cand_norm < 0.999 * cur_norm:
-                        return cand, cand_loss, s
+            cand = halfspace.exp_kernel(*x, *tangent, -s)
+            cand_loss = _objective(data, cand)
+            if np.isfinite(cand_loss) and (
+                    cand_loss < cur_loss
+                    or (cand_loss <= cur_loss + slack
+                        and _total_norm(cand, _gradient(data, cand))
+                        < 0.999 * cur_norm)):
+                return cand, cand_loss, s
         except NumericRangeError:
             pass
     return None
 
 
-def _preconditioned_gradients(problem, values, grads):
+def _preconditioned(data, x, grad):
     """Per-knot gradient scaled by a local curvature bound (Jacobi style).
 
     Each Busemann term has geodesic second derivative at most 1; an energy
@@ -223,19 +224,12 @@ def _preconditioned_gradients(problem, values, grads):
     distance grows like d coth d <= 1 + d in curvature -1).  A unit
     multiplier on the scaled direction is therefore non-increasing.
     """
-    scaled = []
-    for i, (z, gr) in enumerate(zip(values, grads)):
-        bound = float(len(problem.observations[i]))
-        if i > 0:
-            gap = problem.times[i] - problem.times[i - 1]
-            d = halfspace.distance(z, values[i - 1])
-            bound += 2.0 * problem.alpha * (1.0 + d) / gap
-        if i < problem.k - 1:
-            gap = problem.times[i + 1] - problem.times[i]
-            d = halfspace.distance(z, values[i + 1])
-            bound += 2.0 * problem.alpha * (1.0 + d) / gap
-        scaled.append(gr.scaled(1.0 / bound))
-    return scaled
+    a, b = x
+    d = halfspace.distance_kernel(a[data.tail], b[data.tail],
+                                  a[data.head], b[data.head])
+    edges = np.bincount(data.tail, 2.0 * data.pull * (1.0 + d), minlength=data.k)
+    scale = 1.0 / (data.counts + edges)
+    return scale * grad[0], scale[:, None] * grad[1]
 
 
 def fit(problem, config=None):
@@ -247,7 +241,8 @@ def fit(problem, config=None):
     attempts a uniform move of all knots along the mean gradient direction
     with its own adapted step.  The uniform direction is the soft mode of
     high-penalty problems, whose curvature does not grow with the penalty,
-    so the two-channel stepping converges across penalty scales.
+    so the two-channel stepping converges across penalty scales.  When
+    neither channel moves, the gradient-norm decay tail names the outcome.
 
     Converged means the total gradient norm (root of summed squared knot
     gradients) fell below config.tol, which bounds every junction residual.
@@ -255,68 +250,43 @@ def fit(problem, config=None):
     """
     config = config or DescentConfig()
     start = time.perf_counter()
-    values = _initial_values(problem)
+    data = _Arrays(problem)
+    loss_fn = functools.partial(_objective, data)
+    grad_fn = functools.partial(_gradient, data)
     adaptive = config.step_policy == "backtracking"
-    trial_joint = 1.0
-    trial_uniform = 1.0
-    floor = 1e-12
-    losses = [objective(problem, values)]
-    norms = []
-    status = None
-    iters = 0
-    for _ in range(config.max_iters + 1):
-        grads = _knot_gradients(problem, values)
-        g = _total_norm(grads)
-        norms.append(g)
-        if g < config.tol:
-            status = FitStatus.CONVERGED
-            break
-        if any(not 1.0 / SCALE_CAP < z.a < SCALE_CAP for z in values):
-            status = FitStatus.DEGENERATE_DATA
-            break
-        if iters == config.max_iters:
-            status = plateau_status(norms)
-            break
-        moved = False
-        scaled = _preconditioned_gradients(problem, values, grads)
-        if adaptive:
-            got = _try_move(problem, values, scaled, losses[-1], g,
-                            trial_joint, floor)
-        else:
+    trial = {"joint": 1.0, "uniform": 1.0}
+
+    def move(x, grad, g, cur):
+        scaled = _preconditioned(data, x, grad)
+        if not adaptive:
             # the unit multiplier is provably non-increasing: take it
             try:
-                cand = [halfspace.exp_map(z, v, -1.0)
-                        for z, v in zip(values, scaled)]
-                got = (cand, objective(problem, cand), 1.0)
+                cand = halfspace.exp_kernel(*x, *scaled, -1.0)
+                return cand, loss_fn(cand)
             except NumericRangeError:
-                got = None
+                return None
+        joint = _try_move(data, x, scaled, cur, g, trial["joint"])
+        if joint is not None:
+            x, cur, used = joint
+            trial["joint"] = 2.0 * used
+            grad = grad_fn(x)
+            g = _total_norm(x, grad)
+        da, db = grad
+        uniform = (np.full_like(da, np.mean(da)),
+                   np.broadcast_to(np.mean(db, axis=0), db.shape))
+        got = _try_move(data, x, uniform, cur, g, trial["uniform"])
         if got is not None:
-            values, loss_now, used = got
-            if adaptive:
-                trial_joint = 2.0 * used
-            moved = True
-        else:
-            loss_now = losses[-1]
-        if adaptive:
-            grads_now = _knot_gradients(problem, values) if moved else grads
-            da = float(np.mean([v.da for v in grads_now]))
-            db = np.mean([v.db for v in grads_now], axis=0)
-            uniform = [HTangent(z, da, db) for z in values]
-            g_now = _total_norm(grads_now)
-            got = _try_move(problem, values, uniform, loss_now, g_now,
-                            trial_uniform, floor)
-            if got is not None:
-                values, loss_now, used = got
-                trial_uniform = 2.0 * used
-                moved = True
-        if not moved:
-            # stationary at float resolution: classify from the decay tail
-            status = plateau_status(norms)
-            break
-        losses.append(loss_now)
-        iters += 1
-    report = FitReport(status, iters, losses, norms, time.perf_counter() - start)
-    return SplineFit(problem.times, values, report)
+            x, cur, used = got
+            trial["uniform"] = 2.0 * used
+        elif joint is None:
+            return None
+        return x, cur
+
+    x, report = _descend(_initial_values(problem), loss_fn, grad_fn,
+                         _total_norm, lambda x: off_scale(x[0]), move, config,
+                         stuck=plateau_status)
+    report.wall_time = time.perf_counter() - start
+    return SplineFit(problem.times, [HPoint(a, b) for a, b in zip(*x)], report)
 
 
 def evaluate(solution, t):

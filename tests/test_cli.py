@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from cauchymle import montecarlo
 from cauchymle.cli import main
 
 
@@ -161,6 +162,34 @@ def test_mc_output_and_table(tmp_path, capsys):
     lines = table.read_text().strip().split("\n")
     assert len(lines) == 6
     assert lines[0].startswith("run,status,iterations")
+
+
+def test_mc_json_names_the_error_of_a_failed_run(tmp_path, monkeypatch):
+    fit_one = montecarlo._fit_one
+    calls = iter(range(10))
+
+    def flaky(spec, data, config):
+        if next(calls) == 2:
+            raise FloatingPointError("diverged")
+        return fit_one(spec, data, config)
+
+    monkeypatch.setattr(montecarlo, "_fit_one", flaky)
+    out_doc = tmp_path / "summary.json"
+    code = main(["mc", "--kind", "cauchy1d", "--size", "200", "--seed", "4",
+                 "--runs", "3", "--output", str(out_doc)])
+    assert code == 0
+    doc = json.loads(out_doc.read_text())
+    assert doc["errors"] == {"2": "FloatingPointError: diverged"}
+    assert doc["status_counts"] == {"converged": 2, "error": 1}
+    assert set(doc) == {"family", "runs", "seed", "aggregates",
+                        "status_counts", "errors"}
+
+
+def test_mc_json_errors_empty_without_failures(tmp_path):
+    out_doc = tmp_path / "summary.json"
+    assert main(["mc", "--kind", "cauchy1d", "--size", "200", "--seed", "4",
+                 "--runs", "2", "--output", str(out_doc)]) == 0
+    assert json.loads(out_doc.read_text())["errors"] == {}
 
 
 def test_mc_byte_identical_reruns(tmp_path):

@@ -168,6 +168,47 @@ def test_matrix_standard_is_cauchy_at_1x1():
     assert abs(q1 + 1.0) < 0.05 and abs(q3 - 1.0) < 0.05
 
 
+def _matrix_standard_by_observation(n, m, size, rng):
+    # one frame at a time, each redrawn until its bottom block is invertible
+    out = np.empty((size, n, m))
+    for i in range(size):
+        while True:
+            Z = rng.standard_normal((m + n, m))
+            bottom = Z[n:, :]
+            if abs(np.linalg.det(bottom)) > 1e-12:
+                break
+        out[i] = Z[:n, :] @ np.linalg.inv(bottom)
+    return out
+
+
+def test_matrix_standard_batch_matches_per_observation_draws():
+    spec = ds.GeneratorSpec(kind="matrix_standard", sample_size=1000, seed=3,
+                            rows=2, cols=2)
+    for run in range(10):
+        expected = _matrix_standard_by_observation(2, 2, 1000, ds.run_rng(3, run))
+        assert np.array_equal(ds.generate(spec, run_index=run), expected)
+
+
+def test_matrix_standard_redraws_only_singular_frames():
+    class Draws:
+        """An rng whose first batch has a singular bottom block in frame 1."""
+
+        def __init__(self):
+            self.shapes = []
+
+        def standard_normal(self, shape):
+            self.shapes.append(shape)
+            Z = np.full(shape, 2.0)
+            if len(self.shapes) == 1:
+                Z[1, 1, 0] = 0.0
+            return Z
+
+    rng = Draws()
+    out = ds.sample_matrix_standard(1, 1, 3, rng)
+    assert rng.shapes == [(3, 2, 1), (1, 2, 1)]
+    np.testing.assert_array_equal(out, np.ones((3, 1, 1)))
+
+
 def test_generator_spec_validation():
     with pytest.raises(ValueError):
         ds.GeneratorSpec(kind="nope", sample_size=10)

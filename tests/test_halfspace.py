@@ -189,3 +189,88 @@ def test_infinity_is_a_singleton():
     assert hs.is_infinity(hs.INFINITY)
     assert not hs.is_infinity(1e308)
     assert hs._Infinity() is hs.INFINITY
+
+
+def _stack(points):
+    return (np.array([z.a for z in points]), np.array([z.b for z in points]))
+
+
+def _assert_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+def test_kernels_match_wrappers_point_by_point(rng):
+    for n in (1, 2):
+        k = 7
+        zs = [random_hpoint(n, rng) for _ in range(k)]
+        ws = [random_hpoint(n, rng, spread=1.2) for _ in range(k)]
+        vs = [random_htangent(z, rng, unit=False) for z in zs]
+        # a vertical tangent, a zero tangent, and a vertical pair of points
+        vs[1] = hs.HTangent(zs[1], 0.7)
+        vs[2] = hs.HTangent(zs[2], 0.0)
+        ws[3] = hs.HPoint(2.0 * zs[3].a, zs[3].b)
+        xs = rng.standard_normal((k, n)) * 2
+        a, b = _stack(zs)
+        a2, b2 = _stack(ws)
+        da = np.array([v.da for v in vs])
+        db = np.array([v.db for v in vs])
+
+        at, bt = hs.exp_kernel(a, b, da, db, 0.8)
+        moved = [hs.exp_map(z, v, 0.8) for z, v in zip(zs, vs)]
+        _assert_close(at, [w.a for w in moved])
+        _assert_close(bt, [w.b for w in moved])
+
+        la, lb = hs.log_kernel(a, b, a2, b2)
+        logs = [hs.log_map(z, w) for z, w in zip(zs, ws)]
+        _assert_close(la, [v.da for v in logs])
+        _assert_close(lb, [v.db for v in logs])
+
+        _assert_close(hs.distance_kernel(a, b, a2, b2),
+                      [hs.distance(z, w) for z, w in zip(zs, ws)])
+        _assert_close(hs.norm_kernel(a, da, db), [v.norm() for v in vs])
+
+        _assert_close(hs.busemann_kernel(a, b, xs),
+                      [hs.busemann(x, z) for x, z in zip(xs, zs)])
+        _assert_close(hs.busemann_kernel(a, b),
+                      [hs.busemann(hs.INFINITY, z) for z in zs])
+        ga, gb = hs.busemann_grad_kernel(a, b, xs)
+        grads = [hs.busemann_grad(x, z) for x, z in zip(xs, zs)]
+        _assert_close(ga, [g.da for g in grads])
+        _assert_close(gb, [g.db for g in grads])
+        ia, ib = hs.busemann_grad_kernel(a, b)
+        infs = [hs.busemann_grad(hs.INFINITY, z) for z in zs]
+        _assert_close(ia, [g.da for g in infs])
+        _assert_close(ib, [g.db for g in infs])
+
+
+def test_kernels_raise_where_a_wrapper_call_raises(rng):
+    good = [random_hpoint(1, rng) for _ in range(3)]
+
+    def check_exp(bad_z, bad_v, t):
+        zs = good + [bad_z]
+        # the good rows move a unit distance
+        vs = [random_htangent(z, rng).scaled(1.0 / t) for z in good] + [bad_v]
+        for z, v in zip(good, vs):
+            hs.exp_map(z, v, t)
+        with pytest.raises(hs.NumericRangeError):
+            hs.exp_map(bad_z, bad_v, t)
+        a, b = _stack(zs)
+        with pytest.raises(hs.NumericRangeError):
+            hs.exp_kernel(a, b, np.array([v.da for v in vs]),
+                          np.array([v.db for v in vs]), t)
+
+    z = hs.HPoint(1.0, [0.0])
+    # exp overflow on a vertical ray
+    check_exp(z, hs.HTangent(z, 1.0, [0.0]), 800.0)
+    # |ds| > 700 on a semicircle
+    check_exp(z, hs.HTangent(z, 0.0, [1.0]), 701.0)
+
+    # a non-positive Busemann form: a^2 underflows at a datum under the point
+    tiny = hs.HPoint(1e-310, [0.5])
+    with pytest.raises(hs.NumericRangeError):
+        hs.busemann(np.array([0.5]), tiny)
+    a, b = _stack(good + [tiny])
+    xs = np.array([[0.0], [1.0], [-1.0], [0.5]])
+    with pytest.raises(hs.NumericRangeError):
+        hs.busemann_kernel(a, b, xs)
+    hs.busemann_kernel(a[:3], b[:3], xs[:3])

@@ -1,11 +1,13 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cauchymle import cauchy, halfspace as hs, spline
 from cauchymle.descent import DescentConfig, FitStatus
+from cauchymle.gradcheck import random_hpoint, random_htangent
 from cauchymle.halfspace import INFINITY, HPoint
 
 
@@ -108,15 +110,86 @@ def test_junction_residuals_vanish_at_convergence(rng):
         assert max(res) < 1e-6
 
 
+def summed_knot_residuals(prob, values):
+    """The objective gradient norm at each knot, summed term by term: unit
+    data forces minus the energy pulls alpha / gap * log toward each
+    neighbour."""
+    out = []
+    for i, z in enumerate(values):
+        da, db = 0.0, np.zeros(1)
+        for x in prob.observations[i]:
+            g = hs.busemann_grad(x, z)
+            da, db = da + g.da, db + g.db
+        for j in (i - 1, i + 1):
+            if 0 <= j < prob.k:
+                pull = hs.log_map(z, values[j])
+                w = prob.alpha / abs(prob.times[j] - prob.times[i])
+                da -= w * pull.da
+                db -= w * pull.db
+        out.append(hs.HTangent(z, da, db).norm())
+    return out
+
+
 def test_residuals_equal_negative_gradient(rng):
-    prob = spline.SplineProblem.from_pairs([0.0, 1.0, 3.0], [1.0, -2.0, 0.5],
-                                           alpha=1.7)
+    prob = spline.SplineProblem.from_pairs([0.0, 1.0, 3.0], [0.5, -1.0, 2.0], 0.7)
     values = [HPoint(float(np.exp(rng.standard_normal() * 0.3)),
                      [float(rng.standard_normal())]) for _ in range(3)]
     res = spline.junction_residuals(prob, values)
-    grads = spline._knot_gradients(prob, values)
-    for r, g in zip(res, grads):
-        assert r == pytest.approx(g.norm(), rel=1e-12)
+    for r, ref in zip(res, summed_knot_residuals(prob, values)):
+        assert r == pytest.approx(ref, rel=1e-12)
+
+
+def test_thousands_of_knots(rng):
+    # one knot per distinct time, as `cli regress` builds them from a file;
+    # the per-knot sums must stay linear in the knots and observations
+    k = 3000
+    times = np.repeat(np.arange(k) * 0.01, 2)
+    xs = list(rng.standard_cauchy(2 * k))
+    xs[7] = INFINITY
+    prob = spline.SplineProblem.from_pairs(times, xs, 0.3)
+    assert prob.k == k
+    values = [HPoint(float(np.exp(rng.standard_normal() * 0.3)),
+                     [float(rng.standard_normal())]) for _ in range(k)]
+    tracemalloc.start()
+    try:
+        res = spline.junction_residuals(prob, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20  # dense (k, m) summing matrices would take ~290 MiB
+    np.testing.assert_allclose(res, summed_knot_residuals(prob, values),
+                               rtol=1e-12)
+    fit = spline.fit(prob, DescentConfig(max_iters=3))
+    assert fit.report.iterations == 3
+    losses = fit.report.loss_trace
+    assert all(b <= a + 1e-9 * abs(a) for a, b in zip(losses, losses[1:]))
+
+
+def test_gradient_matches_finite_differences_along_knot_geodesics(rng):
+    # several observations at a knot, one at infinity, and a single knot
+    problems = [
+        spline.SplineProblem.from_pairs([0.0, 1.0, 1.0, 2.5, 4.0],
+                                        [0.3, -1.0, 2.0, INFINITY, 1.5], 1.3),
+        spline.SplineProblem.from_pairs([0.0, 0.5], [-2.0, 2.0], 40.0),
+        spline.SplineProblem.from_pairs([0.0], [0.7], 1.0),
+    ]
+    h = 1e-5
+    for prob in problems:
+        data = spline._Arrays(prob)
+        for _ in range(10):
+            values = [random_hpoint(1, rng) for _ in range(prob.k)]
+            da, db = spline._gradient(data, spline._knots(prob, values))
+            for i, z in enumerate(values):
+                v = random_htangent(z, rng)
+
+                def moved(t):
+                    out = list(values)
+                    out[i] = hs.exp_map(z, v, t)
+                    return spline.objective(prob, out)
+
+                fd = (moved(h) - moved(-h)) / (2 * h)
+                analytic = (da[i] * v.da + db[i] @ v.db) / (z.a * z.a)
+                assert abs(analytic - fd) / max(abs(fd), 1e-3) < 1e-6
 
 
 def test_objective_non_increasing_along_descent(rng):
