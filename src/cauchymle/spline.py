@@ -15,7 +15,7 @@ energy d^2 / D.  At a stationary point every junction balances forces:
 with v_i the sum of the unit forces pulling z_i toward its observations.
 The knots are held as arrays, scales a (k,) and centers b (k, 1), and
 the fit runs the shared descent loop of `descent` from the pooled
-location/scale fit of all observations, with a two-channel step (`fit`).
+location/scale fit of all observations, with damped Newton steps (`fit`).
 """
 
 import functools
@@ -23,6 +23,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import LinAlgError, solveh_banded
 
 from . import halfspace
 from .cauchy import fit_univariate
@@ -177,30 +178,17 @@ def _initial_values(problem):
     return np.full(problem.k, float(v)), np.full((problem.k, 1), float(u))
 
 
-def _trial_steps(step, floor=1e-12, ceiling=1e9):
-    s = step
-    while s >= floor:
-        yield s
-        s *= 0.5
-    s = 2.0 * step
-    while s <= ceiling:
-        yield s
-        s *= 4.0
-
-
-def _try_move(data, x, tangent, cur_loss, cur_norm, step):
+def _try_move(data, x, tangent, cur_loss, cur_norm):
     """Line-search move of the knots x = (a, b) along per-knot tangents.
 
     Accepts a candidate that certifiably decreases the objective, or one
     that keeps it flat within roundoff slack while strictly shrinking the
     gradient (valid progress for a geodesically convex objective whose
-    certifiable decrease has dropped below float resolution).  Halves from
-    the trial step first, then scans upward, so one shrunken trial cannot
-    ratchet the search away from larger workable steps.  Returns
-    (knots, loss, step) or None.
+    certifiable decrease has dropped below float resolution).  Halves the
+    step multiplier from 1 down to 1e-12.  Returns (knots, loss) or None.
     """
     slack = 1e-12 * max(1.0, abs(cur_loss))
-    for s in _trial_steps(step):
+    for s in 0.5 ** np.arange(40):
         try:
             cand = halfspace.exp_kernel(*x, *tangent, -s)
             cand_loss = _objective(data, cand)
@@ -209,7 +197,7 @@ def _try_move(data, x, tangent, cur_loss, cur_norm, step):
                     or (cand_loss <= cur_loss + slack
                         and _total_norm(cand, _gradient(data, cand))
                         < 0.999 * cur_norm)):
-                return cand, cand_loss, s
+                return cand, cand_loss
         except NumericRangeError:
             pass
     return None
@@ -232,17 +220,76 @@ def _preconditioned(data, x, grad):
     return scale * grad[0], scale[:, None] * grad[1]
 
 
-def fit(problem, config=None):
-    """Minimize the spline objective by joint geodesic descent on the knots.
+def _hessian(data, x, shift=0.0):
+    """Riemannian Hessian plus shift * G in the chart (log a, b), banded.
 
-    Every iteration makes a joint step along the per-knot gradients scaled
-    by local curvature bounds (a unit multiplier is provably
-    non-increasing; backtracking adapts the multiplier from there) and then
-    attempts a uniform move of all knots along the mean gradient direction
-    with its own adapted step.  The uniform direction is the soft mode of
-    high-penalty problems, whose curvature does not grow with the penalty,
-    so the two-channel stepping converges across penalty scales.  When
-    neither channel moves, the gradient-norm decay tail names the outcome.
+    The chart metric is G = diag(1, 1/a^2) per knot.  A Busemann term adds
+    G - u u^T at its knot, u its unit chart differential.  An energy edge
+    of length d and weight w adds w (T T^T + d coth d n n^T) at either end
+    and -w (T_1 T_2^T + (d / sinh d) n_1 n_2^T) across, with T the lowered
+    unit tangent of the edge geodesic at each end and n it turned by 90
+    degrees.  The knots are interleaved (s_0, b_0, s_1, b_1, ...), so the
+    Hessian is block-tridiagonal: upper band form (4, 2k) of solveh_banded.
+    """
+    a, b = x
+    at, tail, k = data.knot, data.tail, data.k
+    fa, fb = halfspace.busemann_grad_kernel(a[at], b[at], data.x)
+    us, ub = fa / a[at], fb[:, 0] / a[at] ** 2
+    # (c, s): unit tangent from tail toward head in the orthonormal frame
+    # (d/d log a, a d/db); between coincident knots any one will do
+    pa, pb = halfspace.log_kernel(a[tail], b[tail], a[data.head], b[data.head])
+    r = np.hypot(pa, pb[:, 0])
+    flat = r == 0.0
+    r = np.where(flat, 1.0, r)
+    c, s, d = np.where(flat, data.head - tail, pa / r), pb[:, 0] / r, r / a[tail]
+    with np.errstate(over="ignore"):
+        coth = np.where(flat, 1.0, d / np.tanh(d))
+        csch = np.where(flat, 1.0, d / np.sinh(d))[:k - 1]
+    into = functools.partial(np.bincount, data.terms, minlength=k)
+    ab = np.zeros((4, k, 2))
+    ab[3, :, 0] = data.counts - data.n_inf + shift + into(
+        np.concatenate([-us * us, data.pull * (c * c + coth * s * s)]))
+    ab[2, :, 1] = into(np.concatenate(
+        [-us * ub, data.pull * c * s * (1 - coth) / a[tail]]))
+    ab[3, :, 1] = (data.counts + shift) / a ** 2 + into(np.concatenate(
+        [-ub * ub, data.pull * (s * s + coth * c * c) / a[tail] ** 2]))
+    # T_2 is minus the reverse edge's tangent, so the cross block's sign flips
+    c1, s1, c2, s2 = c[:k - 1], s[:k - 1], c[k - 1:], s[k - 1:]
+    w, ai, aj = data.weights, a[:-1], a[1:]
+    ab[1, 1:, 0] = w * (c1 * c2 + csch * s1 * s2)
+    ab[0, 1:, 1] = w * (c1 * s2 - csch * s1 * c2) / aj
+    ab[2, 1:, 0] = w * (s1 * c2 - csch * c1 * s2) / ai
+    ab[1, 1:, 1] = w * (s1 * s2 + csch * c1 * c2) / (ai * aj)
+    return ab.reshape(4, 2 * k)
+
+
+def _newton(data, x, grad, g):
+    """Newton tangents (da, db) from (H + g G) p = chart gradient, or None.
+
+    Damping by the total gradient norm g keeps a flat valley of minimizers
+    solvable, and it fades as the fit converges.
+    """
+    a = x[0]
+    rhs = np.column_stack([grad[0] / a, grad[1][:, 0] / a ** 2]).ravel()
+    try:
+        p = solveh_banded(_hessian(data, x, g), rhs).reshape(-1, 2)
+    except LinAlgError:
+        return None
+    return a * p[:, 0], p[:, 1:]
+
+
+def fit(problem, config=None):
+    """Minimize the spline objective by damped Riemannian Newton steps.
+
+    Each iteration solves (H + |g| G) p = g in the chart (log a, b) of
+    every knot: H is the closed-form block-tridiagonal Riemannian Hessian,
+    positive semidefinite since the objective is geodesically convex, G
+    the metric and |g| the total gradient norm.  The knots move along the
+    tangents (a p_s, p_b), halving the step until the objective falls.
+    When the factorization or that search fails, the fit stops and the
+    tail of the gradient norms names the outcome.  The "safe" and
+    "improved" policies step along the gradients scaled by local
+    curvature bounds, with the provably non-increasing unit multiplier.
 
     Converged means the total gradient norm (root of summed squared knot
     gradients) fell below config.tol, which bounds every junction residual.
@@ -254,33 +301,17 @@ def fit(problem, config=None):
     loss_fn = functools.partial(_objective, data)
     grad_fn = functools.partial(_gradient, data)
     adaptive = config.step_policy == "backtracking"
-    trial = {"joint": 1.0, "uniform": 1.0}
 
     def move(x, grad, g, cur):
-        scaled = _preconditioned(data, x, grad)
-        if not adaptive:
-            # the unit multiplier is provably non-increasing: take it
-            try:
-                cand = halfspace.exp_kernel(*x, *scaled, -1.0)
-                return cand, loss_fn(cand)
-            except NumericRangeError:
-                return None
-        joint = _try_move(data, x, scaled, cur, g, trial["joint"])
-        if joint is not None:
-            x, cur, used = joint
-            trial["joint"] = 2.0 * used
-            grad = grad_fn(x)
-            g = _total_norm(x, grad)
-        da, db = grad
-        uniform = (np.full_like(da, np.mean(da)),
-                   np.broadcast_to(np.mean(db, axis=0), db.shape))
-        got = _try_move(data, x, uniform, cur, g, trial["uniform"])
-        if got is not None:
-            x, cur, used = got
-            trial["uniform"] = 2.0 * used
-        elif joint is None:
+        if adaptive:
+            newton = _newton(data, x, grad, g)
+            return newton and _try_move(data, x, newton, cur, g)
+        # the unit multiplier is provably non-increasing: take it
+        try:
+            cand = halfspace.exp_kernel(*x, *_preconditioned(data, x, grad), -1.0)
+            return cand, loss_fn(cand)
+        except NumericRangeError:
             return None
-        return x, cur
 
     x, report = _descend(_initial_values(problem), loss_fn, grad_fn,
                          _total_norm, lambda x: off_scale(x[0]), move, config,
