@@ -1,4 +1,4 @@
-"""Robust first-order spline regression into the hyperbolic plane.
+"""Robust piecewise-geodesic spline regression into the hyperbolic plane.
 
 Observations x_i at times t_i are modeled by a path h(t) of location/scale
 pairs: piecewise geodesic between knots, constant outside them, with an

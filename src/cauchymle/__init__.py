@@ -4,8 +4,8 @@ Maximum-likelihood fitting of Cauchy-type distributions (univariate,
 multivariate elliptical, matrix-variate, and conformal) by geodesic
 gradient descent on their natural parameter manifolds: unit-determinant
 symmetric positive-definite matrices with the affine-invariant metric, and
-the hyperbolic upper half-space.  Includes first-order spline regression
-into the hyperbolic plane and a Monte Carlo harness.
+the hyperbolic upper half-space.  Includes piecewise-geodesic spline
+regression into the hyperbolic plane and a Monte Carlo harness.
 """
 
 from . import cauchy, conformal, datasets, gradcheck, halfspace, matrix_cauchy, \

@@ -16,8 +16,8 @@ a geodesically convex function whose Riemannian gradient is
 
 Each datum pulls the parameter along the geodesic toward its boundary
 point with constant force sqrt(n/(n+1)); the MLE is the point where these
-forces balance.  A unit step of geodesic descent on the averaged loss is
-provably monotone; (n+3)/2 is a faster dimension-informed trial step.
+forces balance.  The family is the matrix-variate family at m = 1: `fit`
+runs `matrix_cauchy.fit` on the lifted vectors as one-column frames.
 """
 
 import math
@@ -26,9 +26,8 @@ from itertools import combinations
 
 import numpy as np
 
-from . import conformal, halfspace, spd
-from .descent import (DescentConfig, FitReport, FitStatus, minimize_on_spd,
-                      shared_oracle)
+from . import conformal, halfspace, matrix_cauchy, spd
+from .descent import DescentConfig, FitReport, FitStatus
 
 GENERAL_POSITION_EXACT_CAP = 20
 # normalized true scalar multiples agree to ~machine eps; genuinely distinct
@@ -78,17 +77,17 @@ def lift_univariate(values):
     return np.column_stack([x, np.where(at_inf, 0.0, 1.0)])
 
 
-def _check_lifted(X):
-    X = np.asarray(X, dtype=float)
+def _frames(lifted):
+    """Lifted vectors (N, n+1) as the one-column frames (N, n+1, 1)."""
+    X = np.asarray(lifted, dtype=float)
     if X.ndim != 2 or X.shape[1] < 2:
         raise ValueError(f"lifted data must be (N, n+1) with n >= 1, got {X.shape}")
-    if X.shape[0] == 0:
-        raise ValueError("empty dataset")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("lifted data must be finite")
-    if np.any(np.all(X == 0.0, axis=1)):
-        raise ValueError("lifted data contains a zero vector")
-    return X
+    return X[:, :, None]
+
+
+def _check_lifted(lifted):
+    """Validated lifted vectors: the frame check of matrix_cauchy at m = 1."""
+    return matrix_cauchy._check_frames(_frames(lifted))[:, :, 0]
 
 
 def _columns(X):
@@ -132,17 +131,6 @@ def datum_grad(T, xt):
     return loss_grad(T, np.asarray(xt, dtype=float)[None, :])
 
 
-def step_size(n, policy):
-    """Descent step for dimension n: safe -> 1, improved/backtracking -> (n+3)/2."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if policy == "safe":
-        return 1.0
-    if policy in ("improved", "backtracking"):
-        return (n + 3) / 2.0
-    raise ValueError(f"unknown step policy {policy!r}")
-
-
 def check_general_position(lifted, n, exact_cap=GENERAL_POSITION_EXACT_CAP):
     """True when N >= n+2 and no n+1 lifted data vectors are linearly dependent.
 
@@ -152,12 +140,13 @@ def check_general_position(lifted, n, exact_cap=GENERAL_POSITION_EXACT_CAP):
     (up to sign and scale) may carry half the sample or more.  Large
     continuous samples collide at float resolution with appreciable
     probability, and such low-multiplicity repeats do not endanger the
-    existence or uniqueness of the optimum; a dominant atom does.
+    existence or uniqueness of the optimum; a dominant atom does.  The data
+    must be valid (finite, no zero row), as the fits pass them.
     """
-    X = _check_lifted(lifted)
+    X = np.asarray(lifted, dtype=float)
+    if X.ndim != 2 or X.shape[1] != n + 1:
+        raise ValueError(f"lifted data of shape {X.shape}, expected (N, {n + 1})")
     N = X.shape[0]
-    if X.shape[1] != n + 1:
-        raise ValueError(f"lifted data has {X.shape[1]} columns, expected {n + 1}")
     if N < n + 2:
         return False
     if N <= exact_cap:
@@ -184,63 +173,16 @@ def check_general_position(lifted, n, exact_cap=GENERAL_POSITION_EXACT_CAP):
     return largest < (N + 1) // 2
 
 
-def _finite_rows(X):
-    # rows with nonzero final lift component correspond to finite observations
-    mask = X[:, -1] != 0.0
-    return X[mask, :-1] / X[mask, -1][:, None]
-
-
-def _standardizing_map(X):
-    """Affine lift transform from coordinate-wise median/MAD of the finite rows."""
-    finite = _finite_rows(X)
-    n = X.shape[1] - 1
-    if finite.shape[0] == 0:
-        return np.eye(n + 1)
-    med = np.median(finite, axis=0)
-    mad = np.median(np.abs(finite - med), axis=0)
-    mad = np.where(mad > 0, mad, 1.0)
-    A = np.zeros((n + 1, n + 1))
-    A[:n, :n] = np.diag(1.0 / mad)
-    A[:n, n] = -med / mad
-    A[n, n] = 1.0
-    return A
-
-
 def fit(lifted, config=None):
     """Maximum-likelihood fit by geodesic gradient descent from the identity.
 
-    Returns (T, FitReport).  Datasets failing the general-position check
-    come back immediately with status DEGENERATE_DATA; descent runs that
-    drift to the manifold boundary (huge condition number) are flagged the
-    same way.
+    Returns (T, FitReport).  This is `matrix_cauchy.fit` at m = 1: datasets
+    failing the general-position check come back immediately with status
+    DEGENERATE_DATA; descent runs that drift to the manifold boundary (huge
+    condition number) are flagged the same way.
     """
-    X = _check_lifted(lifted)
-    config = config or DescentConfig()
-    n = X.shape[1] - 1
-    if not check_general_position(X, n):
-        T0 = np.eye(n + 1)
-        report = FitReport(FitStatus.DEGENERATE_DATA, 0, [loss(T0, X)], [], 0.0)
-        return T0, report
-    if config.standardize:
-        A = _standardizing_map(X)
-        Xs = X @ A.T
-        T_std, report = _fit_core(Xs, n, config)
-        return spd.unit_det(A.T @ T_std @ A), report
-    return _fit_core(X, n, config)
-
-
-def _oracle(X):
-    """(loss_fn, grad_fn) on validated lifted data, sharing the quadratic forms."""
-    Xt = _columns(X)
-    return shared_oracle(lambda T: _quad_forms(T, Xt), lambda T, q: _loss(q),
-                         lambda T, q: _grad(T, Xt, q))
-
-
-def _fit_core(X, n, config):
-    loss_fn, grad_fn = _oracle(X)
-    return minimize_on_spd(np.eye(n + 1), loss_fn, grad_fn,
-                           improved_step=step_size(n, "improved"),
-                           config=config)
+    F = _frames(lifted)
+    return matrix_cauchy.fit(F, 1, F.shape[1] - 1, config)
 
 
 def to_params(T):
@@ -295,7 +237,7 @@ def fit_univariate(data, config=None):
     agrees with fit + to_params.
     """
     config = config or DescentConfig()
-    X = lift_univariate(data)
+    X = _check_lifted(lift_univariate(data))
     if not check_general_position(X, 1):
         report = FitReport(FitStatus.DEGENERATE_DATA, 0,
                            [loss(np.eye(2), X)], [], 0.0)

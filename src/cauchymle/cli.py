@@ -4,7 +4,7 @@ Subcommands
 -----------
 fit         fit a family (cauchy | conformal | matrix) to a CSV dataset
 fit1d       univariate location/scale fit on the upper half-plane
-regress     first-order spline regression for (t, x) rows
+regress     hyperbolic spline regression for (t, x) rows
 simulate    write a synthetic dataset as CSV
 mc          Monte Carlo batch: repeated generate-and-fit with aggregates
 check-grad  validate analytic gradients against finite differences
@@ -18,6 +18,7 @@ and input errors.
 import argparse
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -38,6 +39,14 @@ class _Parser(argparse.ArgumentParser):
     # usage problems exit with code 1, not argparse's default 2
     def error(self, message):
         raise _UsageError(message)
+
+
+def _positive_real(text):
+    """argparse type: a finite number greater than zero."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return value
 
 
 def _fit_flags(parser):
@@ -242,7 +251,7 @@ def build_parser():
     p.add_argument("--input", required=True)
     p.add_argument("--rows", type=int, default=0)
     p.add_argument("--cols", type=int, default=0)
-    p.add_argument("--scatter-det", type=float, default=None,
+    p.add_argument("--scatter-det", type=_positive_real, default=None,
                    help="also report the scatter rescaled to this determinant")
     p.add_argument("--output", default=None)
     _fit_flags(p)

@@ -16,13 +16,14 @@ Its Riemannian gradient is, per datum,
 
 with constant norm sqrt(mn/(m+n)); the closed form is validated against
 finite differences in the test suite.  At m = 1 everything reduces exactly
-to the multivariate Cauchy family.
+to the multivariate Cauchy family, and `fit` is the fit of both families.
 """
 
 import numpy as np
 
-from . import spd
-from .descent import DescentConfig, minimize_on_spd, shared_oracle
+from . import cauchy, spd
+from .descent import (DescentConfig, FitReport, FitStatus, minimize_on_spd,
+                      shared_oracle)
 
 
 def lift(data):
@@ -48,7 +49,9 @@ def _check_frames(frames):
     if F.shape[1] <= F.shape[2]:
         raise ValueError("frames must have more rows than columns (n >= 1)")
     if not np.all(np.isfinite(F)):
-        raise ValueError("frames must be finite")
+        raise ValueError("data must be finite")
+    if np.any(np.all(F == 0.0, axis=1)):
+        raise ValueError("data contain a zero vector (a zero frame column)")
     return F
 
 
@@ -104,14 +107,21 @@ def step_size(m, n, policy):
 
 
 def _standardizing_map(F, n, m):
-    """Block-affine lift transform: entrywise median shift, one global scale."""
-    X = F[:, :n, :]
+    """Block-affine lift transform from coordinate-wise median/MAD.
+
+    Only frames whose bottom block is the identity count, so points at
+    infinity are left out.  Each of the n coordinates is shifted by the
+    median of its entries and scaled by their MAD over the m columns.
+    """
+    X = F[np.all(F[:, n:, :] == np.eye(m), axis=(1, 2)), :n, :]
+    if X.shape[0] == 0:
+        return np.eye(n + m)
     med = np.median(X, axis=0)
-    scale = float(np.median(np.abs(X - med)))
-    scale = scale if scale > 0 else 1.0
+    mad = np.median(np.abs(X - med).swapaxes(0, 1).reshape(n, -1), axis=1)
+    mad = np.where(mad > 0, mad, 1.0)
     A = np.zeros((n + m, n + m))
-    A[:n, :n] = np.eye(n) / scale
-    A[:n, n:] = -med / scale
+    A[:n, :n] = np.diag(1.0 / mad)
+    A[:n, n:] = -med / mad[:, None]
     A[n:, n:] = np.eye(m)
     return A
 
@@ -119,43 +129,46 @@ def _standardizing_map(F, n, m):
 def fit(frames, m, n, config=None):
     """Maximum-likelihood fit by geodesic gradient descent from the identity.
 
-    frames is the lifted (N, m+n, m) array.  Returns (T, FitReport).  The
-    m = 1 case takes the same steps as the multivariate Cauchy fit; the
-    vector-family general-position precheck applies there, while for m >= 2
-    degeneracy is detected only through boundary divergence during descent.
+    frames is the lifted (N, m+n, m) array.  Returns (T, FitReport).  At
+    m = 1 the frames are the lifted vectors of the multivariate Cauchy
+    family: data failing `cauchy.check_general_position` come back at once
+    with status DEGENERATE_DATA.  For m >= 2 degeneracy is detected only
+    through boundary divergence during descent.
     """
     F = _check_frames(frames)
     config = config or DescentConfig()
     if F.shape[1] != m + n or F.shape[2] != m:
         raise ValueError(f"frames of shape {F.shape} do not match m={m}, n={n}")
-    if m == 1:
-        from . import cauchy
-        X = F[:, :, 0]
-        if not cauchy.check_general_position(X, n):
-            from .descent import FitReport, FitStatus
-            T0 = np.eye(n + 1)
-            return T0, FitReport(FitStatus.DEGENERATE_DATA, 0,
-                                 [loss(T0, F)], [], 0.0)
+    if m == 1 and not cauchy.check_general_position(F[:, :, 0], n):
+        T0 = np.eye(n + 1)
+        return T0, FitReport(FitStatus.DEGENERATE_DATA, 0,
+                             [loss(T0, F)], [], 0.0)
     if config.standardize:
         A = _standardizing_map(F, n, m)
-        Fs = np.einsum("pq,nqm->npm", A, F)
-        T_std, report = _fit_core(Fs, m, n, config)
-        return spd.unit_det(A.T @ T_std @ A), report
-    return _fit_core(F, m, n, config)
+        F = np.einsum("pq,nqm->npm", A, F)
+    loss_fn, grad_fn = _oracle(F)
+    T, report = minimize_on_spd(np.eye(m + n), loss_fn, grad_fn,
+                                improved_step=step_size(m, n, "improved"),
+                                config=config)
+    if config.standardize:
+        T = spd.unit_det(A.T @ T @ A)
+    return T, report
 
 
 def _oracle(F):
-    """(loss_fn, grad_fn) on validated frames, sharing the Gram matrices."""
+    """(loss_fn, grad_fn) on validated frames, sharing one pass over the data.
+
+    At m = 1 the quadratic-form kernel of `cauchy` on a contiguous copy of
+    the vectors is several times faster than the Gram kernel of m >= 2.
+    """
+    if F.shape[2] == 1:
+        Xt = cauchy._columns(F[:, :, 0])
+        return shared_oracle(lambda T: cauchy._quad_forms(T, Xt),
+                             lambda T, q: cauchy._loss(q),
+                             lambda T, q: cauchy._grad(T, Xt, q))
     return shared_oracle(lambda T: _forms(T, F),
                          lambda T, f: float(np.mean(f[1])),
                          lambda T, f: _grad(T, F, f[0]))
-
-
-def _fit_core(F, m, n, config):
-    loss_fn, grad_fn = _oracle(F)
-    return minimize_on_spd(np.eye(m + n), loss_fn, grad_fn,
-                           improved_step=step_size(m, n, "improved"),
-                           config=config)
 
 
 def to_params(T, n, m):

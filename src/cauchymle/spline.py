@@ -1,4 +1,4 @@
-"""First-order spline regression into the hyperbolic upper half-plane.
+"""Piecewise-geodesic spline regression into the hyperbolic upper half-plane.
 
 A continuous path h into H^2 that is geodesic between knot times and
 constant outside them is summarized by its knot values z_1, ..., z_k.  The

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cauchymle import cauchy, spd
+from cauchymle import cauchy, matrix_cauchy, spd
 from cauchymle.descent import DescentConfig, FitStatus
 from cauchymle.gradcheck import random_spd_point, random_tangent
 from cauchymle.halfspace import INFINITY
@@ -73,12 +73,6 @@ def test_grad_matches_finite_differences(rng):
               - cauchy.loss(spd.geodesic(T, V, -h), X)) / (2 * h)
         an = spd.inner(T, cauchy.loss_grad(T, X), V)
         assert abs(an - fd) / max(abs(fd), 1e-8) < 1e-6
-
-
-def test_step_size_values():
-    assert cauchy.step_size(1, "safe") == 1.0
-    assert cauchy.step_size(1, "improved") == 2.0
-    assert cauchy.step_size(4, "improved") == 3.5
 
 
 def test_hessian_band_along_geodesics(rng):
@@ -242,16 +236,36 @@ def test_fit_univariate_agrees_with_manifold_fit(rng):
 
 def test_fit_standardize_matches_plain(rng):
     data = rng.standard_normal((60, 2)) * 40 + [300.0, -90.0]
-    X = cauchy.lift(data)
-    T_plain, _ = cauchy.fit(X, DescentConfig(tol=1e-11, max_iters=500))
+    # rows at infinity take no part in the median/MAD of the standardizing map
+    X = np.vstack([cauchy.lift(data), [[1.0, 2.0, 0.0], [-3.0, 0.5, 0.0]]])
+    T_plain, rep0 = cauchy.fit(X, DescentConfig(tol=1e-11, max_iters=500))
     T_std, rep = cauchy.fit(X, DescentConfig(tol=1e-11, max_iters=500,
                                              standardize=True))
+    assert rep0.status is FitStatus.CONVERGED
     assert rep.status is FitStatus.CONVERGED
+    assert spd.distance(T_plain, T_std) < 1e-8
     p0 = cauchy.to_params(T_plain)
     p1 = cauchy.to_params(T_std)
     assert np.allclose(p0.location, p1.location, atol=1e-5)
     assert np.allclose(p0.scatter, p1.scatter,
                        rtol=1e-5, atol=1e-5 * np.abs(p0.scatter).max())
+
+
+def test_fit_validates_data_once(rng, monkeypatch):
+    # one check of the values, in matrix_cauchy.fit; the precheck and the
+    # oracle take the checked data as they are
+    calls = []
+    check = matrix_cauchy._check_frames
+
+    def counted(frames):
+        calls.append(np.shape(frames))
+        return check(frames)
+
+    monkeypatch.setattr(matrix_cauchy, "_check_frames", counted)
+    X = cauchy.lift(rng.standard_normal((50, 2)))
+    _, report = cauchy.fit(X)
+    assert report.status is FitStatus.CONVERGED
+    assert calls == [(50, 3, 1)]
 
 
 def test_fit_univariate_standardize(rng):
@@ -289,7 +303,7 @@ def _rel_gap(got, want):
 
 def test_fused_oracle_matches_public_functions(rng):
     X = cauchy.lift(rng.standard_normal((300, 2)) * 3.0 + 1.0)
-    loss_fn, grad_fn = cauchy._oracle(X)
+    loss_fn, grad_fn = matrix_cauchy._oracle(X[:, :, None])
     T0 = np.eye(3)
     assert loss_fn(T0) == pytest.approx(cauchy.loss(T0, X), rel=1e-12)
     V = grad_fn(T0)
@@ -309,7 +323,7 @@ def test_fit_oracle_agrees_with_public_functions_along_descent(rng, monkeypatch)
     # backtracked trials included
     X = cauchy.lift(rng.standard_normal((400, 4)) @ rng.standard_normal((4, 4)))
     seen = {"loss": 0, "grad": 0}
-    engine = cauchy.minimize_on_spd
+    engine = matrix_cauchy.minimize_on_spd
 
     def checked(T0, loss_fn, grad_fn, improved_step, config):
         def loss_chk(T):
@@ -326,7 +340,7 @@ def test_fit_oracle_agrees_with_public_functions_along_descent(rng, monkeypatch)
 
         return engine(T0, loss_chk, grad_chk, improved_step, config)
 
-    monkeypatch.setattr(cauchy, "minimize_on_spd", checked)
+    monkeypatch.setattr(matrix_cauchy, "minimize_on_spd", checked)
     T, report = cauchy.fit(X)
     assert report.status is FitStatus.CONVERGED
     backtracks = seen["loss"] - 1 - report.iterations

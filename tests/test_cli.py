@@ -45,6 +45,18 @@ def test_fit_multivariate(tmp_path, capsys):
     assert np.linalg.det(resc) == pytest.approx(1.0, rel=1e-8)
 
 
+@pytest.mark.parametrize("value", ["-2", "0", "nan", "inf"])
+def test_scatter_det_must_be_positive_and_finite(tmp_path, capsys, value):
+    path = tmp_path / "d.csv"
+    path.write_text("0,1\n1,0\n-1,2\n2,2\n")
+    code = main(["fit", "--family", "cauchy", "--input", str(path),
+                 "--scatter-det", value])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "--scatter-det" in captured.err
+
+
 def test_fit_matrix_family(tmp_path, capsys):
     rng = np.random.default_rng(1)
     data = rng.standard_normal((300, 2, 2))
