@@ -136,12 +136,12 @@ def check_general_position(lifted, n, exact_cap=GENERAL_POSITION_EXACT_CAP):
 
     The subset condition is checked exactly only for N <= exact_cap.  Above
     the cap the answer is a heuristic built from cheap necessary conditions:
-    the data matrix must have full column rank, and no projective point
-    (up to sign and scale) may carry half the sample or more.  Large
-    continuous samples collide at float resolution with appreciable
-    probability, and such low-multiplicity repeats do not endanger the
-    existence or uniqueness of the optimum; a dominant atom does.  The data
-    must be valid (finite, no zero row), as the fits pass them.
+    the data matrix must have full column rank, and no projective point (up
+    to sign and scale) may carry N/(n+1) of the N points or more, as the
+    MLE requires (Kent & Tyler 1991).  Large continuous samples collide at
+    float resolution with appreciable probability; such low-multiplicity
+    repeats do not endanger the optimum, an atom that large does.  The
+    data must be valid (finite, no zero row), as the fits pass them.
     """
     X = np.asarray(lifted, dtype=float)
     if X.ndim != 2 or X.shape[1] != n + 1:
@@ -170,7 +170,7 @@ def check_general_position(lifted, n, exact_cap=GENERAL_POSITION_EXACT_CAP):
     starts = np.flatnonzero(edges == 1)
     ends = np.flatnonzero(edges == -1)
     largest = int((ends - starts).max()) + 1
-    return largest < (N + 1) // 2
+    return largest * (n + 1) < N
 
 
 def fit(lifted, config=None):

@@ -265,7 +265,7 @@ def build_parser():
 
     p = sub.add_parser("regress", help="hyperbolic spline regression on t,x rows")
     p.add_argument("--input", required=True)
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=_positive_real, required=True)
     p.add_argument("--output", default=None)
     _fit_flags(p)
     p.set_defaults(func=_cmd_regress)

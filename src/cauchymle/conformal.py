@@ -111,9 +111,7 @@ def fit_arrays(F, n_inf, config=None):
     config = config or DescentConfig()
     n = F.shape[1]
     if config.standardize:
-        med = np.median(F, axis=0) if F.shape[0] else np.zeros(n)
-        mad = float(np.median(np.abs(F - med))) if F.shape[0] else 1.0
-        mad = mad if mad > 0 else 1.0
+        med, mad = halfspace.median_mad(F)
         z, report = fit_arrays((F - med) / mad, n_inf,
                                dataclasses.replace(config, standardize=False))
         return halfspace.HPoint(mad * z.a, med + mad * z.b), report

@@ -111,6 +111,18 @@ def _boundary_vector(x, n):
     return x
 
 
+def median_mad(F):
+    """Coordinate-wise median (n,) and pooled MAD of finite observations F (N, n).
+
+    The MAD is 1 when it vanishes; with no observation the median is 0.
+    """
+    if F.shape[0] == 0:
+        return np.zeros(F.shape[1]), 1.0
+    med = np.median(F, axis=0)
+    mad = float(np.median(np.abs(F - med)))
+    return med, mad if mad > 0 else 1.0
+
+
 def busemann_kernel(a, b, x=None):
     """Busemann values at (a, b) of finite boundary points x, or of infinity (None)."""
     if x is None:

@@ -21,7 +21,7 @@ to the multivariate Cauchy family, and `fit` is the fit of both families.
 
 import numpy as np
 
-from . import cauchy, spd
+from . import cauchy, halfspace, spd
 from .descent import (DescentConfig, FitReport, FitStatus, minimize_on_spd,
                       shared_oracle)
 
@@ -114,11 +114,8 @@ def _standardizing_map(F, n, m):
     median of its entries and scaled by their MAD over the m columns.
     """
     X = F[np.all(F[:, n:, :] == np.eye(m), axis=(1, 2)), :n, :]
-    if X.shape[0] == 0:
-        return np.eye(n + m)
-    med = np.median(X, axis=0)
-    mad = np.median(np.abs(X - med).swapaxes(0, 1).reshape(n, -1), axis=1)
-    mad = np.where(mad > 0, mad, 1.0)
+    med, mad = zip(*[halfspace.median_mad(X[:, i]) for i in range(n)])
+    med, mad = np.array(med), np.array(mad)
     A = np.zeros((n + m, n + m))
     A[:n, :n] = np.diag(1.0 / mad)
     A[:n, n:] = -med / mad[:, None]

@@ -198,6 +198,26 @@ def test_check_general_position_large_sample_heuristic(rng):
     assert not cauchy.check_general_position(Xflat, 1)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_atom_threshold_scales_with_dimension(seed):
+    # at n = 4 an atom must hold fewer than N / 5 points: 15% converges,
+    # 25% and 40% are refused before any descent however long it may run
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((1000, 4))
+    atom = rng.standard_normal(4)
+    for frac, ok in [(0.15, True), (0.25, False), (0.40, False)]:
+        k = int(1000 * frac)
+        X = cauchy.lift(np.vstack([np.tile(atom, (k, 1)), x[k:]]))
+        assert cauchy.check_general_position(X, 4) is ok
+        if ok:
+            assert cauchy.fit(X)[1].status is FitStatus.CONVERGED
+            continue
+        for max_iters in (200, 2000):
+            _, report = cauchy.fit(X, DescentConfig(max_iters=max_iters))
+            assert report.status is FitStatus.DEGENERATE_DATA
+            assert report.iterations == 0
+
+
 def test_fit_degenerate_data_status():
     X = cauchy.lift(np.array([0.0, 0.0, 1.0]))
     T, report = cauchy.fit(X)

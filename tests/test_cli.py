@@ -227,6 +227,17 @@ def test_regress_command(tmp_path, capsys):
     assert max(doc["junction_residuals"]) < 1e-7
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+def test_regress_alpha_must_be_positive_and_finite(tmp_path, capsys, value):
+    path = tmp_path / "r.csv"
+    path.write_text("0,-1\n1,1\n")
+    code = main(["regress", "--input", str(path), "--alpha", value])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "--alpha" in captured.err
+
+
 def test_check_grad_command(tmp_path, capsys):
     code, out = run_cli(["check-grad", "--family", "cauchy", "--n", "2",
                          "--trials", "25"], capsys)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import LinAlgError
 
-from cauchymle import cauchy, halfspace as hs, spline
+from cauchymle import cauchy, conformal, descent, halfspace as hs, spline
 from cauchymle.descent import DescentConfig, FitStatus, plateau_status
 from cauchymle.gradcheck import random_hpoint, random_htangent
 from cauchymle.halfspace import INFINITY, HPoint
@@ -42,6 +42,13 @@ def test_problem_validation():
         spline.SplineProblem((0.0,), ((1.0,),), 0.0)
     with pytest.raises(ValueError):
         spline.SplineProblem.from_pairs([], [], 1.0)
+    # non-finite penalties and times are refused before any fit runs
+    for alpha in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="alpha"):
+            spline.SplineProblem.from_pairs([0.0, 1.0], [0.0, 1.0], alpha)
+    for t in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            spline.SplineProblem.from_pairs([0.0, t], [0.0, 1.0], 1.0)
 
 
 def test_objective_single_knot_is_data_term():
@@ -63,6 +70,37 @@ def test_objective_energy_term():
     z2 = HPoint(math.e, [0.0])
     # busemann(0, z2) = log((e^2)/e) = 1; energy = (3/2) * 1 / 2
     assert spline.objective(prob, [z1, z2]) == pytest.approx(1.0 + 0.75)
+
+
+def test_start_is_median_and_mad_of_finite_observations():
+    # finite data 0, 1, 3, 10: median 2, absolute deviations 2, 1, 1, 8
+    prob = spline.SplineProblem.from_pairs(
+        [0.0, 1.0, 1.0, 2.0, 3.0, 3.0], [0.0, 1.0, INFINITY, 3.0, 10.0, INFINITY],
+        alpha=1.0)
+    a, b = spline._initial_values(spline._Arrays(prob))
+    np.testing.assert_array_equal(a, np.full(4, 1.5))
+    np.testing.assert_array_equal(b, np.full((4, 1), 2.0))
+    # a vanishing MAD gives scale 1; no finite datum gives (1, 0)
+    for xs, (a0, b0) in [([2.0, 2.0, 5.0], (1.0, 2.0)),
+                         ([INFINITY, INFINITY], (1.0, 0.0))]:
+        prob = spline.SplineProblem.from_pairs(range(len(xs)), xs, alpha=1.0)
+        a, b = spline._initial_values(spline._Arrays(prob))
+        np.testing.assert_array_equal(a, np.full(len(xs), a0))
+        np.testing.assert_array_equal(b, np.full((len(xs), 1), b0))
+
+
+def test_fit_runs_no_family_fit(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the spline fit ran a family fit")
+
+    monkeypatch.setattr(conformal, "fit_arrays", refuse)
+    monkeypatch.setattr(cauchy, "check_general_position", refuse)
+    monkeypatch.setattr(descent, "minimize_on_halfspace", refuse)
+    monkeypatch.setattr(cauchy, "fit_univariate", refuse)
+    monkeypatch.setattr(spline, "fit_univariate", refuse)
+    prob = spline.SplineProblem.from_pairs([0.0, 1.0, 2.0], [0.0, 2.0, -1.0],
+                                           alpha=0.8)
+    assert spline.fit(prob).report.status is FitStatus.CONVERGED
 
 
 def test_fit_large_alpha_matches_pooled_mle():
