@@ -12,7 +12,10 @@ the averaged negative log likelihood is
 
 a geodesically convex function whose Riemannian gradient is
 
-    grad(T) = -T/(n+1) + (1/N) T (sum_i xt_i xt_i^T / (xt_i^T T xt_i)) T.
+    grad(T) = -T/(n+1) + T M T,   M = (1/N) sum_i xt_i xt_i^T / (xt_i^T T xt_i).
+
+Seen from a frame R of T = R R^T it is R^T M R - I/(n+1), which is what
+the fit's descent engine takes.
 
 Each datum pulls the parameter along the geodesic toward its boundary
 point with constant force sqrt(n/(n+1)); the MLE is the point where these
@@ -108,9 +111,9 @@ def _loss(q):
     return float(np.mean(np.log(q)))
 
 
-def _grad(T, Xt, q):
-    M = (Xt / q) @ Xt.T / q.size
-    return spd.project_tangent(T, T @ M @ T - T / T.shape[0])
+def _grad(R, Xt, q):
+    # the gradient seen from the frame R; M = mean of xt xt^T / q
+    return spd.frame_gradient(R, (Xt / q) @ Xt.T / q.size)
 
 
 def loss(T, lifted):
@@ -120,10 +123,11 @@ def loss(T, lifted):
 
 
 def loss_grad(T, lifted):
-    """Riemannian gradient of loss at T, a valid tangent vector."""
+    """Riemannian gradient L W L^T at T, W the frame gradient at L = chol(T)."""
     Xt = _columns(_check_lifted(lifted))
     T = np.asarray(T, dtype=float)
-    return _grad(T, Xt, _quad_forms(T, Xt))
+    L = np.linalg.cholesky(T)
+    return spd.from_frame(L, _grad(L, Xt, _quad_forms(T, Xt)))
 
 
 def datum_grad(T, xt):
@@ -240,7 +244,7 @@ def fit_univariate(data, config=None):
     X = _check_lifted(lift_univariate(data))
     if not check_general_position(X, 1):
         report = FitReport(FitStatus.DEGENERATE_DATA, 0,
-                           [loss(np.eye(2), X)], [], 0.0)
+                           [loss(np.eye(2), X)], [], 0.0, loss_evals=1)
         return (0.0, 1.0), report
     finite = X[:, 1] != 0.0
     z, report = conformal.fit_arrays(X[finite, :1], int(np.sum(~finite)),

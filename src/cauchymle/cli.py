@@ -136,6 +136,8 @@ def _base_report(family, report, n, m=None):
         "loss_trace": [float(x) for x in report.loss_trace],
         "grad_norm_trace": [float(x) for x in report.grad_norm_trace],
         "wall_time": report.wall_time,
+        "loss_evals": report.loss_evals,
+        "backtracks": report.backtracks,
     }
 
 

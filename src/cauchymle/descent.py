@@ -2,7 +2,11 @@
 
 Two engines live here, one for losses on the unit-determinant SPD manifold
 and one for losses on the hyperbolic half-space; both, and the spline
-solver, run one loop, each with its own step.  The loop stops when the
+solver, run one loop, each with its own step.  The SPD engine moves a
+frame R of the point T = R R^T: its oracle returns the gradient seen from
+R, a symmetric trace-free p x p matrix whose Frobenius norm is the
+Riemannian norm, and a step is one symmetric eigendecomposition of it
+(`spd.factor_step`), with no factorization of T.  The loop stops when the
 gradient norm falls below the configured tolerance and otherwise
 classifies the outcome: a gradient norm that is still decaying
 geometrically slower than PLATEAU_RATE per iteration when the iteration
@@ -64,6 +68,8 @@ class FitReport:
 
     Under the safe and backtracking policies the loss trace is
     non-increasing up to floating-point roundoff of the loss evaluations.
+    loss_evals counts the solver's loss evaluations, the start included;
+    backtracks counts the trial points among them that were rejected.
     """
 
     status: FitStatus
@@ -71,6 +77,11 @@ class FitReport:
     loss_trace: list = field(default_factory=list)
     grad_norm_trace: list = field(default_factory=list)
     wall_time: float = 0.0
+    loss_evals: int = 0
+
+    @property
+    def backtracks(self):
+        return self.loss_evals - 1 - self.iterations
 
     @property
     def converged(self):
@@ -118,16 +129,26 @@ def shared_oracle(forms, value, grad):
 def minimize_on_spd(T0, loss_fn, grad_fn, improved_step, config):
     """Geodesic gradient descent for a loss on unit-determinant SPD matrices.
 
-    loss_fn and grad_fn take the current point; grad_fn must return a valid
-    tangent.  The safe step is 1 (the loss is assumed to have geodesic
-    second derivative at most ||gamma'||^2).  Returns (point, FitReport).
+    The descent moves a frame R of T = R R^T, starting from the Cholesky
+    factor of T0.  loss_fn(R) is the loss at T and grad_fn(R) the
+    Riemannian gradient V seen from the frame, R^-1 V R^-T (see
+    `spd.frame_gradient`).  The safe step is 1 (the loss is assumed to
+    have geodesic second derivative at most ||gamma'||^2).  Returns
+    (T, FitReport).
     """
     policy = config.step_policy
     first = 1.0 if policy == "safe" else improved_step
     floor = improved_step if policy == "improved" else 1.0
-    return _descend(np.asarray(T0, dtype=float), loss_fn, grad_fn, spd.norm,
-                    lambda T: spd.condition_number(T) > COND_CAP,
-                    _backtracking(loss_fn, spd.geodesic, first, floor), config)
+    R, report = _descend(np.linalg.cholesky(T0), loss_fn, grad_fn,
+                         lambda R, W: float(np.linalg.norm(W)), _past_cap,
+                         _backtracking(spd.factor_step, first, floor), config)
+    return spd.unit_det(spd.sym(R @ R.T)), report
+
+
+def _past_cap(R):
+    """SPD guard: cond(R R^T) = (s_max / s_min)^2 of R passed COND_CAP."""
+    s = np.linalg.svd(R, compute_uv=False)
+    return not s[0] ** 2 <= COND_CAP * s[-1] ** 2
 
 
 def minimize_on_halfspace(z0, loss_fn, grad_fn, safe_step, config):
@@ -142,8 +163,7 @@ def minimize_on_halfspace(z0, loss_fn, grad_fn, safe_step, config):
     first = 2.0 * safe_step if config.step_policy == "backtracking" else safe_step
     return _descend(z0, loss_fn, grad_fn, lambda z, v: v.norm(),
                     lambda z: off_scale(z.a),
-                    _backtracking(loss_fn, halfspace.exp_map, first, safe_step),
-                    config)
+                    _backtracking(halfspace.exp_map, first, safe_step), config)
 
 
 def off_scale(a):
@@ -151,9 +171,9 @@ def off_scale(a):
     return not np.all((a > 1.0 / SCALE_CAP) & (a < SCALE_CAP))
 
 
-def _backtracking(loss_fn, retract, first, floor):
+def _backtracking(retract, first, floor):
     """Family step: halve from first until the loss falls; accept the floor step."""
-    def step(x, v, g, cur):
+    def step(x, v, g, cur, loss_fn):
         s = first
         while True:
             try:
@@ -172,12 +192,21 @@ def _descend(x, loss_fn, grad_fn, norm, diverged, step, config, stuck=None):
     """Descent loop of every solver: the stop rules and the FitReport.
 
     norm(x, v) measures the gradient v = grad_fn(x), diverged(x) is the
-    boundary guard, and step(x, v, norm, loss) returns the next point and
-    its loss, or None when it cannot move.  stuck(grad_norms) then names
-    the outcome; by default the data are degenerate.
+    boundary guard, and step(x, v, norm, loss, loss_fn) returns the next
+    point and its loss, or None when it cannot move; it evaluates the loss
+    through the loss_fn it is handed, which counts the evaluations.
+    stuck(grad_norms) then names the outcome; by default the data are
+    degenerate.
     """
     start = time.perf_counter()
-    losses = [loss_fn(x)]
+    evals = 0
+
+    def counted(x):
+        nonlocal evals
+        evals += 1
+        return loss_fn(x)
+
+    losses = [counted(x)]
     grads = []
     status = None
     iters = 0
@@ -194,12 +223,13 @@ def _descend(x, loss_fn, grad_fn, norm, diverged, step, config, stuck=None):
         if iters == config.max_iters:
             status = plateau_status(grads)
             break
-        moved = step(x, v, g, losses[-1])
+        moved = step(x, v, g, losses[-1], counted)
         if moved is None:
             status = stuck(grads) if stuck else FitStatus.DEGENERATE_DATA
             break
         x, loss = moved
         losses.append(loss)
         iters += 1
-    report = FitReport(status, iters, losses, grads, time.perf_counter() - start)
+    report = FitReport(status, iters, losses, grads, time.perf_counter() - start,
+                       loss_evals=evals)
     return x, report

@@ -14,8 +14,10 @@ Its Riemannian gradient is, per datum,
 
     G = T M T - (m/(m+n)) T,     M = Xt (Xt^T T Xt)^-1 Xt^T,
 
-with constant norm sqrt(mn/(m+n)); the closed form is validated against
-finite differences in the test suite.  At m = 1 everything reduces exactly
+with constant norm sqrt(mn/(m+n)).  Seen from a frame R of T = R R^T it
+is R^T M R - (m/(m+n)) I, a rank-m projector less m/(m+n) I; the descent
+engine runs on R with the mean of these.  The closed form is validated
+against finite differences in the test suite.  At m = 1 everything reduces exactly
 to the multivariate Cauchy family, and `fit` is the fit of both families.
 """
 
@@ -70,10 +72,10 @@ def _forms(T, F):
     return G, logdet
 
 
-def _grad(T, F, G):
-    # M = mean of Xt G^-1 Xt^T over the frames
+def _grad(R, F, G):
+    # the gradient seen from the frame R, from M = mean of Xt G^-1 Xt^T
     M = np.tensordot(F @ np.linalg.inv(G), F, axes=([0, 2], [0, 2])) / F.shape[0]
-    return spd.project_tangent(T, T @ M @ T - (F.shape[2] / T.shape[0]) * T)
+    return spd.frame_gradient(R, M)
 
 
 def loss(T, frames):
@@ -83,10 +85,11 @@ def loss(T, frames):
 
 
 def grad(T, frames):
-    """Riemannian gradient of loss at T, a valid tangent vector."""
+    """Riemannian gradient L W L^T at T, W the frame gradient at L = chol(T)."""
     F = _check_frames(frames)
     T = np.asarray(T, dtype=float)
-    return _grad(T, F, _gram(T, F))
+    L = np.linalg.cholesky(T)
+    return spd.from_frame(L, _grad(L, F, _gram(T, F)))
 
 
 def datum_grad(T, frame):
@@ -139,7 +142,7 @@ def fit(frames, m, n, config=None):
     if m == 1 and not cauchy.check_general_position(F[:, :, 0], n):
         T0 = np.eye(n + 1)
         return T0, FitReport(FitStatus.DEGENERATE_DATA, 0,
-                             [loss(T0, F)], [], 0.0)
+                             [loss(T0, F)], [], 0.0, loss_evals=1)
     if config.standardize:
         A = _standardizing_map(F, n, m)
         F = np.einsum("pq,nqm->npm", A, F)
@@ -153,19 +156,21 @@ def fit(frames, m, n, config=None):
 
 
 def _oracle(F):
-    """(loss_fn, grad_fn) on validated frames, sharing one pass over the data.
+    """(loss_fn, grad_fn) of a frame R of T = R R^T, on validated frames.
 
-    At m = 1 the quadratic-form kernel of `cauchy` on a contiguous copy of
-    the vectors is several times faster than the Gram kernel of m >= 2.
+    Both share one pass over the data at T; grad_fn returns the gradient
+    seen from R.  At m = 1 the quadratic-form kernel of `cauchy` on a
+    contiguous copy of the vectors is several times faster than the Gram
+    kernel of m >= 2.
     """
     if F.shape[2] == 1:
         Xt = cauchy._columns(F[:, :, 0])
-        return shared_oracle(lambda T: cauchy._quad_forms(T, Xt),
-                             lambda T, q: cauchy._loss(q),
-                             lambda T, q: cauchy._grad(T, Xt, q))
-    return shared_oracle(lambda T: _forms(T, F),
-                         lambda T, f: float(np.mean(f[1])),
-                         lambda T, f: _grad(T, F, f[0]))
+        return shared_oracle(lambda R: cauchy._quad_forms(R @ R.T, Xt),
+                             lambda R, q: cauchy._loss(q),
+                             lambda R, q: cauchy._grad(R, Xt, q))
+    return shared_oracle(lambda R: _forms(R @ R.T, F),
+                         lambda R, f: float(np.mean(f[1])),
+                         lambda R, f: _grad(R, F, f[0]))
 
 
 def to_params(T, n, m):

@@ -6,15 +6,19 @@ determinant one, carrying the affine-invariant metric
 
     <V, W>_T = tr(T^-1 V T^-1 W).
 
-Tangent vectors at T are symmetric matrices V with tr(T^-1 V) = 0.  The
-geodesic through T with initial velocity V is
+Tangent vectors at T are symmetric matrices V with tr(T^-1 V) = 0.  Seen
+from a frame R of T = R R^T (any square root), a tangent is the symmetric
+trace-free matrix W = R^-1 V R^-T, the metric is the Frobenius product of
+such matrices, and the geodesic through T with initial velocity V is
 
-    gamma(t) = exp(t/2 T^-1 V)^T  T  exp(t/2 T^-1 V),
+    gamma(t) = R expm(t W) R^T,
 
-evaluated here in the congruence form gamma(t) = L expm(t W) L^T with
-T = L L^T (Cholesky) and W = L^-1 V L^-T, so that only a symmetric matrix
-is ever exponentiated.  Every geodesic step divides the result by
-det^(1/p) to cancel floating-point determinant drift.
+so that only a symmetric matrix is ever exponentiated.  `factor_step`
+moves the frame itself: with W = Q diag(lam) Q^T it returns
+R Q diag(exp(t (lam - mean lam) / 2)), a frame of gamma(t) with the
+determinant of R.  The descent engine runs on such frames; `geodesic` is
+the same step from the Cholesky frame of T, renormalized to determinant
+one.
 """
 
 import numpy as np
@@ -24,6 +28,9 @@ from scipy.linalg import cholesky, eigh, solve_triangular
 SYM_RTOL = 1e-12
 DET_RTOL = 1e-9
 TRACE_RTOL = 1e-10
+# |exponent| bound of the eigenvalues of expm(t W) in factor_step: their
+# exp stays a normal float on both sides
+EXP_CAP = 700.0
 
 
 class NumericRangeError(FloatingPointError):
@@ -125,13 +132,43 @@ def _chol_congruence(L, M):
     return solve_triangular(L, A.T, lower=True).T
 
 
-def _expm_sym(S):
-    w, Q = eigh(S)
-    with np.errstate(over="ignore"):
-        ew = np.exp(w)
-    if not np.all(np.isfinite(ew)):
+def factor_step(R, W, t):
+    """Frame R Q diag(exp(t (lam - mean lam) / 2)) of the geodesic point at t.
+
+    R is a frame of the base point T = R R^T and W = Q diag(lam) Q^T the
+    velocity seen from it.  Centring lam keeps det R fixed.  Raises
+    NumericRangeError when an eigenvalue of expm(t W), the factor that
+    R1 R1^T gains over R R^T, or an entry of R1 R1^T leaves the
+    floating-point range.
+    """
+    lam, Q = np.linalg.eigh(W)
+    x = t * (lam - lam.sum() / lam.size)
+    if not np.abs(x).max() < EXP_CAP:
         raise NumericRangeError("matrix exponential overflow")
-    return (Q * ew) @ Q.T
+    R1 = (R @ Q) * np.exp(0.5 * x)
+    # tr(R1 R1^T) bounds every entry of the SPD point R1 R1^T
+    with np.errstate(over="ignore"):
+        trace = np.sum(R1 * R1)
+    if not np.isfinite(trace):
+        raise NumericRangeError("geodesic step overflow")
+    return R1
+
+
+def frame_gradient(R, M):
+    """Riemannian gradient of a loss with Euclidean gradient M, seen from R.
+
+    At T = R R^T the gradient on the unit-determinant manifold is
+    T M T - (tr(T M) / p) T.  Seen from R it is the trace-free part of
+    R^T M R, whose Frobenius norm is the Riemannian norm.
+    """
+    W = sym(R.T @ M @ R)
+    W.flat[::W.shape[0] + 1] -= np.trace(W) / W.shape[0]
+    return W
+
+
+def from_frame(R, W):
+    """Tangent R W R^T at T = R R^T of the tangent W seen from the frame R."""
+    return sym(R @ W @ R.T)
 
 
 def geodesic(T, V, t):
@@ -146,9 +183,8 @@ def geodesic(T, V, t):
     if t == 0.0:
         return T.copy()
     L = cholesky(T, lower=True)
-    W = sym(_chol_congruence(L, V))
-    E = _expm_sym(t * W)
-    G = sym(L @ E @ L.T)
+    R = factor_step(L, sym(_chol_congruence(L, V)), t)
+    G = sym(R @ R.T)
     if not np.all(np.isfinite(G)):
         raise NumericRangeError("geodesic point overflow")
     return unit_det(G)

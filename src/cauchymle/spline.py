@@ -168,7 +168,7 @@ def _initial_values(data):
     return np.full(data.k, mad), np.tile(med, (data.k, 1))
 
 
-def _try_move(data, x, tangent, cur_loss, cur_norm):
+def _try_move(data, loss_fn, x, tangent, cur_loss, cur_norm):
     """Line-search move of the knots x = (a, b) along per-knot tangents.
 
     Accepts a candidate that certifiably decreases the objective, or one
@@ -181,7 +181,7 @@ def _try_move(data, x, tangent, cur_loss, cur_norm):
     for s in 0.5 ** np.arange(40):
         try:
             cand = halfspace.exp_kernel(*x, *tangent, -s)
-            cand_loss = _objective(data, cand)
+            cand_loss = loss_fn(cand)
             if np.isfinite(cand_loss) and (
                     cand_loss < cur_loss
                     or (cand_loss <= cur_loss + slack
@@ -294,10 +294,10 @@ def fit(problem, config=None):
     grad_fn = functools.partial(_gradient, data)
     adaptive = config.step_policy == "backtracking"
 
-    def move(x, grad, g, cur):
+    def move(x, grad, g, cur, loss_fn):
         if adaptive:
             newton = _newton(data, x, grad, g)
-            return newton and _try_move(data, x, newton, cur, g)
+            return newton and _try_move(data, loss_fn, x, newton, cur, g)
         # the unit multiplier is provably non-increasing: take it
         try:
             cand = halfspace.exp_kernel(*x, *_preconditioned(data, x, grad), -1.0)

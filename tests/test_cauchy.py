@@ -321,42 +321,63 @@ def _rel_gap(got, want):
     return np.linalg.norm(np.asarray(got) - want) / np.linalg.norm(want)
 
 
+def _frame_gap(R, W, want):
+    # gap between W, a gradient seen from the frame R, and the tangent want
+    # at R R^T, in the Riemannian norm relative to the larger of the
+    # gradient and a unit force: two frames round the O(1) unit forces
+    # differently, and near the optimum those forces cancel
+    gap = spd.norm(R @ R.T, spd.from_frame(R, W) - want)
+    return gap / max(np.linalg.norm(W), 1.0)
+
+
 def test_fused_oracle_matches_public_functions(rng):
+    # the oracle takes a frame R of T = R R^T and returns the gradient seen
+    # from R; the public functions take T and return the tangent at T
     X = cauchy.lift(rng.standard_normal((300, 2)) * 3.0 + 1.0)
     loss_fn, grad_fn = matrix_cauchy._oracle(X[:, :, None])
-    T0 = np.eye(3)
-    assert loss_fn(T0) == pytest.approx(cauchy.loss(T0, X), rel=1e-12)
-    V = grad_fn(T0)
-    assert _rel_gap(V, cauchy.loss_grad(T0, X)) < 1e-12
+
+    def gap(R):
+        return _rel_gap(spd.from_frame(R, grad_fn(R)),
+                        cauchy.loss_grad(R @ R.T, X))
+
+    R0 = np.eye(3)
+    assert loss_fn(R0) == pytest.approx(cauchy.loss(R0, X), rel=1e-12)
+    assert gap(R0) < 1e-12
     # a backtracked trial: a long step, then a shorter one from the same base
-    far, near = (spd.geodesic(T0, V, -t) for t in (8.0, 1.0))
-    for T in (far, near):
-        assert loss_fn(T) == pytest.approx(cauchy.loss(T, X), rel=1e-12)
-    assert _rel_gap(grad_fn(near), cauchy.loss_grad(near, X)) < 1e-12
+    W = grad_fn(R0)
+    far, near = (spd.factor_step(R0, W, -t) for t in (8.0, 1.0))
+    for R in (far, near):
+        assert loss_fn(R) == pytest.approx(cauchy.loss(R @ R.T, X), rel=1e-12)
+    assert gap(near) < 1e-12
     # away from the last loss evaluation the forms are recomputed
-    assert _rel_gap(grad_fn(far), cauchy.loss_grad(far, X)) < 1e-12
-    assert _rel_gap(grad_fn(T0), cauchy.loss_grad(T0, X)) < 1e-12
+    assert gap(far) < 1e-12
+    assert gap(R0) < 1e-12
 
 
 def test_fit_oracle_agrees_with_public_functions_along_descent(rng, monkeypatch):
     # every loss and gradient the engine sees equals the public functions',
-    # backtracked trials included
+    # backtracked trials included, and the report counts what it saw
     X = cauchy.lift(rng.standard_normal((400, 4)) @ rng.standard_normal((4, 4)))
     seen = {"loss": 0, "grad": 0}
     engine = matrix_cauchy.minimize_on_spd
+    # an oracle whose loss_fn is never called recomputes the forms each time
+    _, fresh_grad = matrix_cauchy._oracle(X[:, :, None])
 
     def checked(T0, loss_fn, grad_fn, improved_step, config):
-        def loss_chk(T):
+        def loss_chk(R):
             seen["loss"] += 1
-            val = loss_fn(T)
-            assert val == pytest.approx(cauchy.loss(T, X), rel=1e-12)
+            val = loss_fn(R)
+            assert val == pytest.approx(cauchy.loss(R @ R.T, X), rel=1e-12)
             return val
 
-        def grad_chk(T):
+        def grad_chk(R):
             seen["grad"] += 1
-            V = grad_fn(T)
-            assert _rel_gap(V, cauchy.loss_grad(T, X)) < 1e-12
-            return V
+            W = grad_fn(R)
+            # the forms grad_fn reuses are those at R: the same kernel in
+            # the same frame, so the gap is relative to the gradient itself
+            assert _rel_gap(W, fresh_grad(R)) < 1e-12
+            assert _frame_gap(R, W, cauchy.loss_grad(R @ R.T, X)) < 1e-12
+            return W
 
         return engine(T0, loss_chk, grad_chk, improved_step, config)
 
@@ -365,6 +386,8 @@ def test_fit_oracle_agrees_with_public_functions_along_descent(rng, monkeypatch)
     assert report.status is FitStatus.CONVERGED
     backtracks = seen["loss"] - 1 - report.iterations
     assert seen["grad"] == report.iterations + 1 and backtracks > 0
+    assert report.loss_evals == seen["loss"]
+    assert report.backtracks == backtracks
 
 
 @pytest.mark.parametrize("bad", [

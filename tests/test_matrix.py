@@ -194,26 +194,29 @@ def test_fit_rejects_mismatched_dims(rng):
 
 def test_fused_oracle_matches_public_functions(rng):
     # the public loss and grad run the Gram kernel; at m = 1 the fit's
-    # oracle runs the quadratic-form kernel of `cauchy` on the same frames
+    # oracle runs the quadratic-form kernel of `cauchy` on the same frames.
+    # The oracle takes a frame R of T = R R^T and returns the gradient
+    # seen from R.
     frames = mc.lift(rng.standard_normal((200, 2, 2)))
     vectors = mc.lift(rng.standard_normal((300, 3, 1)) * 3.0 + 1.0)
     vectors[7, :, 0] = [0.5, -2.0, 1.5, 0.0]   # a datum at infinity
     for F in (frames, vectors):
         loss_fn, grad_fn = mc._oracle(F)
 
-        def gap(T):
-            want = mc.grad(T, F)
-            return np.linalg.norm(grad_fn(T) - want) / np.linalg.norm(want)
+        def gap(R):
+            want = mc.grad(R @ R.T, F)
+            got = spd.from_frame(R, grad_fn(R))
+            return np.linalg.norm(got - want) / np.linalg.norm(want)
 
-        T0 = np.eye(4)
-        assert loss_fn(T0) == pytest.approx(mc.loss(T0, F), rel=1e-12)
-        assert gap(T0) < 1e-12
+        R0 = np.eye(4)
+        assert loss_fn(R0) == pytest.approx(mc.loss(R0, F), rel=1e-12)
+        assert gap(R0) < 1e-12
         # a backtracked trial: a long step, then a shorter one from the base
-        V = grad_fn(T0)
-        far, near = (spd.geodesic(T0, V, -t) for t in (8.0, 1.0))
-        for T in (far, near):
-            assert loss_fn(T) == pytest.approx(mc.loss(T, F), rel=1e-12)
+        W = grad_fn(R0)
+        far, near = (spd.factor_step(R0, W, -t) for t in (8.0, 1.0))
+        for R in (far, near):
+            assert loss_fn(R) == pytest.approx(mc.loss(R @ R.T, F), rel=1e-12)
         assert gap(near) < 1e-12
         # away from the last loss evaluation the forms are recomputed
         assert gap(far) < 1e-12
-        assert gap(T0) < 1e-12
+        assert gap(R0) < 1e-12

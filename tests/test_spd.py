@@ -80,6 +80,41 @@ def test_geodesic_det_preservation(rng):
         assert abs(np.linalg.det(G) - 1.0) < 1e-8
 
 
+def test_factor_step_matches_geodesic_from_any_frame(rng):
+    for _ in range(200):
+        p = int(rng.integers(2, 6))
+        T = random_spd_point(p, rng)
+        V = random_tangent(T, rng) * rng.uniform(0.1, 3.0)
+        O, _ = np.linalg.qr(rng.standard_normal((p, p)))
+        R = np.linalg.cholesky(T) @ O
+        W = spd.sym(np.linalg.solve(R, np.linalg.solve(R, V).T))
+        for t in rng.uniform(0.1, 1.5) * np.array([1.0, -1.0]):
+            R1 = spd.factor_step(R, W, t)
+            G = spd.geodesic(T, V, t)
+            assert np.linalg.norm(R1 @ R1.T - G) / np.linalg.norm(G) < 1e-12
+
+
+def test_factor_steps_keep_the_determinant(rng):
+    R = np.eye(4)
+    for _ in range(1000):
+        S = rng.standard_normal((4, 4))
+        W = spd.sym(S) - np.trace(S) / 4 * np.eye(4)
+        R = spd.factor_step(R, W, float(rng.uniform(-0.05, 0.05)))
+    assert abs(np.linalg.det(R) ** 2 - 1.0) < spd.DET_RTOL
+    assert np.linalg.cond(R) > 2.0  # the walk did leave the identity
+
+
+@pytest.mark.parametrize("R, t", [
+    (np.eye(2), 2e3),
+    (np.eye(2), 8e2),    # R1 is finite, R1 R1^T is not
+    (np.eye(2), -8e2),
+    (np.diag([1e150, 1e-150]), 20.0),   # within the exponent cap
+])
+def test_factor_step_overflow_reports_range_error(R, t):
+    with pytest.raises(spd.NumericRangeError):
+        spd.factor_step(R, np.diag([1.0, -1.0]), t)
+
+
 def test_geodesic_speed(rng):
     for _ in range(100):
         T = random_spd_point(3, rng)
