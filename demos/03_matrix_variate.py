@@ -35,10 +35,10 @@ print(np.round(B, 3))
 print("  row scatter / col scatter diagonals:",
       np.round(np.diag(row_scatter), 3), np.round(np.diag(col_scatter), 3))
 
-# --- the improved step size depends on both dimensions -----------------------
+# --- the first backtracking step depends on both dimensions ------------------
 for m, n in [(1, 1), (1, 4), (2, 2), (3, 2)]:
-    print(f"  improved step for m={m}, n={n}: "
-          f"{matrix_cauchy.step_size(m, n, 'improved')}")
+    print(f"  first trial step for m={m}, n={n}: "
+          f"{matrix_cauchy.step_size(m, n)}")
 
 # --- m = 1 reduces exactly to the multivariate family ------------------------
 vec_data = np.random.default_rng(21).standard_normal((500, 3, 1))

@@ -135,14 +135,15 @@ def datum_grad(T, xt):
     return loss_grad(T, np.asarray(xt, dtype=float)[None, :])
 
 
-def check_general_position(lifted, n, exact_cap=GENERAL_POSITION_EXACT_CAP):
+def check_general_position(lifted, n):
     """True when N >= n+2 and no n+1 lifted data vectors are linearly dependent.
 
-    The subset condition is checked exactly only for N <= exact_cap.  Above
-    the cap the answer is a heuristic built from cheap necessary conditions:
-    the data matrix must have full column rank, and no projective point (up
-    to sign and scale) may carry N/(n+1) of the N points or more, as the
-    MLE requires (Kent & Tyler 1991).  Large continuous samples collide at
+    The subset condition is checked exactly only for N up to
+    GENERAL_POSITION_EXACT_CAP.  Above the cap the answer is a heuristic
+    built from cheap necessary conditions: the data matrix must have full
+    column rank, and no projective point (up to sign and scale) may carry
+    N/(n+1) of the N points or more, as the MLE requires (Kent & Tyler
+    1991).  Large continuous samples collide at
     float resolution with appreciable probability; such low-multiplicity
     repeats do not endanger the optimum, an atom that large does.  The
     data must be valid (finite, no zero row), as the fits pass them.
@@ -153,7 +154,7 @@ def check_general_position(lifted, n, exact_cap=GENERAL_POSITION_EXACT_CAP):
     N = X.shape[0]
     if N < n + 2:
         return False
-    if N <= exact_cap:
+    if N <= GENERAL_POSITION_EXACT_CAP:
         for idx in combinations(range(N), n + 1):
             if np.linalg.matrix_rank(X[list(idx)]) < n + 1:
                 return False
@@ -192,20 +193,16 @@ def fit(lifted, config=None):
 def to_params(T):
     """Convert the matrix parameter to location/scatter (b, S).
 
-    With T partitioned as [[A, c], [c^T, d]]: b = -A^-1 c and
-    S = (d - b^T A b) A^-1.
+    This is `matrix_cauchy.to_params` at m = 1: b is the one column of B
+    and S = kappa A^-1, with the 1 x 1 column scatter kappa = d - c^T A^-1 c
+    of T = [[A, c], [c^T, d]].
     """
     T = np.asarray(T, dtype=float)
-    n = T.shape[0] - 1
-    A = T[:n, :n]
-    c = T[:n, n]
-    d = T[n, n]
-    b = -np.linalg.solve(A, c)
-    kappa = d - float(b @ A @ b)
+    B, row_scatter, col_scatter = matrix_cauchy.to_params(T, T.shape[0] - 1, 1)
+    kappa = float(col_scatter[0, 0])
     if kappa <= 0:
         raise ValueError("matrix parameter has non-positive scatter scale")
-    S = kappa * np.linalg.inv(A)
-    return CauchyParams(location=b, scatter=spd.sym(S))
+    return CauchyParams(location=B[:, 0], scatter=kappa * row_scatter)
 
 
 def from_params(params):

@@ -26,7 +26,7 @@ import numpy as np
 from . import cauchy, conformal, matrix_cauchy, spline
 from .datasets import DataFormatError, GeneratorSpec, generate, parse_dataset, \
     write_dataset
-from .descent import DescentConfig, FitStatus
+from .descent import STEP_POLICIES, DescentConfig, FitStatus
 from .gradcheck import check_gradients
 from .montecarlo import run_mc
 
@@ -49,11 +49,14 @@ def _positive_real(text):
     return value
 
 
-def _fit_flags(parser):
-    parser.add_argument("--step", choices=("safe", "improved", "backtracking"),
-                        default="backtracking")
+def _stop_flags(parser):
     parser.add_argument("--tol", type=float, default=1e-9)
     parser.add_argument("--max-iters", type=int, default=200)
+
+
+def _fit_flags(parser):
+    parser.add_argument("--step", choices=STEP_POLICIES, default="backtracking")
+    _stop_flags(parser)
     parser.add_argument("--standardize", action="store_true")
 
 
@@ -80,8 +83,7 @@ def _generator_flags(parser):
 
 def _config_from(args):
     return DescentConfig(step_policy=args.step, tol=args.tol,
-                         max_iters=args.max_iters,
-                         standardize=getattr(args, "standardize", False))
+                         max_iters=args.max_iters, standardize=args.standardize)
 
 
 def _spec_from(args):
@@ -192,7 +194,9 @@ def _cmd_fit1d(args):
 
 
 def _cmd_regress(args):
-    config = _config_from(args)
+    # the spline takes the same Newton step under every policy and does
+    # not standardize, so regress reads only the stop rules
+    config = DescentConfig(tol=args.tol, max_iters=args.max_iters)
     ts, xs = parse_dataset(args.input, "regression")
     problem = spline.SplineProblem.from_pairs(ts, xs, args.alpha)
     solution = spline.fit(problem, config)
@@ -269,7 +273,7 @@ def build_parser():
     p.add_argument("--input", required=True)
     p.add_argument("--alpha", type=_positive_real, required=True)
     p.add_argument("--output", default=None)
-    _fit_flags(p)
+    _stop_flags(p)
     p.set_defaults(func=_cmd_regress)
 
     p = sub.add_parser("simulate", help="write a synthetic dataset")

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import halfspace, spd
 
-STEP_POLICIES = ("safe", "improved", "backtracking")
+STEP_POLICIES = ("safe", "backtracking")
 
 PLATEAU_WINDOW = 20
 PLATEAU_RATE = 0.9
@@ -43,9 +43,10 @@ class FitStatus(Enum):
 class DescentConfig:
     """Knobs for the geodesic descent.
 
-    step_policy: "safe" uses the provably monotone unit step, "improved" the
-    larger dimension-dependent step, "backtracking" tries the improved step
-    and halves until the loss decreases, never going below the safe step.
+    step_policy: "safe" takes the provably non-increasing unit step;
+    "backtracking" tries a larger family-specific step first and halves
+    until the loss decreases, never going below the safe step.  Under
+    either policy the loss trace is non-increasing up to roundoff.
     """
 
     step_policy: str = "backtracking"
@@ -66,8 +67,8 @@ class DescentConfig:
 class FitReport:
     """Descent trace: outcome, iteration count, per-iteration diagnostics.
 
-    Under the safe and backtracking policies the loss trace is
-    non-increasing up to floating-point roundoff of the loss evaluations.
+    Under both step policies the loss trace is non-increasing up to
+    floating-point roundoff of the loss evaluations.
     loss_evals counts the solver's loss evaluations, the start included;
     backtracks counts the trial points among them that were rejected.
     """
@@ -126,22 +127,21 @@ def shared_oracle(forms, value, grad):
     return loss_fn, grad_fn
 
 
-def minimize_on_spd(T0, loss_fn, grad_fn, improved_step, config):
+def minimize_on_spd(T0, loss_fn, grad_fn, first_step, config):
     """Geodesic gradient descent for a loss on unit-determinant SPD matrices.
 
     The descent moves a frame R of T = R R^T, starting from the Cholesky
     factor of T0.  loss_fn(R) is the loss at T and grad_fn(R) the
     Riemannian gradient V seen from the frame, R^-1 V R^-T (see
     `spd.frame_gradient`).  The safe step is 1 (the loss is assumed to
-    have geodesic second derivative at most ||gamma'||^2).  Returns
+    have geodesic second derivative at most ||gamma'||^2); backtracking
+    starts from first_step and halves down to the safe step.  Returns
     (T, FitReport).
     """
-    policy = config.step_policy
-    first = 1.0 if policy == "safe" else improved_step
-    floor = improved_step if policy == "improved" else 1.0
+    first = first_step if config.step_policy == "backtracking" else 1.0
     R, report = _descend(np.linalg.cholesky(T0), loss_fn, grad_fn,
                          lambda R, W: float(np.linalg.norm(W)), _past_cap,
-                         _backtracking(spd.factor_step, first, floor), config)
+                         _backtracking(spd.factor_step, first, 1.0), config)
     return spd.unit_det(spd.sym(R @ R.T)), report
 
 
@@ -159,7 +159,6 @@ def minimize_on_halfspace(z0, loss_fn, grad_fn, safe_step, config):
     1/safe_step).  Backtracking starts from twice the safe step and halves
     down to it.  Returns (HPoint, FitReport).
     """
-    # no family-specific improved step here: improved == safe
     first = 2.0 * safe_step if config.step_policy == "backtracking" else safe_step
     return _descend(z0, loss_fn, grad_fn, lambda z, v: v.norm(),
                     lambda z: off_scale(z.a),

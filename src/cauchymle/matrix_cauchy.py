@@ -97,16 +97,12 @@ def datum_grad(T, frame):
     return grad(T, np.asarray(frame, dtype=float)[None, :, :])
 
 
-def step_size(m, n, policy):
-    """Safe step 1; improved step ((m+n)(m+n+1) - 2) / (2mn)."""
+def step_size(m, n):
+    """First trial step of the backtracking search: ((m+n)(m+n+1) - 2) / (2mn)."""
     if m < 1 or n < 1:
         raise ValueError("m and n must be at least 1")
-    if policy == "safe":
-        return 1.0
-    if policy in ("improved", "backtracking"):
-        p = m + n
-        return (p * (p + 1) - 2) / (2.0 * m * n)
-    raise ValueError(f"unknown step policy {policy!r}")
+    p = m + n
+    return (p * (p + 1) - 2) / (2.0 * m * n)
 
 
 def _standardizing_map(F, n, m):
@@ -148,8 +144,7 @@ def fit(frames, m, n, config=None):
         F = np.einsum("pq,nqm->npm", A, F)
     loss_fn, grad_fn = _oracle(F)
     T, report = minimize_on_spd(np.eye(m + n), loss_fn, grad_fn,
-                                improved_step=step_size(m, n, "improved"),
-                                config=config)
+                                step_size(m, n), config)
     if config.standardize:
         T = spd.unit_det(A.T @ T @ A)
     return T, report

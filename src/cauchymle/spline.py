@@ -193,23 +193,6 @@ def _try_move(data, loss_fn, x, tangent, cur_loss, cur_norm):
     return None
 
 
-def _preconditioned(data, x, grad):
-    """Per-knot gradient scaled by a local curvature bound (Jacobi style).
-
-    Each Busemann term has geodesic second derivative at most 1; an energy
-    edge of length d and time gap D contributes at most
-    2 (alpha/D)(1 + d) to either endpoint (Hessian of half the squared
-    distance grows like d coth d <= 1 + d in curvature -1).  A unit
-    multiplier on the scaled direction is therefore non-increasing.
-    """
-    a, b = x
-    d = halfspace.distance_kernel(a[data.tail], b[data.tail],
-                                  a[data.head], b[data.head])
-    edges = np.bincount(data.tail, 2.0 * data.pull * (1.0 + d), minlength=data.k)
-    scale = 1.0 / (data.counts + edges)
-    return scale * grad[0], scale[:, None] * grad[1]
-
-
 def _hessian(data, x, shift=0.0):
     """Riemannian Hessian plus shift * G in the chart (log a, b), banded.
 
@@ -279,9 +262,9 @@ def fit(problem, config=None):
     the metric and |g| the total gradient norm.  The knots move along the
     tangents (a p_s, p_b), halving the step until the objective falls.
     When the factorization or that search fails, the fit stops and the
-    tail of the gradient norms names the outcome.  The "safe" and
-    "improved" policies step along the gradients scaled by local
-    curvature bounds, with the provably non-increasing unit multiplier.
+    tail of the gradient norms names the outcome.  The step is the same
+    under both step policies, and the loss trace never increases beyond
+    roundoff.
 
     Converged means the total gradient norm (root of summed squared knot
     gradients) fell below config.tol, which bounds every junction residual.
@@ -292,18 +275,10 @@ def fit(problem, config=None):
     data = _Arrays(problem)
     loss_fn = functools.partial(_objective, data)
     grad_fn = functools.partial(_gradient, data)
-    adaptive = config.step_policy == "backtracking"
 
     def move(x, grad, g, cur, loss_fn):
-        if adaptive:
-            newton = _newton(data, x, grad, g)
-            return newton and _try_move(data, loss_fn, x, newton, cur, g)
-        # the unit multiplier is provably non-increasing: take it
-        try:
-            cand = halfspace.exp_kernel(*x, *_preconditioned(data, x, grad), -1.0)
-            return cand, loss_fn(cand)
-        except NumericRangeError:
-            return None
+        newton = _newton(data, x, grad, g)
+        return newton and _try_move(data, loss_fn, x, newton, cur, g)
 
     x, report = _descend(_initial_values(data), loss_fn, grad_fn,
                          _total_norm, lambda x: off_scale(x[0]), move, config,

@@ -153,6 +153,14 @@ def test_to_params_identity():
     assert params.scatter[0, 0] == pytest.approx(1.0)
 
 
+def test_to_params_rejects_non_positive_scatter_scale():
+    # the top-left block is positive definite, the Schur complement
+    # d - c^T A^-1 c = -1/2 is not: T is indefinite
+    T = np.array([[2.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="non-positive scatter scale"):
+        cauchy.to_params(T)
+
+
 def test_univariate_dictionary():
     rng = np.random.default_rng(3)
     for _ in range(50):
@@ -304,6 +312,8 @@ def test_descent_config_validation():
     with pytest.raises(ValueError):
         DescentConfig(step_policy="newton")
     with pytest.raises(ValueError):
+        DescentConfig(step_policy="improved")
+    with pytest.raises(ValueError):
         DescentConfig(tol=0.0)
     with pytest.raises(ValueError):
         DescentConfig(max_iters=0)
@@ -363,7 +373,7 @@ def test_fit_oracle_agrees_with_public_functions_along_descent(rng, monkeypatch)
     # an oracle whose loss_fn is never called recomputes the forms each time
     _, fresh_grad = matrix_cauchy._oracle(X[:, :, None])
 
-    def checked(T0, loss_fn, grad_fn, improved_step, config):
+    def checked(T0, loss_fn, grad_fn, first_step, config):
         def loss_chk(R):
             seen["loss"] += 1
             val = loss_fn(R)
@@ -379,7 +389,7 @@ def test_fit_oracle_agrees_with_public_functions_along_descent(rng, monkeypatch)
             assert _frame_gap(R, W, cauchy.loss_grad(R @ R.T, X)) < 1e-12
             return W
 
-        return engine(T0, loss_chk, grad_chk, improved_step, config)
+        return engine(T0, loss_chk, grad_chk, first_step, config)
 
     monkeypatch.setattr(matrix_cauchy, "minimize_on_spd", checked)
     T, report = cauchy.fit(X)

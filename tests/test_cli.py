@@ -238,6 +238,31 @@ def test_regress_alpha_must_be_positive_and_finite(tmp_path, capsys, value):
     assert "--alpha" in captured.err
 
 
+@pytest.mark.parametrize("flag", [["--step", "safe"], ["--standardize"]])
+def test_regress_rejects_flags_the_spline_does_not_read(tmp_path, capsys,
+                                                        flag):
+    path = tmp_path / "r.csv"
+    path.write_text("0,-1\n1,1\n")
+    code = main(["regress", "--input", str(path), "--alpha", "1.0", *flag])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--input", "d.csv"],
+    ["fit1d", "--input", "d.csv"],
+    ["mc", "--kind", "cauchy1d", "--runs", "2"],
+])
+def test_unknown_step_policy_is_a_usage_error(capsys, argv):
+    code = main([*argv, "--step", "improved"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "argument --step: invalid choice: 'improved'" in captured.err
+
+
 def test_check_grad_command(tmp_path, capsys):
     code, out = run_cli(["check-grad", "--family", "cauchy", "--n", "2",
                          "--trials", "25"], capsys)

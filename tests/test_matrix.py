@@ -71,10 +71,9 @@ def test_grad_matches_finite_differences(rng):
 
 
 def test_step_size_values():
-    assert mc.step_size(1, 1, "improved") == 2.0
-    assert mc.step_size(1, 4, "improved") == 3.5
-    assert mc.step_size(2, 2, "improved") == 2.25
-    assert mc.step_size(2, 2, "safe") == 1.0
+    assert mc.step_size(1, 1) == 2.0
+    assert mc.step_size(1, 4) == 3.5
+    assert mc.step_size(2, 2) == 2.25
 
 
 def test_hessian_band_along_geodesics(rng):
