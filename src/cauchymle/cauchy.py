@@ -25,7 +25,7 @@ runs `matrix_cauchy.fit` on the lifted vectors as one-column frames.
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -33,9 +33,14 @@ from . import conformal, halfspace, matrix_cauchy, spd
 from .descent import DescentConfig, FitReport, FitStatus
 
 GENERAL_POSITION_EXACT_CAP = 20
+EXACT_CHUNK = 2**14
 # normalized true scalar multiples agree to ~machine eps; genuinely distinct
 # observations in awkward scaling stay well above this
 PROJECTIVE_DUP_TOL = 1e-12
+# the atom key of a row whose two forms sum to less than this share of
+# their roundoff scale is not trusted: such rows are always grouped exactly
+ATOM_KEY_FLOOR = 1e-2
+ATOM_KEY_SEED = 20230917  # any fixed seed serves
 
 
 @dataclass(frozen=True)
@@ -135,6 +140,79 @@ def datum_grad(T, xt):
     return loss_grad(T, np.asarray(xt, dtype=float)[None, :])
 
 
+def _key_forms(p):
+    """The two fixed linear forms (p, 2) of the atom key.
+
+    Drawn from a fixed seed, so every answer is deterministic.  Entries
+    have magnitude in [0.5, 1] and are multiples of 2^-24: a product of two
+    of them is exact, so x.r2 = 0 can be built exactly.
+    """
+    rng = np.random.default_rng([ATOM_KEY_SEED, p])
+    R = rng.uniform(0.5, 1.0, (p, 2)) * rng.choice((-1.0, 1.0), (p, 2))
+    return np.round(R * 2.0**24) / 2.0**24
+
+
+def _runs(near):
+    """(first, last) of each run of consecutive indices in near, inclusive.
+
+    near holds, in increasing order, the i at which items i and i + 1 of a
+    sorted sequence agree; run j joins the items first[j] to last[j] + 1.
+    """
+    start = np.ones(near.size, dtype=bool)
+    start[1:] = np.diff(near) > 1
+    return near[start], near[np.roll(start, -1)]
+
+
+def _largest_group(Y):
+    """Size of the largest set of rows of Y that agree up to sign and scale."""
+    Y = Y / np.linalg.norm(Y, axis=1)[:, None]
+    lead = np.argmax(np.abs(Y), axis=1)
+    Y = Y * np.sign(Y[np.arange(Y.shape[0]), lead])[:, None]
+    near = np.all(np.abs(np.diff(Y[np.lexsort(Y.T)], axis=0))
+                  < PROJECTIVE_DUP_TOL, axis=1)
+    first, last = _runs(np.flatnonzero(near))
+    return int((last - first).max(initial=-1)) + 2
+
+
+def has_atom(X, count):
+    """True when count or more rows of X (N, p) are one projective point.
+
+    Rows are compared up to sign and scale.  Each row gets the key
+    k / (1 + |k|) of the ratio k = (x.r1) / (x.r2) of two fixed linear
+    forms: it is scale- and sign-free, lies in [-1, 1], and its two ends
+    are the one point x.r2 = 0.  One sort of the keys bounds every atom by
+    a run of near-equal keys plus the rows whose key is not reliable: their
+    forms are small against the roundoff of computing them, or the key
+    sits next to the joined ends.  Only the rows of runs that could reach
+    count are normalised and grouped on all coordinates, within
+    PROJECTIVE_DUP_TOL, to count the atom exactly.
+    """
+    N, p = X.shape
+    R = _key_forms(p)
+    a, b = R.T @ X.T
+    # rows within PROJECTIVE_DUP_TOL after normalising have keys this
+    # close, as long as |a| + |b| is at least ATOM_KEY_FLOOR of its scale
+    tol = 4 * p * PROJECTIVE_DUP_TOL / ATOM_KEY_FLOOR
+    with np.errstate(invalid="ignore"):
+        key = a / (b + np.copysign(a, b))  # nan only where a = b = 0
+    scale = np.abs(X) @ np.abs(R).sum(axis=1)  # bounds the forms' roundoff
+    ill = ~(np.abs(a) + np.abs(b) > ATOM_KEY_FLOOR * scale)
+    ill |= np.abs(key) > 1.0 - 2.0 * tol
+    n_ill = int(np.count_nonzero(ill))
+    if n_ill + 1 >= count:  # a lone key could reach count with them
+        return _largest_group(X) >= count
+    key[ill] = np.nan
+    s = np.sort(key)[:N - n_ill]
+    first, last = _runs(np.flatnonzero(np.diff(s) <= tol))
+    reach = last - first + 2 + n_ill >= count
+    if not reach.any():
+        return False
+    lo, hi = s[first[reach]], s[last[reach] + 1]
+    run = np.searchsorted(lo, key, side="right") - 1
+    candidate = ill | ((run >= 0) & (key <= hi[run]))
+    return _largest_group(X[candidate]) >= count
+
+
 def check_general_position(lifted, n):
     """True when N >= n+2 and no n+1 lifted data vectors are linearly dependent.
 
@@ -143,10 +221,11 @@ def check_general_position(lifted, n):
     built from cheap necessary conditions: the data matrix must have full
     column rank, and no projective point (up to sign and scale) may carry
     N/(n+1) of the N points or more, as the MLE requires (Kent & Tyler
-    1991).  Large continuous samples collide at
-    float resolution with appreciable probability; such low-multiplicity
-    repeats do not endanger the optimum, an atom that large does.  The
-    data must be valid (finite, no zero row), as the fits pass them.
+    1991); `has_atom` counts the atoms with one sort.  Large continuous
+    samples collide at float resolution with appreciable probability; such
+    low-multiplicity repeats do not endanger the optimum, an atom that
+    large does.  The data must be valid (finite, no zero row), as the fits
+    pass them.
     """
     X = np.asarray(lifted, dtype=float)
     if X.ndim != 2 or X.shape[1] != n + 1:
@@ -155,27 +234,16 @@ def check_general_position(lifted, n):
     if N < n + 2:
         return False
     if N <= GENERAL_POSITION_EXACT_CAP:
-        for idx in combinations(range(N), n + 1):
-            if np.linalg.matrix_rank(X[list(idx)]) < n + 1:
+        # one stacked rank per chunk of subsets keeps the memory bounded
+        subsets = combinations(range(N), n + 1)
+        while chunk := list(islice(subsets, EXACT_CHUNK)):
+            if np.any(np.linalg.matrix_rank(X[np.array(chunk)]) < n + 1):
                 return False
         return True
     if np.linalg.matrix_rank(X) < n + 1:
         return False
-    Y = X / np.linalg.norm(X, axis=1)[:, None]
-    lead = np.argmax(np.abs(Y), axis=1)
-    signs = np.sign(Y[np.arange(N), lead])
-    Y = Y * signs[:, None]
-    order = np.lexsort(Y.T)
-    dup = np.all(np.abs(np.diff(Y[order], axis=0)) < PROJECTIVE_DUP_TOL,
-                 axis=1)
-    if not dup.any():
-        return True
-    # longest run of consecutive near-equal rows ~ largest atom multiplicity
-    edges = np.diff(np.concatenate(([0], dup.astype(np.int8), [0])))
-    starts = np.flatnonzero(edges == 1)
-    ends = np.flatnonzero(edges == -1)
-    largest = int((ends - starts).max()) + 1
-    return largest * (n + 1) < N
+    # an atom may hold fewer than N / (n+1) rows
+    return not has_atom(X, -(-N // (n + 1)))
 
 
 def fit(lifted, config=None):

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import cauchy, conformal, matrix_cauchy, spline
 from .datasets import DataFormatError, GeneratorSpec, generate, parse_dataset, \
-    write_dataset
+    parse_univariate, write_dataset
 from .descent import STEP_POLICIES, DescentConfig, FitStatus
 from .gradcheck import check_gradients
 from .montecarlo import run_mc
@@ -184,7 +184,7 @@ def _cmd_fit(args):
 
 def _cmd_fit1d(args):
     config = _config_from(args)
-    data = parse_dataset(args.input, "univariate")
+    data = parse_univariate(args.input)
     (u, v), report = cauchy.fit_univariate(data, config)
     doc = _base_report("cauchy1d", report, 1)
     doc["location"] = [u]

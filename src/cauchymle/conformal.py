@@ -23,7 +23,8 @@ import math
 import numpy as np
 
 from . import halfspace
-from .descent import DescentConfig, minimize_on_halfspace, shared_oracle
+from .descent import (DescentConfig, FitReport, FitStatus,
+                      minimize_on_halfspace, shared_oracle)
 
 
 def _split_data(data, n):
@@ -96,13 +97,46 @@ def grad(z, data, n=None):
     return _grad(z, n_inf, *_forms(z, _columns(F)))
 
 
+def _largest_repeat(v):
+    """The largest number of equal entries of the 1-d array v."""
+    edges = np.flatnonzero(np.diff(np.sort(v)))
+    return int(np.diff(edges, prepend=-1, append=v.size - 1).max())
+
+
+def has_dominant_point(F, n_inf):
+    """True when the data, F finite and n_inf at infinity, leave no minimiser.
+
+    The conformal barycenter exists, and is unique, when every boundary
+    point holds less than half the data (Douady & Earle 1986).  A point,
+    infinity included, that holds more leaves none; so does one holding
+    half, unless the other half is one point too: then every point of the
+    geodesic between the two minimises.  Points are counted exactly.  No
+    point repeats more often than its first coordinate, so one sort of that
+    column settles all data but those with a value there held by half.
+    """
+    N = F.shape[0] + n_inf
+    if 2 * max(n_inf, _largest_repeat(F[:, 0])) < N:
+        return False
+    counts = np.append(np.unique(F, axis=0, return_counts=True)[1], n_inf)
+    if 2 * counts.max() < N:
+        return False
+    return not np.array_equal(counts[counts > 0], [N // 2, N // 2])
+
+
 def fit(data, n, config=None):
     """Fit (a, b) by geodesic gradient descent in H^(n+1) from (1, 0).
 
-    Returns (HPoint, FitReport).  Divergence to the boundary (the scale
-    collapsing or exploding past the caps) is reported as degenerate data.
+    Returns (HPoint, FitReport).  Data with a dominant point (see
+    `has_dominant_point`) come back at once with status DEGENERATE_DATA;
+    divergence to the boundary (the scale collapsing or exploding past the
+    caps) is reported the same way.
     """
     F, n_inf = _split_data(data, n)
+    if has_dominant_point(F, n_inf):
+        z = halfspace.HPoint(1.0, np.zeros(n))
+        start = _loss(z, n_inf, _forms(z, _columns(F))[1])
+        return z, FitReport(FitStatus.DEGENERATE_DATA, 0, [start], [], 0.0,
+                            loss_evals=1)
     return fit_arrays(F, n_inf, config)
 
 

@@ -24,6 +24,7 @@ from .halfspace import INFINITY, is_infinity
 
 GENERATOR_KINDS = ("gaussian", "cauchy1d", "mixture", "gaussian_nd",
                    "matrix_standard")
+WRITE_CHUNK = 2**16
 
 
 class DataFormatError(ValueError):
@@ -131,30 +132,51 @@ def generate(spec, run_index=None):
     raise ValueError(f"unknown generator kind {spec.kind!r}")
 
 
-def _fmt(x):
-    return repr(float(x))
+def _csv_text(arr):
+    """CSV text of a 2-d array, one line per row.
+
+    repr of a Python float is its shortest exact round-trip text; tolist
+    makes the Python floats of WRITE_CHUNK rows in one call, and only one
+    chunk's floats and strings are alive at a time.
+    """
+    if arr.ndim != 2:
+        raise ValueError(f"cannot write data of shape {arr.shape} as rows")
+    chunks = []
+    for start in range(0, arr.shape[0], WRITE_CHUNK):
+        rows = arr[start:start + WRITE_CHUNK]
+        if arr.shape[1] == 1:
+            lines = map(repr, rows[:, 0].tolist())
+        else:
+            lines = [",".join(map(repr, row)) for row in rows.tolist()]
+        chunks.append("\n".join(lines))
+    return "\n".join(chunks) + "\n"
 
 
 def write_dataset(path, data, mode="multivariate"):
     """Serialize a dataset as headerless CSV (floats round-trip exactly)."""
-    lines = []
     if mode == "univariate":
-        for x in data:
-            lines.append("inf" if is_infinity(x) else _fmt(x))
+        try:
+            values = np.asarray(data, dtype=float)
+        except TypeError:  # INFINITY among the values
+            values = None
+        if values is not None and values.ndim == 1:
+            text = _csv_text(values[:, None])
+        else:
+            text = "\n".join(["inf" if is_infinity(x) else repr(float(x))
+                              for x in data]) + "\n"
     elif mode == "multivariate":
-        arr = np.atleast_2d(np.asarray(data, dtype=float))
-        for row in arr:
-            lines.append(",".join(_fmt(x) for x in row))
+        text = _csv_text(np.atleast_2d(np.asarray(data, dtype=float)))
     elif mode == "matrix":
         arr = np.asarray(data, dtype=float)
-        for obs in arr:
-            lines.append(",".join(_fmt(x) for x in obs.ravel()))
+        text = _csv_text(arr.reshape(arr.shape[0], -1))
     elif mode == "regression":
-        for t, x in data:
-            lines.append(f"{_fmt(t)},{_fmt(x)}")
+        arr = np.asarray(data, dtype=float)
+        if arr.shape[1:] != (2,):
+            raise ValueError(f"regression rows of shape {arr.shape[1:]}, "
+                             "expected (t, x) pairs")
+        text = _csv_text(arr)
     else:
         raise ValueError(f"unknown dataset mode {mode!r}")
-    text = "\n".join(lines) + "\n"
     if hasattr(path, "write"):
         path.write(text)
     else:
@@ -191,6 +213,32 @@ def parse_dataset(path, mode="multivariate", rows=None, cols=None):
     pass; any other file goes through the line reader, which decides what
     it holds and which line is wrong.  Both give bit-identical values.
     """
+    data = _read(path, mode, rows, cols)
+    if mode == "univariate":
+        return data if isinstance(data, list) else data[:, 0].tolist()
+    arr = np.asarray(data, dtype=float)
+    if mode == "multivariate":
+        return arr
+    if mode == "matrix":
+        return arr.reshape(-1, rows, cols)
+    ts, xs = arr.T.copy()
+    return ts, xs
+
+
+def parse_univariate(path):
+    """A univariate file as a 1-d float array, or a list when a row is "inf".
+
+    The list is parse_dataset's, and so are the errors; a file of finite
+    values skips the million-float list that parse_dataset builds.
+    """
+    data = _read(path, "univariate", None, None)
+    if isinstance(data, list) and any(map(is_infinity, data)):
+        return data
+    return np.asarray(data, dtype=float).reshape(-1)
+
+
+def _read(path, mode, rows, cols):
+    """The file as one (N, columns) float array, or the line reader's records."""
     if hasattr(path, "read"):
         text = path.read()
         source = io.StringIO(text)
@@ -199,19 +247,7 @@ def parse_dataset(path, mode="multivariate", rows=None, cols=None):
             text = fh.read()
         source = path  # np.loadtxt reads a named file faster than a StringIO
     arr = _parse_array(text, source, mode, rows, cols)
-    if arr is None:
-        records = _parse_lines(text, mode, rows, cols)
-        if mode == "univariate":
-            return records
-        arr = np.asarray(records, dtype=float)
-    if mode == "univariate":
-        return arr[:, 0].tolist()
-    if mode == "multivariate":
-        return arr
-    if mode == "matrix":
-        return arr.reshape(-1, rows, cols)
-    ts, xs = arr.T.copy()
-    return ts, xs
+    return arr if arr is not None else _parse_lines(text, mode, rows, cols)
 
 
 def _parse_array(text, source, mode, rows, cols):

@@ -1,7 +1,9 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cauchymle import cauchy, matrix_cauchy, spd
 from cauchymle.descent import DescentConfig, FitStatus
@@ -224,6 +226,132 @@ def test_atom_threshold_scales_with_dimension(seed):
             _, report = cauchy.fit(X, DescentConfig(max_iters=max_iters))
             assert report.status is FitStatus.DEGENERATE_DATA
             assert report.iterations == 0
+
+
+def _largest_atom_reference(X):
+    """Brute force: the most rows equal to one row up to sign and scale."""
+    Y = X / np.linalg.norm(X, axis=1)[:, None]
+    gap = np.minimum(np.abs(Y[:, None] - Y[None]).max(axis=2),
+                     np.abs(Y[:, None] + Y[None]).max(axis=2))
+    return int((gap < cauchy.PROJECTIVE_DUP_TOL).sum(axis=1).max())
+
+
+def _general_position_reference(X, n):
+    N = X.shape[0]
+    return bool(np.linalg.matrix_rank(X) == n + 1
+                and _largest_atom_reference(X) * (n + 1) < N)
+
+
+def _seam_row(p):
+    """A row x with x.r2 = 0 exactly for the second form of the atom key."""
+    R = cauchy._key_forms(p)
+    x = np.zeros(p)
+    x[0], x[1] = R[1, 1], -R[0, 1]
+    assert (R.T @ x[:, None])[1, 0] == 0.0
+    return x
+
+
+@st.composite
+def planted_atoms(draw):
+    """(X, n): lifted data, N 21..300, with atoms about N/(n+1) rows large.
+
+    Every row is scaled by a nonzero factor of either sign; atoms sit at a
+    random point, at (1, 0, ..., 0) or on the seam x.r2 = 0 of the key.
+    """
+    n = draw(st.integers(1, 4))
+    N = draw(st.integers(21, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = cauchy.lift(rng.standard_normal((N, n)))
+    need = -(-N // (n + 1))
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.sampled_from([need - 1, need, need + 1, need // 2, 2]))
+        point = draw(st.sampled_from(["random", "axis", "seam"]))
+        X[rng.choice(N, k, replace=False)] = {
+            "random": rng.standard_normal(n + 1),
+            "axis": np.eye(n + 1)[0],
+            "seam": _seam_row(n + 1)}[point]
+    scale = rng.uniform(0.1, 10.0, N) * rng.choice((-1.0, 1.0), N)
+    return X * scale[:, None], n
+
+
+@settings(max_examples=200, deadline=None)
+@given(planted_atoms())
+def test_check_general_position_matches_brute_force(case):
+    X, n = case
+    assert cauchy.check_general_position(X, n) is _general_position_reference(X, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(planted_atoms(), st.integers(0, 2**32 - 1))
+def test_check_general_position_invariances(case, seed):
+    # the answer depends only on the projective points, not on their order,
+    # their representatives or the linear frame they are written in
+    X, n = case
+    rng = np.random.default_rng(seed)
+    want = cauchy.check_general_position(X, n)
+    N = X.shape[0]
+    scale = rng.uniform(0.01, 100.0, N) * rng.choice((-1.0, 1.0), N)
+    Q = np.linalg.qr(rng.standard_normal((n + 1, n + 1)))[0]
+    A = Q * rng.uniform(0.5, 2.0, n + 1)
+    for Y in (X[rng.permutation(N)], X * scale[:, None], X @ A):
+        assert cauchy.check_general_position(Y, n) is want
+
+
+def test_seam_atom_of_scaled_copies_is_found():
+    # x.r2 = 0 exactly for one copy; its scaled copies have x.r2 at roundoff
+    # of either sign, so their keys sit at both ends of [-1, 1]
+    x = _seam_row(3)
+    X = np.vstack([x * c for c in np.linspace(-5.0, 5.0, 41) if c != 0.0])
+    assert cauchy.has_atom(np.vstack([X, np.eye(3)]), 40)
+    assert not cauchy.has_atom(np.vstack([X, np.eye(3)]), 41)
+
+
+def test_atom_split_by_the_key_floor_is_counted_whole():
+    # copies of a point at the floor of trusted keys fall on both sides of
+    # it by roundoff: the atom is a run of keys plus the untrusted rows
+    R = cauchy._key_forms(3)
+
+    def untrusted(X):
+        a, b = R.T @ X.T
+        scale = np.abs(X) @ np.abs(R).sum(axis=1)
+        return ~(np.abs(a) + np.abs(b) > cauchy.ATOM_KEY_FLOOR * scale)
+
+    u = np.linalg.svd(R.T)[2][-1]  # both forms vanish on u
+    e0 = np.eye(3)[0]
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if untrusted((u + mid * e0)[None])[0]:
+            lo = mid
+        else:
+            hi = mid
+    X = (u + hi * e0) * np.linspace(1.0, 3.0, 41)[:, None]
+    assert 0 < untrusted(X).sum() < 40
+    assert cauchy.has_atom(np.vstack([X, np.eye(3)]), 41)
+    assert not cauchy.has_atom(np.vstack([X, np.eye(3)]), 42)
+    # far below the floor the keys of copies scatter by far more than tol
+    X = (u + 1e-9 * e0) * np.linspace(1.0, 3.0, 41)[:, None]
+    assert untrusted(X).all()
+    assert cauchy.has_atom(np.vstack([X, np.eye(3)]), 41)
+
+
+def test_exact_branch_matches_subset_loop(rng):
+    # reference: one matrix_rank per subset of n + 1 rows; half the sets
+    # get a point on the affine hull of n others
+    outcomes = set()
+    for trial in range(40):
+        n = int(rng.integers(1, 4))
+        N = int(rng.integers(n + 2, cauchy.GENERAL_POSITION_EXACT_CAP + 1))
+        x = rng.standard_normal((N, n))
+        if trial % 2:
+            w = rng.standard_normal(n)
+            x[-1] = (w / w.sum()) @ x[:n]
+        X = cauchy.lift(x)
+        want = all(np.linalg.matrix_rank(X[list(idx)]) == n + 1
+                   for idx in combinations(range(N), n + 1))
+        assert cauchy.check_general_position(X, n) is want
+        outcomes.add(want)
+    assert outcomes == {True, False}
 
 
 def test_fit_degenerate_data_status():

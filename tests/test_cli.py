@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from cauchymle import montecarlo
+from cauchymle import cauchy, montecarlo
 from cauchymle.cli import main
 
 
@@ -27,6 +27,22 @@ def test_fit1d_three_point(tmp_path, capsys):
     assert doc["location"][0] == pytest.approx(0.5, abs=1e-6)
     assert doc["scale"] == pytest.approx(math.sqrt(3) / 2, abs=1e-6)
     assert doc["final_grad_norm"] < 1e-9
+
+
+def test_fit1d_hands_the_fit_an_array(tmp_path, capsys, monkeypatch):
+    # a file without "inf" rows never becomes a list of Python floats
+    seen = []
+    fit_univariate = cauchy.fit_univariate
+    monkeypatch.setattr(cauchy, "fit_univariate",
+                        lambda data, config: seen.append(type(data))
+                        or fit_univariate(data, config))
+    path = tmp_path / "data.csv"
+    path.write_text("0\n1\n-1.5\n2\n")
+    code, out = run_cli(["fit1d", "--input", str(path)], capsys)
+    assert code == 0 and seen == [np.ndarray]
+    path.write_text("0\n1\ninf\n")
+    code, out = run_cli(["fit1d", "--input", str(path)], capsys)
+    assert code == 0 and seen[1] is list
 
 
 def test_fit_multivariate(tmp_path, capsys):

@@ -120,6 +120,74 @@ def test_fit_accepts_infinity_datum():
     assert z.a == pytest.approx(math.sqrt(3) / 2, abs=1e-6)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("share", [0.5, 0.6])
+def test_fit_refuses_a_point_holding_half(n, share):
+    # no conformal barycenter: refused before descent, where it used to end
+    # ill_conditioned after 200 iterations (50%) or degenerate after ~57 (60%)
+    rng = np.random.default_rng(41)
+    x = rng.standard_normal((1000, n))
+    x[:int(1000 * share)] = x[0]
+    z, report = conformal.fit(x, n)
+    assert report.status is FitStatus.DEGENERATE_DATA
+    assert report.iterations == 0
+    x[:int(1000 * share)] = rng.standard_normal((int(1000 * share), n))
+    x[:400] = x[0]
+    assert conformal.fit(x, n)[1].status is FitStatus.CONVERGED
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_fit_refuses_infinity_holding_half(n):
+    rng = np.random.default_rng(42)
+    data = list(rng.standard_normal((500, n))) + [INFINITY] * 500
+    z, report = conformal.fit(data, n)
+    assert report.status is FitStatus.DEGENERATE_DATA
+    assert report.iterations == 0
+    assert report.loss_trace == [conformal.loss(HPoint(1.0, np.zeros(n)), data, n)]
+    assert conformal.fit(data[:800], n)[1].status is FitStatus.CONVERGED
+
+
+def test_two_points_of_half_each_are_not_dominant():
+    # every point of the geodesic between them minimises; any other half
+    # leaves no minimiser
+    F = np.array([[0.0], [0.0], [3.0], [3.0]])
+    assert not conformal.has_dominant_point(F, 0)
+    assert not conformal.has_dominant_point(F[:2], 2)
+    assert conformal.has_dominant_point(np.array([[0.0], [0.0], [3.0], [4.0]]), 0)
+    assert conformal.has_dominant_point(F[:2], 3)
+
+
+def test_dominant_points_are_counted_exactly():
+    # a shared first coordinate is no repeated point
+    rng = np.random.default_rng(44)
+    F = rng.standard_normal((1000, 2))
+    F[:600, 0] = 0.0
+    assert not conformal.has_dominant_point(F, 0)
+    F[:600, 1] = 0.0
+    assert conformal.has_dominant_point(F, 0)
+
+
+def test_fit_accepts_offset_data():
+    # neighbours 2.5e-5 apart at 1e5 are distinct points, although their
+    # lifted rows agree to 1e-12 up to scale
+    x = 1e5 + np.random.default_rng(45).standard_normal((100000, 1))
+    z, report = conformal.fit(x, 1, DescentConfig(standardize=True))
+    assert report.status is FitStatus.CONVERGED
+    assert z.b[0] == pytest.approx(1e5, abs=0.05)
+
+
+def test_fit_univariate_runs_one_check(monkeypatch):
+    calls = []
+    for module, name in [(cauchy, "check_general_position"),
+                         (conformal, "has_dominant_point")]:
+        check = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, check=check:
+                            calls.append(1) or check(*args))
+    data = np.random.default_rng(43).standard_normal(1000)
+    assert cauchy.fit_univariate(data)[1].status is FitStatus.CONVERGED
+    assert len(calls) == 1
+
+
 def test_fit_normal_samples_match_scalar_oracle():
     rng = np.random.default_rng(99)
     data = rng.standard_normal((100000, 2))

@@ -91,6 +91,55 @@ def test_write_parse_round_trip_matrix(rng):
     assert np.array_equal(back, data)
 
 
+def _write_reference(data, mode):
+    """The per-value loop: repr(float(x)) of every numpy scalar."""
+    if mode == "univariate":
+        lines = ["inf" if is_infinity(x) else repr(float(x)) for x in data]
+    else:
+        arr = np.asarray(data, dtype=float)
+        lines = [",".join(repr(float(x)) for x in row.ravel())
+                 for row in arr.reshape(arr.shape[0], -1)]
+    return "\n".join(lines) + "\n"
+
+
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["univariate", "multivariate", "matrix", "regression"]),
+       st.integers(1, 6), st.lists(FLOATS, min_size=1, max_size=40),
+       st.booleans())
+def test_write_dataset_matches_per_value_repr(mode, width, values, at_inf):
+    width = {"univariate": 1, "matrix": 4, "regression": 2}.get(mode, width)
+    rows = max(1, len(values) // width)
+    arr = np.resize(np.asarray(values, dtype=float), rows * width)
+    data = arr if mode == "univariate" else arr.reshape(rows, width)
+    if mode == "matrix":
+        data = data.reshape(rows, 2, 2)
+    if mode == "univariate" and at_inf:
+        data = list(data) + [INFINITY]
+    text = ds.write_dataset(io.StringIO(), data, mode)
+    assert text == _write_reference(data, mode)
+
+
+def test_parse_univariate_hands_back_an_array(tmp_path):
+    path = tmp_path / "u.csv"
+    path.write_text("0.5\n-2\n\n1e300\n")
+    vals = ds.parse_univariate(str(path))
+    assert isinstance(vals, np.ndarray) and vals.shape == (3,)
+    assert vals.tolist() == ds.parse_dataset(str(path), "univariate")
+    path.write_text("0.5\ninf\n")
+    vals = ds.parse_univariate(str(path))
+    assert vals[0] == 0.5 and is_infinity(vals[1])
+    for bad in ("1\nx\n", "1,2\n", "\n", "nan\n"):
+        path.write_text(bad)
+        with pytest.raises(ds.DataFormatError) as want:
+            ds.parse_dataset(str(path), "univariate")
+        with pytest.raises(ds.DataFormatError) as got:
+            ds.parse_univariate(str(path))
+        assert str(got.value) == str(want.value)
+
+
 def test_generate_deterministic_given_seed():
     spec = ds.GeneratorSpec(kind="cauchy1d", sample_size=100, seed=9, u=2.0,
                             v=0.5)
