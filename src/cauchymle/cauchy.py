@@ -30,7 +30,6 @@ from itertools import combinations, islice
 import numpy as np
 
 from . import conformal, halfspace, matrix_cauchy, spd
-from .descent import DescentConfig, FitReport, FitStatus
 
 GENERAL_POSITION_EXACT_CAP = 20
 EXACT_CHUNK = 2**14
@@ -298,20 +297,12 @@ def location_scale(T):
 def fit_univariate(data, config=None):
     """Univariate fit run directly on the hyperbolic upper half-plane.
 
-    data is a sequence of reals, possibly containing the point at infinity.
+    data is a sequence of reals, INFINITY among them, or an (N, 1) column.
     Each datum pulls with a unit force along the geodesic toward it; descent
     follows the mean force with step 1, which is safe for the averaged loss.
-    This is the conformal family at n = 1, whose descent it runs once the
-    data pass the general-position check.  Returns ((u, v), FitReport) and
+    This is `conformal.fit` at n = 1, with its one exact check
+    (`conformal.has_dominant_point`).  Returns ((u, v), FitReport) and
     agrees with fit + to_params.
     """
-    config = config or DescentConfig()
-    X = _check_lifted(lift_univariate(data))
-    if not check_general_position(X, 1):
-        report = FitReport(FitStatus.DEGENERATE_DATA, 0,
-                           [loss(np.eye(2), X)], [], 0.0, loss_evals=1)
-        return (0.0, 1.0), report
-    finite = X[:, 1] != 0.0
-    z, report = conformal.fit_arrays(X[finite, :1], int(np.sum(~finite)),
-                                     config)
+    z, report = conformal.fit(data, 1, config)
     return (float(z.b[0]), float(z.a)), report

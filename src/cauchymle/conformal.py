@@ -17,7 +17,6 @@ unit-speed geodesics; 1/n is a safe descent step.  The point at infinity
 is an admissible datum (Busemann -log a).
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -129,26 +128,22 @@ def fit(data, n, config=None):
     Returns (HPoint, FitReport).  Data with a dominant point (see
     `has_dominant_point`) come back at once with status DEGENERATE_DATA;
     divergence to the boundary (the scale collapsing or exploding past the
-    caps) is reported the same way.
+    caps) is reported the same way.  config.standardize runs the descent on
+    median/MAD-standardized data and maps the estimate back.
     """
     F, n_inf = _split_data(data, n)
+    z = halfspace.HPoint(1.0, np.zeros(n))
     if has_dominant_point(F, n_inf):
-        z = halfspace.HPoint(1.0, np.zeros(n))
         start = _loss(z, n_inf, _forms(z, _columns(F))[1])
         return z, FitReport(FitStatus.DEGENERATE_DATA, 0, [start], [], 0.0,
                             loss_evals=1)
-    return fit_arrays(F, n_inf, config)
-
-
-def fit_arrays(F, n_inf, config=None):
-    """fit on validated data: finite observations F (N, n) and n_inf at infinity."""
     config = config or DescentConfig()
-    n = F.shape[1]
     if config.standardize:
         med, mad = halfspace.median_mad(F)
-        z, report = fit_arrays((F - med) / mad, n_inf,
-                               dataclasses.replace(config, standardize=False))
-        return halfspace.HPoint(mad * z.a, med + mad * z.b), report
+        F = (F - med) / mad
     loss_fn, grad_fn = _oracle(F, n_inf)
-    return minimize_on_halfspace(halfspace.HPoint(1.0, np.zeros(n)), loss_fn,
-                                 grad_fn, safe_step=1.0 / n, config=config)
+    z, report = minimize_on_halfspace(z, loss_fn, grad_fn, safe_step=1.0 / n,
+                                      config=config)
+    if config.standardize:
+        z = halfspace.HPoint(mad * z.a, med + mad * z.b)
+    return z, report

@@ -128,23 +128,26 @@ def fit(frames, m, n, config=None):
     frames is the lifted (N, m+n, m) array.  Returns (T, FitReport).  At
     m = 1 the frames are the lifted vectors of the multivariate Cauchy
     family: data failing `cauchy.check_general_position` come back at once
-    with status DEGENERATE_DATA.  For m >= 2 degeneracy is detected only
-    through boundary divergence during descent.
+    with status DEGENERATE_DATA.  The check sees the frames the descent
+    sees, standardized under config.standardize (an invertible map keeps
+    rank and atoms).  For m >= 2 degeneracy is detected only through
+    boundary divergence during descent.
     """
     F = _check_frames(frames)
     config = config or DescentConfig()
     if F.shape[1] != m + n or F.shape[2] != m:
         raise ValueError(f"frames of shape {F.shape} do not match m={m}, n={n}")
-    if m == 1 and not cauchy.check_general_position(F[:, :, 0], n):
-        T0 = np.eye(n + 1)
-        return T0, FitReport(FitStatus.DEGENERATE_DATA, 0,
-                             [loss(T0, F)], [], 0.0, loss_evals=1)
     if config.standardize:
         A = _standardizing_map(F, n, m)
         F = np.einsum("pq,nqm->npm", A, F)
-    loss_fn, grad_fn = _oracle(F)
-    T, report = minimize_on_spd(np.eye(m + n), loss_fn, grad_fn,
-                                step_size(m, n), config)
+    if m == 1 and not cauchy.check_general_position(F[:, :, 0], n):
+        T = np.eye(n + 1)
+        report = FitReport(FitStatus.DEGENERATE_DATA, 0, [loss(T, F)], [],
+                           0.0, loss_evals=1)
+    else:
+        loss_fn, grad_fn = _oracle(F)
+        T, report = minimize_on_spd(np.eye(m + n), loss_fn, grad_fn,
+                                    step_size(m, n), config)
     if config.standardize:
         T = spd.unit_det(A.T @ T @ A)
     return T, report

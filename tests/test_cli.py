@@ -128,6 +128,37 @@ def test_exit_code_degenerate(tmp_path, capsys):
     assert json.loads(out)["status"] == "degenerate_data"
 
 
+def test_fit1d_accepts_a_point_repeated_on_fewer_than_half(tmp_path, capsys):
+    path = tmp_path / "d.csv"
+    path.write_text("0\n0\n1\n2\n3\n")
+    code, out = run_cli(["fit1d", "--input", str(path)], capsys)
+    assert code == 0
+    assert json.loads(out)["status"] == "converged"
+
+
+@pytest.fixture
+def offset_csv(tmp_path):
+    # neighbours about 1e-4 apart at 1e5 are distinct points, although
+    # their lifted rows agree to about 1e-14 up to scale
+    x = 1e5 + np.random.default_rng(46).standard_normal(20000)
+    path = tmp_path / "offset.csv"
+    path.write_text("\n".join(repr(float(v)) for v in x))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit1d"],
+    ["fit1d", "--standardize"],
+    ["fit", "--family", "cauchy", "--standardize"],
+])
+def test_offset_data_converge(offset_csv, capsys, argv):
+    code, out = run_cli(argv + ["--input", offset_csv], capsys)
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["status"] == "converged"
+    assert doc["location"][0] == pytest.approx(1e5, abs=0.05)
+
+
 def test_exit_code_ill_conditioned(tmp_path, capsys):
     rng = np.random.default_rng(3)
     data = np.concatenate([rng.standard_normal(500) * 10,

@@ -188,6 +188,17 @@ def test_fit_univariate_runs_one_check(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("data", [[1.0, 2.0], [1.0, 1.0, 2.0, 2.0]])
+def test_fit_univariate_two_halves_converge_onto_the_geodesic(data):
+    # two points of half each are not refused: every point of the geodesic
+    # |z - 1.5| = 0.5 between them minimises, and the safe step reaches it
+    (u, v), report = cauchy.fit_univariate(
+        data, DescentConfig(step_policy="safe"))
+    assert report.status is FitStatus.CONVERGED
+    assert report.iterations > 0
+    assert math.hypot(u - 1.5, v) == pytest.approx(0.5, abs=1e-9)
+
+
 def test_fit_normal_samples_match_scalar_oracle():
     rng = np.random.default_rng(99)
     data = rng.standard_normal((100000, 2))

@@ -93,7 +93,7 @@ def test_fit_runs_no_family_fit(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the spline fit ran a family fit")
 
-    monkeypatch.setattr(conformal, "fit_arrays", refuse)
+    monkeypatch.setattr(conformal, "fit", refuse)
     monkeypatch.setattr(cauchy, "check_general_position", refuse)
     monkeypatch.setattr(descent, "minimize_on_halfspace", refuse)
     monkeypatch.setattr(cauchy, "fit_univariate", refuse)
