@@ -9,7 +9,7 @@ regression into the hyperbolic plane and a Monte Carlo harness.
 """
 
 from . import cauchy, conformal, datasets, gradcheck, halfspace, matrix_cauchy, \
-    montecarlo, spd, spline
+    montecarlo, spd
 from .descent import DescentConfig, FitReport, FitStatus
 from .halfspace import INFINITY, HPoint, HTangent
 

@@ -30,6 +30,7 @@ from itertools import combinations, islice
 import numpy as np
 
 from . import conformal, halfspace, matrix_cauchy, spd
+from .descent import as_columns
 
 GENERAL_POSITION_EXACT_CAP = 20
 EXACT_CHUNK = 2**14
@@ -97,13 +98,6 @@ def _check_lifted(lifted):
     return matrix_cauchy._check_frames(_frames(lifted))[:, :, 0]
 
 
-def _columns(X):
-    # the kernels take one observation per column: at small n the products
-    # and reductions over N run several times faster on a contiguous
-    # (n+1, N) array than on (N, n+1) rows
-    return np.ascontiguousarray(X.T)
-
-
 def _quad_forms(T, Xt):
     q = np.einsum("ij,ij->j", T @ Xt, Xt)
     if np.any(q <= 0):
@@ -122,13 +116,13 @@ def _grad(R, Xt, q):
 
 def loss(T, lifted):
     """Averaged negative log likelihood up to a data-independent constant."""
-    Xt = _columns(_check_lifted(lifted))
+    Xt = as_columns(_check_lifted(lifted))
     return _loss(_quad_forms(np.asarray(T, dtype=float), Xt))
 
 
 def loss_grad(T, lifted):
     """Riemannian gradient L W L^T at T, W the frame gradient at L = chol(T)."""
-    Xt = _columns(_check_lifted(lifted))
+    Xt = as_columns(_check_lifted(lifted))
     T = np.asarray(T, dtype=float)
     L = np.linalg.cholesky(T)
     return spd.from_frame(L, _grad(L, Xt, _quad_forms(T, Xt)))

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from . import halfspace
-from .descent import (DescentConfig, FitReport, FitStatus,
+from .descent import (DescentConfig, FitReport, FitStatus, as_columns,
                       minimize_on_halfspace, shared_oracle)
 
 
@@ -46,12 +46,6 @@ def _split_data(data, n):
     if not np.all(np.isfinite(F)):
         raise ValueError("finite observations must have finite coordinates")
     return F, n_inf
-
-
-def _columns(F):
-    # the kernels take one observation per column: at small n the reductions
-    # over N run several times faster on a contiguous (n, N) array than on rows
-    return np.ascontiguousarray(F.T)
 
 
 def _forms(z, Ft):
@@ -78,7 +72,7 @@ def _grad(z, n_inf, diff, q):
 
 def _oracle(F, n_inf):
     """(loss_fn, grad_fn) on validated data, sharing the offsets and forms."""
-    Ft = _columns(F)
+    Ft = as_columns(F)
     return shared_oracle(lambda z: _forms(z, Ft),
                          lambda z, f: _loss(z, n_inf, f[1]),
                          lambda z, f: _grad(z, n_inf, *f))
@@ -87,13 +81,13 @@ def _oracle(F, n_inf):
 def loss(z, data, n=None):
     """Averaged negative log likelihood, n * mean Busemann, up to a constant."""
     F, n_inf = _split_data(data, z.n if n is None else n)
-    return _loss(z, n_inf, _forms(z, _columns(F))[1])
+    return _loss(z, n_inf, _forms(z, as_columns(F))[1])
 
 
 def grad(z, data, n=None):
     """Riemannian gradient of loss at z; norm at most n (mean of n-scaled unit forces)."""
     F, n_inf = _split_data(data, z.n if n is None else n)
-    return _grad(z, n_inf, *_forms(z, _columns(F)))
+    return _grad(z, n_inf, *_forms(z, as_columns(F)))
 
 
 def _largest_repeat(v):
@@ -134,7 +128,7 @@ def fit(data, n, config=None):
     F, n_inf = _split_data(data, n)
     z = halfspace.HPoint(1.0, np.zeros(n))
     if has_dominant_point(F, n_inf):
-        start = _loss(z, n_inf, _forms(z, _columns(F))[1])
+        start = _loss(z, n_inf, _forms(z, as_columns(F))[1])
         return z, FitReport(FitStatus.DEGENERATE_DATA, 0, [start], [], 0.0,
                             loss_evals=1)
     config = config or DescentConfig()

@@ -104,6 +104,12 @@ def plateau_status(grad_norms, window=PLATEAU_WINDOW, rate=PLATEAU_RATE):
     return FitStatus.MAX_ITERS_EXCEEDED
 
 
+def as_columns(X):
+    # (N, d) rows as a contiguous (d, N) array: at small d the oracles'
+    # products and reductions over N run several times faster on columns
+    return np.ascontiguousarray(X.T)
+
+
 def shared_oracle(forms, value, grad):
     """(loss_fn, grad_fn) for a descent engine that share one O(N) pass.
 

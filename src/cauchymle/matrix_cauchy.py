@@ -24,8 +24,8 @@ to the multivariate Cauchy family, and `fit` is the fit of both families.
 import numpy as np
 
 from . import cauchy, halfspace, spd
-from .descent import (DescentConfig, FitReport, FitStatus, minimize_on_spd,
-                      shared_oracle)
+from .descent import (DescentConfig, FitReport, FitStatus, as_columns,
+                      minimize_on_spd, shared_oracle)
 
 
 def lift(data):
@@ -162,7 +162,7 @@ def _oracle(F):
     kernel of m >= 2.
     """
     if F.shape[2] == 1:
-        Xt = cauchy._columns(F[:, :, 0])
+        Xt = as_columns(F[:, :, 0])
         return shared_oracle(lambda R: cauchy._quad_forms(R @ R.T, Xt),
                              lambda R, q: cauchy._loss(q),
                              lambda R, q: cauchy._grad(R, Xt, q))

@@ -18,11 +18,11 @@ moves the frame itself: with W = Q diag(lam) Q^T it returns
 R Q diag(exp(t (lam - mean lam) / 2)), a frame of gamma(t) with the
 determinant of R.  The descent engine runs on such frames; `geodesic` is
 the same step from the Cholesky frame of T, renormalized to determinant
-one.
+one.  All linear algebra here is numpy's, and a point or tangent with a
+non-finite entry is refused with ValueError.
 """
 
 import numpy as np
-from scipy.linalg import cholesky, eigh, solve_triangular
 
 # Tolerances are artifact-wide conventions, used by check_point/check_tangent.
 SYM_RTOL = 1e-12
@@ -47,6 +47,8 @@ def _require_square(T, name="matrix"):
     T = np.asarray(T, dtype=float)
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
         raise ValueError(f"{name} must be square, got shape {T.shape}")
+    if not np.all(np.isfinite(T)):
+        raise ValueError(f"{name} has a non-finite entry")
     return T
 
 
@@ -128,8 +130,8 @@ def project_tangent(T, M):
 
 def _chol_congruence(L, M):
     # L^-1 M L^-T for lower-triangular L
-    A = solve_triangular(L, M, lower=True)
-    return solve_triangular(L, A.T, lower=True).T
+    Li = np.linalg.inv(L)
+    return Li @ M @ Li.T
 
 
 def factor_step(R, W, t):
@@ -182,7 +184,7 @@ def geodesic(T, V, t):
     _require_same_dim(T, V, "point and tangent")
     if t == 0.0:
         return T.copy()
-    L = cholesky(T, lower=True)
+    L = np.linalg.cholesky(T)
     R = factor_step(L, sym(_chol_congruence(L, V)), t)
     G = sym(R @ R.T)
     if not np.all(np.isfinite(G)):
@@ -195,9 +197,9 @@ def log_map(T1, T2):
     T1 = _require_square(T1, "point")
     T2 = _require_square(T2, "point")
     _require_same_dim(T1, T2, "points")
-    L = cholesky(T1, lower=True)
+    L = np.linalg.cholesky(T1)
     M = sym(_chol_congruence(L, T2))
-    w, Q = eigh(M)
+    w, Q = np.linalg.eigh(M)
     if w.min() <= 0:
         raise np.linalg.LinAlgError("relative matrix is not positive definite")
     W = (Q * np.log(w)) @ Q.T
@@ -209,7 +211,8 @@ def distance(T1, T2):
     T1 = _require_square(T1, "point")
     T2 = _require_square(T2, "point")
     _require_same_dim(T1, T2, "points")
-    w = eigh(T2, T1, eigvals_only=True)
+    L = np.linalg.cholesky(T1)
+    w = np.linalg.eigvalsh(sym(_chol_congruence(L, T2)))
     if w.min() <= 0:
         raise np.linalg.LinAlgError("relative matrix is not positive definite")
     return float(np.sqrt(np.sum(np.log(w) ** 2)))

@@ -15,7 +15,8 @@ energy d^2 / D.  At a stationary point every junction balances forces:
 with v_i the sum of the unit forces pulling z_i toward its observations.
 The knots are held as arrays, scales a (k,) and centers b (k, 1), and
 the fit runs the shared descent loop of `descent` with damped Newton
-steps from the median and MAD of all finite observations (`fit`).
+steps from the median and MAD of all finite observations (`fit`).  Its
+banded Newton solve is the package's one use of scipy (`solveh_banded`).
 """
 
 import functools
@@ -23,7 +24,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, solveh_banded
+from scipy.linalg import solveh_banded
 
 from . import halfspace
 # Uncalled: bench/test_bench.py checks the tracer's by-name wrapping on it.
@@ -246,7 +247,7 @@ def _newton(data, x, grad, g):
     rhs = np.column_stack([grad[0] / a, grad[1][:, 0] / a ** 2]).ravel()
     try:
         p = solveh_banded(_hessian(data, x, g), rhs).reshape(-1, 2)
-    except LinAlgError:
+    except np.linalg.LinAlgError:
         return None
     return a * p[:, 0], p[:, 1:]
 

@@ -349,17 +349,20 @@ def test_c12_reduction_identities(capsys):
         d = spd.distance(Tm, Tv)
         worst_d = max(worst_d, d)
         assert d < 1e-8
+    # the two univariate engines: the half-plane fit and the lifted SPD fit
     worst_uv = 0.0
     for _ in range(5):
         data = rng.standard_normal(14) * (1 + rng.random())
-        z, rc = conformal.fit(data[:, None], 1, DescentConfig(max_iters=5000))
-        (u, v), ru = cauchy.fit_univariate(data, DescentConfig(max_iters=5000))
-        assert rc.status is FitStatus.CONVERGED
+        cfg = DescentConfig(max_iters=5000)
+        T, rl = cauchy.fit(cauchy.lift(data), cfg)
+        (u, v), ru = cauchy.fit_univariate(data, cfg)
+        assert rl.status is FitStatus.CONVERGED
         assert ru.status is FitStatus.CONVERGED
-        gap = max(abs(z.b[0] - u), abs(z.a - v))
+        ul, vl = cauchy.location_scale(T)
+        gap = max(abs(ul - u), abs(vl - v))
         worst_uv = max(worst_uv, gap)
         assert gap < 1e-6
     with capsys.disabled():
         report(12, "reduction identities",
                f"matrix-vs-vector argmin {worst_d:.2e}, "
-               f"conformal-vs-univariate {worst_uv:.2e}")
+               f"lifted-vs-half-plane univariate {worst_uv:.2e}")

@@ -1,7 +1,10 @@
 import json
 import math
+import os
 import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -326,6 +329,41 @@ def test_console_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passed"] is True
+
+
+SCIPY_FREE = textwrap.dedent("""
+    import sys
+    import numpy as np
+    from cauchymle import cauchy, cli, conformal, matrix_cauchy
+    from cauchymle.gradcheck import check_gradients
+    rng = np.random.default_rng(0)
+    cauchy.fit(cauchy.lift(rng.standard_normal((50, 2))))
+    matrix_cauchy.fit(matrix_cauchy.lift(rng.standard_normal((50, 2, 2))), 2, 2)
+    conformal.fit(rng.standard_normal((50, 2)), 2)
+    cauchy.fit_univariate(rng.standard_cauchy(50))
+    assert check_gradients("cauchy", n=2, trials=3)["passed"]
+    assert cli.main(["fit1d", "--input", sys.argv[1]]) == 0
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    assert not loaded, loaded[:3]
+    from cauchymle import spline
+    assert cli.main(["regress", "--input", sys.argv[2], "--alpha", "1.0"]) == 0
+    assert "scipy" in sys.modules
+""")
+
+
+def test_only_the_spline_loads_scipy(tmp_path):
+    # a fresh interpreter: the fits, the gradient check and fit1d run on
+    # numpy alone, and regress still loads the spline and scipy
+    (tmp_path / "x.csv").write_text("0\n1\n-1.5\n2\n3\n")
+    (tmp_path / "r.csv").write_text("0,-1\n1,1\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE, str(tmp_path / "x.csv"),
+         str(tmp_path / "r.csv")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 def test_usage_error_exit_code_via_subprocess():

@@ -67,6 +67,21 @@ def test_geodesic_overflow_reports_range_error():
         spd.geodesic(T, V, 1e6)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_is_a_value_error(bad):
+    T = np.diag([2.0, 0.5])
+    V = np.diag([1.0, -0.25])
+    B = T.copy()
+    B[0, 1] = B[1, 0] = bad
+    for call in (lambda: spd.geodesic(B, V, 1.0), lambda: spd.geodesic(T, B, 1.0),
+                 lambda: spd.log_map(B, T), lambda: spd.log_map(T, B),
+                 lambda: spd.distance(B, T), lambda: spd.distance(T, B)):
+        with pytest.raises(ValueError) as info:
+            call()
+        # refused as input, not as a failed factorization (LinAlgError)
+        assert info.type is ValueError
+
+
 def test_geodesic_det_preservation(rng):
     for _ in range(1000):
         p = int(rng.integers(2, 5))
