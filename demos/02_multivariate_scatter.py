@@ -1,7 +1,7 @@
 """Multivariate location and scatter, robust to contamination.
 
 The elliptical heavy-tailed family is parametrized by a unit-determinant
-SPD matrix; fitting runs geodesic gradient descent on that manifold and
+SPD matrix; fitting runs geodesic Newton descent on that manifold and
 returns a location vector b and a scatter matrix S (an ellipsoid shape,
 identified up to scale).  Contaminating a normal sample moves the fitted
 location almost nowhere.

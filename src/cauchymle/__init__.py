@@ -2,7 +2,7 @@
 
 Maximum-likelihood fitting of Cauchy-type distributions (univariate,
 multivariate elliptical, matrix-variate, and conformal) by geodesic
-gradient descent on their natural parameter manifolds: unit-determinant
+descent on their natural parameter manifolds: unit-determinant
 symmetric positive-definite matrices with the affine-invariant metric, and
 the hyperbolic upper half-space.  Includes piecewise-geodesic spline
 regression into the hyperbolic plane and a Monte Carlo harness.

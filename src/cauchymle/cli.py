@@ -140,6 +140,7 @@ def _base_report(family, report, n, m=None):
         "wall_time": report.wall_time,
         "loss_evals": report.loss_evals,
         "backtracks": report.backtracks,
+        "hessian_min_eig": report.hessian_min_eig,
     }
 
 

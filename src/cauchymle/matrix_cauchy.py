@@ -15,17 +15,29 @@ Its Riemannian gradient is, per datum,
     G = T M T - (m/(m+n)) T,     M = Xt (Xt^T T Xt)^-1 Xt^T,
 
 with constant norm sqrt(mn/(m+n)).  Seen from a frame R of T = R R^T it
-is R^T M R - (m/(m+n)) I, a rank-m projector less m/(m+n) I; the descent
-engine runs on R with the mean of these.  The closed form is validated
-against finite differences in the test suite.  At m = 1 everything reduces exactly
-to the multivariate Cauchy family, and `fit` is the fit of both families.
+is P - (m/(m+n)) I, with P = R^T M R a rank-m projector; the descent
+engine runs on R with the mean of these.  Along the geodesic with
+velocity W seen from R, one datum's second derivative is
+
+    |W U|^2 - |U^T W U|^2 = |(I - P) W U|^2,    P = U U^T,
+
+at most |W|^2 / 2, so the Riemannian Hessian, the mean of these, is
+positive semidefinite.  The closed forms are validated against finite
+differences in the test suite.  At m = 1 everything reduces exactly to the
+multivariate Cauchy family, and `fit` is the fit of both families.
 """
+
+import functools
 
 import numpy as np
 
 from . import cauchy, halfspace, spd
-from .descent import (DescentConfig, FitReport, FitStatus, as_columns,
-                      minimize_on_spd, shared_oracle)
+from .descent import (DescentConfig, FitReport, FitStatus, minimize_on_spd,
+                      shared_oracle)
+
+# data per block of the Hessian's pass: its (p(p+1)/2, block) arrays stay
+# in cache, and no (N, p^2) array is formed
+HESSIAN_CHUNK = 2**12
 
 
 def lift(data):
@@ -97,12 +109,67 @@ def datum_grad(T, frame):
     return grad(T, np.asarray(frame, dtype=float)[None, :, :])
 
 
-def step_size(m, n):
-    """First trial step of the backtracking search: ((m+n)(m+n+1) - 2) / (2mn)."""
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be at least 1")
-    p = m + n
-    return (p * (p + 1) - 2) / (2.0 * m * n)
+def _frame_forms(R, Fc):
+    """Factors A, B (m, p, N) of the per-datum projectors seen from R, and
+    the log determinants of the Gram matrices G.
+
+    Fc holds the frames Xt column by column, Fc[k, :, i] = Xt_i[:, k].
+    With Y = R^T Xt and G = Y^T Y, P = Y G^-1 Y^T = sum_k A[k] B[k]^T.  At
+    m = 1, A and B are the one array of unit vectors y / |y|.  Working in
+    the frame, not with T = R R^T, keeps the forms accurate to roundoff
+    when T is ill-conditioned.
+    """
+    Y = R.T @ Fc
+    if len(Y) == 1:  # m = 1: G is the quadratic form q = |y|^2
+        q = np.einsum("ai,ai->i", Y[0], Y[0])
+        Y /= np.sqrt(q)
+        return Y, Y, np.log(q)
+    G = np.einsum("jai,kai->ijk", Y, Y)
+    sign, logdet = np.linalg.slogdet(G)
+    if np.any(sign <= 0):
+        raise ValueError("rank-deficient Gram matrix: a frame lost column rank")
+    return np.einsum("jai,ijk->kai", Y, np.linalg.inv(G)), Y, logdet
+
+
+def _frame_grad(A, B):
+    # mean of the projectors, less (m/p) I
+    return spd.trace_free(np.matmul(A, np.swapaxes(B, 1, 2)).sum(axis=0)
+                          / A.shape[2])
+
+
+@functools.lru_cache(maxsize=None)
+def _upper_triangle(p):
+    """Indices (ia, ib) of the upper-triangle entries of a p x p matrix,
+    and the (p, p) array `at` of their positions: M[a, b] = w[at[a, b]]
+    for the entries w = M[ia, ib] of a symmetric M.  Cached: at small p,
+    building them costs as much as the rest of a Hessian pass."""
+    ia, ib = np.triu_indices(p)
+    at = np.empty((p, p), dtype=int)
+    at[ia, ib] = at[ib, ia] = np.arange(len(ia))
+    return ia, ib, at
+
+
+def _frame_hessian(A, B):
+    """Riemannian Hessian seen from the frame, in the basis `spd.frame_basis`.
+
+    H[k, l] = mean of tr(E_k E_l P) - tr(P E_k P E_l) over the projectors
+    P = sum_k A[k] B[k]^T, the symmetric part of vec(E_k)^T (I kron S - K)
+    vec(E_l) with S the mean of P and K the mean of P kron P.  Both come
+    from the first two moments of the upper-triangle entries w of P,
+    summed over blocks of HESSIAN_CHUNK data, so the pass holds O(p^4)
+    numbers and no (N, p^2) array.
+    """
+    m, p, N = A.shape
+    ia, ib, at = _upper_triangle(p)
+    w1 = w2 = 0.0
+    for i in range(0, N, HESSIAN_CHUNK):
+        block = slice(i, i + HESSIAN_CHUNK)
+        w = np.einsum("kai,kai->ai", A[:, ia, block], B[:, ib, block])
+        w1, w2 = w1 + w.sum(axis=1), w2 + w @ w.T
+    # K[(a, b), (c, d)] = mean of P[a, c] P[b, d]
+    K = w2[at[:, None, :, None], at[None, :, None, :]].reshape(p * p, -1)
+    E = spd.frame_basis(p).reshape(-1, p * p)
+    return spd.sym(E @ ((np.kron(np.eye(p), w1[at]) - K) / N) @ E.T)
 
 
 def _standardizing_map(F, n, m):
@@ -123,8 +190,11 @@ def _standardizing_map(F, n, m):
 
 
 def fit(frames, m, n, config=None):
-    """Maximum-likelihood fit by geodesic gradient descent from the identity.
+    """Maximum-likelihood fit by geodesic descent from the identity.
 
+    The descent is `descent.minimize_on_spd`: damped Newton steps under
+    the default policy, gradient steps under "safe", and the Hessian at the
+    returned point tells a converged fit from an ill-conditioned one.
     frames is the lifted (N, m+n, m) array.  Returns (T, FitReport).  At
     m = 1 the frames are the lifted vectors of the multivariate Cauchy
     family: data failing `cauchy.check_general_position` come back at once
@@ -145,30 +215,26 @@ def fit(frames, m, n, config=None):
         report = FitReport(FitStatus.DEGENERATE_DATA, 0, [loss(T, F)], [],
                            0.0, loss_evals=1)
     else:
-        loss_fn, grad_fn = _oracle(F)
-        T, report = minimize_on_spd(np.eye(m + n), loss_fn, grad_fn,
-                                    step_size(m, n), config)
+        T, report = minimize_on_spd(np.eye(m + n), *_oracle(F), config)
     if config.standardize:
         T = spd.unit_det(A.T @ T @ A)
     return T, report
 
 
 def _oracle(F):
-    """(loss_fn, grad_fn) of a frame R of T = R R^T, on validated frames.
+    """(loss_fn, grad_fn, hess_fn) of a frame R of T = R R^T, on valid frames.
 
-    Both share one pass over the data at T; grad_fn returns the gradient
-    seen from R.  At m = 1 the quadratic-form kernel of `cauchy` on a
-    contiguous copy of the vectors is several times faster than the Gram
-    kernel of m >= 2.
+    All three share one pass over the data at T, which yields the
+    per-datum projectors seen from R (`_frame_forms`); grad_fn returns the
+    gradient seen from R and hess_fn the Hessian in `spd.frame_basis`.
+    The frames are laid out column by column once, so that at m = 1 the
+    pass is one (p, p) by (p, N) product and a few O(N) array operations.
     """
-    if F.shape[2] == 1:
-        Xt = as_columns(F[:, :, 0])
-        return shared_oracle(lambda R: cauchy._quad_forms(R @ R.T, Xt),
-                             lambda R, q: cauchy._loss(q),
-                             lambda R, q: cauchy._grad(R, Xt, q))
-    return shared_oracle(lambda R: _forms(R @ R.T, F),
-                         lambda R, f: float(np.mean(f[1])),
-                         lambda R, f: _grad(R, F, f[0]))
+    Fc = np.ascontiguousarray(F.transpose(2, 1, 0))
+    return shared_oracle(lambda R: _frame_forms(R, Fc),
+                         lambda R, f: float(np.mean(f[2])),
+                         lambda R, f: _frame_grad(*f[:2]),
+                         lambda R, f: _frame_hessian(*f[:2]))
 
 
 def to_params(T, n, m):

@@ -18,9 +18,13 @@ moves the frame itself: with W = Q diag(lam) Q^T it returns
 R Q diag(exp(t (lam - mean lam) / 2)), a frame of gamma(t) with the
 determinant of R.  The descent engine runs on such frames; `geodesic` is
 the same step from the Cholesky frame of T, renormalized to determinant
-one.  All linear algebra here is numpy's, and a point or tangent with a
-non-finite entry is refused with ValueError.
+one.  `frame_basis` is an orthonormal basis of the symmetric trace-free
+matrices, in which the descent engine holds the Riemannian Hessian seen
+from a frame.  All linear algebra here is numpy's, and a point or tangent
+with a non-finite entry is refused with ValueError.
 """
+
+import functools
 
 import numpy as np
 
@@ -163,9 +167,44 @@ def frame_gradient(R, M):
     T M T - (tr(T M) / p) T.  Seen from R it is the trace-free part of
     R^T M R, whose Frobenius norm is the Riemannian norm.
     """
-    W = sym(R.T @ M @ R)
+    return trace_free(R.T @ M @ R)
+
+
+def trace_free(M):
+    """Trace-free part of the symmetric part of a square matrix."""
+    W = sym(M)
     W.flat[::W.shape[0] + 1] -= np.trace(W) / W.shape[0]
     return W
+
+
+@functools.lru_cache(maxsize=None)
+def frame_basis(p):
+    """Orthonormal basis (d, p, p) of the symmetric trace-free p x p matrices.
+
+    d = p(p+1)/2 - 1, in the Frobenius product: the Helmert diagonals
+    diag(1, ..., 1, -j, 0, ...) / sqrt(j (j+1)) for j = 1 .. p-1, then
+    (e_a e_b^T + e_b e_a^T) / sqrt(2) for a < b.  Read-only.
+    """
+    E = np.zeros((p * (p + 1) // 2 - 1, p, p))
+    for j in range(1, p):
+        E[j - 1].flat[:(j + 1) * (p + 1):p + 1] = [1.0] * j + [-j]
+        E[j - 1] /= np.sqrt(j * (j + 1))
+    for k, (a, b) in enumerate(zip(*np.triu_indices(p, 1)), start=p - 1):
+        E[k, a, b] = E[k, b, a] = np.sqrt(0.5)
+    E.flags.writeable = False
+    return E
+
+
+def frame_coords(W):
+    """Coordinates (d,) of a symmetric trace-free W in `frame_basis`."""
+    E = frame_basis(W.shape[0])
+    return E.reshape(len(E), -1) @ W.ravel()
+
+
+def from_frame_coords(w):
+    """The symmetric trace-free matrix with coordinates w in `frame_basis`."""
+    p = int(round(np.sqrt(2 * len(w) + 2.25) - 0.5))
+    return np.tensordot(w, frame_basis(p), 1)
 
 
 def from_frame(R, W):

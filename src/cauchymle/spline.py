@@ -14,8 +14,9 @@ energy d^2 / D.  At a stationary point every junction balances forces:
 
 with v_i the sum of the unit forces pulling z_i toward its observations.
 The knots are held as arrays, scales a (k,) and centers b (k, 1), and
-the fit runs the shared descent loop of `descent` with damped Newton
-steps from the median and MAD of all finite observations (`fit`).  Its
+the fit runs the shared descent loop of `descent` with its damped Newton
+step (`descent.newton_step`) from the median and MAD of all finite
+observations (`fit`).  Its
 banded Newton solve is the package's one use of scipy (`solveh_banded`).
 """
 
@@ -29,8 +30,9 @@ from scipy.linalg import solveh_banded
 from . import halfspace
 # Uncalled: bench/test_bench.py checks the tracer's by-name wrapping on it.
 from .cauchy import fit_univariate  # noqa: F401
-from .descent import DescentConfig, FitReport, _descend, off_scale, plateau_status
-from .halfspace import HPoint, NumericRangeError
+from .descent import (DescentConfig, FitReport, _descend, newton_step,
+                      off_scale, plateau_status)
+from .halfspace import HPoint
 
 
 @dataclass(frozen=True)
@@ -169,31 +171,6 @@ def _initial_values(data):
     return np.full(data.k, mad), np.tile(med, (data.k, 1))
 
 
-def _try_move(data, loss_fn, x, tangent, cur_loss, cur_norm):
-    """Line-search move of the knots x = (a, b) along per-knot tangents.
-
-    Accepts a candidate that certifiably decreases the objective, or one
-    that keeps it flat within roundoff slack while strictly shrinking the
-    gradient (valid progress for a geodesically convex objective whose
-    certifiable decrease has dropped below float resolution).  Halves the
-    step multiplier from 1 down to 1e-12.  Returns (knots, loss) or None.
-    """
-    slack = 1e-12 * max(1.0, abs(cur_loss))
-    for s in 0.5 ** np.arange(40):
-        try:
-            cand = halfspace.exp_kernel(*x, *tangent, -s)
-            cand_loss = loss_fn(cand)
-            if np.isfinite(cand_loss) and (
-                    cand_loss < cur_loss
-                    or (cand_loss <= cur_loss + slack
-                        and _total_norm(cand, _gradient(data, cand))
-                        < 0.999 * cur_norm)):
-                return cand, cand_loss
-        except NumericRangeError:
-            pass
-    return None
-
-
 def _hessian(data, x, shift=0.0):
     """Riemannian Hessian plus shift * G in the chart (log a, b), banded.
 
@@ -261,11 +238,11 @@ def fit(problem, config=None):
     every knot: H is the closed-form block-tridiagonal Riemannian Hessian,
     positive semidefinite since the objective is geodesically convex, G
     the metric and |g| the total gradient norm.  The knots move along the
-    tangents (a p_s, p_b), halving the step until the objective falls.
-    When the factorization or that search fails, the fit stops and the
-    tail of the gradient norms names the outcome.  The step is the same
-    under both step policies, and the loss trace never increases beyond
-    roundoff.
+    tangents (a p_s, p_b) by the line search of `descent.newton_step`,
+    which the SPD engine shares.  When the factorization or that search
+    fails, the fit stops and the tail of the gradient norms names the
+    outcome.  The step is the same under both step policies, and the loss
+    trace never increases beyond roundoff.
 
     Converged means the total gradient norm (root of summed squared knot
     gradients) fell below config.tol, which bounds every junction residual.
@@ -276,13 +253,11 @@ def fit(problem, config=None):
     data = _Arrays(problem)
     loss_fn = functools.partial(_objective, data)
     grad_fn = functools.partial(_gradient, data)
-
-    def move(x, grad, g, cur, loss_fn):
-        newton = _newton(data, x, grad, g)
-        return newton and _try_move(data, loss_fn, x, newton, cur, g)
-
+    step = newton_step(functools.partial(_newton, data),
+                       lambda x, tangent, s: halfspace.exp_kernel(*x, *tangent, s),
+                       lambda x: _total_norm(x, grad_fn(x)))
     x, report = _descend(_initial_values(data), loss_fn, grad_fn,
-                         _total_norm, lambda x: off_scale(x[0]), move, config,
+                         _total_norm, lambda x: off_scale(x[0]), step, config,
                          stuck=plateau_status)
     report.wall_time = time.perf_counter() - start
     return SplineFit(problem.times, [HPoint(a, b) for a, b in zip(*x)], report)

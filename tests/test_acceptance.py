@@ -333,6 +333,7 @@ def test_c11_spline_stationarity(capsys):
 def test_c12_reduction_identities(capsys):
     rng = np.random.default_rng(1212)
     config = DescentConfig(tol=1e-11, max_iters=2000)
+    safe = DescentConfig(step_policy="safe", tol=1e-11, max_iters=2000)
     worst_d = 0.0
     for _ in range(5):
         n = int(rng.integers(1, 4))
@@ -342,10 +343,13 @@ def test_c12_reduction_identities(capsys):
         T = random_spd_point(n + 1, rng)
         assert mcau.loss(T, F) == pytest.approx(cauchy.loss(T, X), rel=1e-12)
         assert np.abs(mcau.grad(T, F) - cauchy.loss_grad(T, X)).max() < 1e-12
+        # two step paths to one argmin: damped Newton on the frames, the
+        # safe gradient step on the vectors; small samples may be flagged
+        # ill-conditioned, so convergence is read from the gradient norm
         Tm, rm = mcau.fit(F, 1, n, config)
-        Tv, rv = cauchy.fit(X, config)
-        assert rm.status is FitStatus.CONVERGED
-        assert rv.status is FitStatus.CONVERGED
+        Tv, rv = cauchy.fit(X, safe)
+        assert rm.final_grad_norm < config.tol
+        assert rv.final_grad_norm < safe.tol
         d = spd.distance(Tm, Tv)
         worst_d = max(worst_d, d)
         assert d < 1e-8
@@ -364,5 +368,5 @@ def test_c12_reduction_identities(capsys):
         assert gap < 1e-6
     with capsys.disabled():
         report(12, "reduction identities",
-               f"matrix-vs-vector argmin {worst_d:.2e}, "
+               f"matrix Newton vs vector gradient-step argmin {worst_d:.2e}, "
                f"lifted-vs-half-plane univariate {worst_uv:.2e}")

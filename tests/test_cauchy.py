@@ -211,7 +211,9 @@ def test_check_general_position_large_sample_heuristic(rng):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_atom_threshold_scales_with_dimension(seed):
     # at n = 4 an atom must hold fewer than N / 5 points: 15% converges,
-    # 25% and 40% are refused before any descent however long it may run
+    # 25% and 40% are refused before any descent however long it may run.
+    # So near the bound the likelihood is flat: the 15% fits reach the
+    # tolerance, and their Hessian may flag them ill-conditioned.
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((1000, 4))
     atom = rng.standard_normal(4)
@@ -220,7 +222,10 @@ def test_atom_threshold_scales_with_dimension(seed):
         X = cauchy.lift(np.vstack([np.tile(atom, (k, 1)), x[k:]]))
         assert cauchy.check_general_position(X, 4) is ok
         if ok:
-            assert cauchy.fit(X)[1].status is FitStatus.CONVERGED
+            report = cauchy.fit(X)[1]
+            assert report.status in (FitStatus.CONVERGED,
+                                     FitStatus.ILL_CONDITIONED)
+            assert report.final_grad_norm < DescentConfig().tol
             continue
         for max_iters in (200, 2000):
             _, report = cauchy.fit(X, DescentConfig(max_iters=max_iters))
@@ -385,7 +390,9 @@ def test_fit_univariate_agrees_with_manifold_fit(rng):
         T, rep2 = cauchy.fit(cauchy.lift(data), config)
         u2, v2 = cauchy.location_scale(T)
         assert rep1.status is FitStatus.CONVERGED
-        assert rep2.status is FitStatus.CONVERGED
+        # the lifted fit reads its verdict from the Hessian, which may flag
+        # a small sample; it still has to reach the tolerance
+        assert rep2.final_grad_norm < config.tol
         assert u1 == pytest.approx(u2, abs=1e-6)
         assert v1 == pytest.approx(v2, abs=1e-6)
 
@@ -472,7 +479,7 @@ def test_fused_oracle_matches_public_functions(rng):
     # the oracle takes a frame R of T = R R^T and returns the gradient seen
     # from R; the public functions take T and return the tangent at T
     X = cauchy.lift(rng.standard_normal((300, 2)) * 3.0 + 1.0)
-    loss_fn, grad_fn = matrix_cauchy._oracle(X[:, :, None])
+    loss_fn, grad_fn, _ = matrix_cauchy._oracle(X[:, :, None])
 
     def gap(R):
         return _rel_gap(spd.from_frame(R, grad_fn(R)),
@@ -493,20 +500,22 @@ def test_fused_oracle_matches_public_functions(rng):
 
 
 def test_fit_oracle_agrees_with_public_functions_along_descent(rng, monkeypatch):
-    # every loss and gradient the engine sees equals the public functions',
-    # backtracked trials included, and the report counts what it saw
+    # every loss, gradient and Hessian the engine sees equals the public
+    # functions' or a fresh oracle's, rejected trials included, and the
+    # report counts what it saw.  Newton steps are seldom rejected, so the
+    # engine is shown a non-finite loss at its first trial
     X = cauchy.lift(rng.standard_normal((400, 4)) @ rng.standard_normal((4, 4)))
     seen = {"loss": 0, "grad": 0}
     engine = matrix_cauchy.minimize_on_spd
     # an oracle whose loss_fn is never called recomputes the forms each time
-    _, fresh_grad = matrix_cauchy._oracle(X[:, :, None])
+    _, fresh_grad, fresh_hess = matrix_cauchy._oracle(X[:, :, None])
 
-    def checked(T0, loss_fn, grad_fn, first_step, config):
+    def checked(T0, loss_fn, grad_fn, hess_fn, config):
         def loss_chk(R):
             seen["loss"] += 1
             val = loss_fn(R)
             assert val == pytest.approx(cauchy.loss(R @ R.T, X), rel=1e-12)
-            return val
+            return np.inf if seen["loss"] == 2 else val
 
         def grad_chk(R):
             seen["grad"] += 1
@@ -517,7 +526,12 @@ def test_fit_oracle_agrees_with_public_functions_along_descent(rng, monkeypatch)
             assert _frame_gap(R, W, cauchy.loss_grad(R @ R.T, X)) < 1e-12
             return W
 
-        return engine(T0, loss_chk, grad_chk, first_step, config)
+        def hess_chk(R):
+            H = hess_fn(R)
+            assert _rel_gap(H, fresh_hess(R)) < 1e-12
+            return H
+
+        return engine(T0, loss_chk, grad_chk, hess_chk, config)
 
     monkeypatch.setattr(matrix_cauchy, "minimize_on_spd", checked)
     T, report = cauchy.fit(X)

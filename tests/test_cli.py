@@ -392,6 +392,6 @@ def test_fit_commands_report_wall_time(tmp_path, capsys, argv, text, extra):
     _, out = run_cli(argv + ["--input", str(path)], capsys)
     doc = json.loads(out)
     # additive: every earlier key stays
-    assert REPORT_KEYS | extra | {"wall_time", "loss_evals",
-                                  "backtracks"} == set(doc)
+    assert REPORT_KEYS | extra | {"wall_time", "loss_evals", "backtracks",
+                                  "hessian_min_eig"} == set(doc)
     assert isinstance(doc["wall_time"], float) and doc["wall_time"] >= 0.0

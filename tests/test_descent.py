@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from cauchymle import cauchy, matrix_cauchy as mc, spd, spline
-from cauchymle.descent import DescentConfig, FitStatus, minimize_on_spd
+from cauchymle.datasets import GeneratorSpec, generate
+from cauchymle.descent import (COND_CAP, NEWTON_HALVINGS, STEP_POLICIES,
+                               DescentConfig, FitStatus, minimize_on_spd)
 from cauchymle.gradcheck import random_spd_point
 
 
@@ -17,7 +19,7 @@ def random_frame(T, rng):
 @pytest.mark.parametrize("m, n", [(1, 2), (1, 4), (2, 2), (2, 3)])
 def test_frame_gradient_norm_is_the_riemannian_norm(rng, m, n):
     F = mc.lift(rng.standard_normal((300, n, m)) * 2.0 + 0.5)
-    _, grad_fn = mc._oracle(F)
+    _, grad_fn, _ = mc._oracle(F)
     for _ in range(20):
         R = random_frame(random_spd_point(m + n, rng), rng)
         T = R @ R.T
@@ -30,20 +32,55 @@ def test_frame_gradient_norm_is_the_riemannian_norm(rng, m, n):
 
 @pytest.mark.parametrize("size", [1e3, 1e4])
 def test_overflowing_floor_step_ends_degenerate(size):
-    # a gradient so large that even the floor step overflows the exponential
-    # of T = R R^T; at 1e3 that of R alone would not overflow
+    # a gradient so large that the safe step overflows the exponential of
+    # T = R R^T; at 1e3 that of R alone would not overflow.  The Newton
+    # step, damped by the squared gradient norm, is short and does not
+    # overflow, but no trial lowers the flat loss or shrinks the gradient.
+    # Either way the fit ends degenerate where it started.
     def loss_fn(R):
         return 0.0
 
     def grad_fn(R):
         return np.diag([size, -size])
 
-    for policy in ("safe", "backtracking"):
-        T, report = minimize_on_spd(np.eye(2), loss_fn, grad_fn, 1.5,
+    def hess_fn(R):
+        return np.zeros((2, 2))
+
+    for policy, evals in (("safe", 1), ("backtracking", 1 + NEWTON_HALVINGS)):
+        T, report = minimize_on_spd(np.eye(2), loss_fn, grad_fn, hess_fn,
                                     DescentConfig(step_policy=policy))
         assert report.status is FitStatus.DEGENERATE_DATA
-        assert report.iterations == 0 and report.loss_evals == 1
+        assert report.iterations == 0 and report.loss_evals == evals
         assert np.array_equal(T, np.eye(2))
+
+
+def test_newton_trials_out_of_range_are_skipped():
+    # a Hessian that cancels the damping makes the Newton direction 2^20 W,
+    # whose first trials overflow the exponential of T or pass COND_CAP:
+    # they are skipped without a loss evaluation, and the in-range trials
+    # that follow neither lower the flat loss nor shrink the gradient
+    W = np.diag([1.0, -1.0])
+    g2 = np.sum(W * W)
+    direction = 2.0 ** 20 * W
+    with pytest.raises(spd.NumericRangeError):
+        spd.factor_step(np.eye(2), direction, -1.0)
+    trials = []
+
+    def loss_fn(R):
+        trials.append(R)
+        return 0.0
+
+    T, report = minimize_on_spd(np.eye(2), loss_fn, lambda R: W,
+                                lambda R: (2.0 ** -20 - g2) * np.eye(2),
+                                DescentConfig())
+    skipped = sum(2.0 ** 21 * s > np.log(COND_CAP)
+                  for s in 0.5 ** np.arange(NEWTON_HALVINGS))
+    assert report.status is FitStatus.DEGENERATE_DATA
+    assert report.iterations == 0
+    assert report.loss_evals == 1 + NEWTON_HALVINGS - skipped
+    assert 0 < skipped < NEWTON_HALVINGS
+    assert all(np.linalg.cond(R @ R.T) <= COND_CAP for R in trials)
+    assert np.array_equal(T, np.eye(2))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -68,12 +105,14 @@ def test_spd_fits_use_no_factorization_per_iteration(rng, monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky",
                         lambda T: factorizations.append(1) or cholesky(T))
     X = cauchy.lift(rng.standard_normal((300, 3)) @ rng.standard_normal((3, 3)))
-    T, report = cauchy.fit(X)
-    assert report.status is FitStatus.CONVERGED and report.iterations > 5
     F = mc.lift(rng.standard_normal((300, 2, 2)))
-    _, report = mc.fit(F, 2, 2)
-    assert report.status is FitStatus.CONVERGED and report.iterations > 5
-    assert len(factorizations) == 2
+    for policy in STEP_POLICIES:
+        config = DescentConfig(step_policy=policy)
+        T, report = cauchy.fit(X, config)
+        assert report.status is FitStatus.CONVERGED and report.iterations > 2
+        _, report = mc.fit(F, 2, 2, config)
+        assert report.status is FitStatus.CONVERGED and report.iterations > 2
+    assert len(factorizations) == 2 * len(STEP_POLICIES)
 
 
 def test_reports_count_loss_evaluations_of_every_solver(rng):
@@ -98,3 +137,58 @@ def test_reports_of_data_refused_before_descent_count_the_start():
         assert report.status is FitStatus.DEGENERATE_DATA
         assert report.loss_evals == 1 and report.backtracks == 0
         assert len(report.loss_trace) == 1
+
+
+def test_spd_verdict_does_not_depend_on_the_budget(rng):
+    # the verdict is read from the Hessian at the returned point, so a fit
+    # that reached the tolerance ends the same at any budget: a gaussian
+    # sample, a c07 contamination run, a 2 x 2 matrix sample, and a
+    # balanced bimodal c09 run that is flagged ill-conditioned
+    c07 = GeneratorSpec(kind="mixture", sample_size=1000, seed=707,
+                        weights=(0.9, 0.1),
+                        components=((0.0, 1.0), (100.0, 100.0)))
+    c09 = GeneratorSpec(kind="mixture", sample_size=1000, seed=909,
+                        weights=(0.5, 0.5),
+                        components=((0.0, 10.0), (300.0, 1.0)))
+    fits = [lambda cfg, X=X: cauchy.fit(cauchy.lift(X), cfg) for X in
+            (rng.standard_normal((300, 3)), generate(c07), generate(c09))]
+    F = mc.lift(rng.standard_normal((300, 2, 2)))
+    fits.append(lambda cfg: mc.fit(F, 2, 2, cfg))
+    statuses = []
+    for fit in fits:
+        (T, short), (T_long, long) = (fit(DescentConfig(max_iters=k))
+                                      for k in (200, 2000))
+        assert short.final_grad_norm < DescentConfig().tol
+        assert long.status is short.status
+        assert long.iterations == short.iterations
+        assert long.hessian_min_eig == short.hessian_min_eig
+        assert np.array_equal(T, T_long)
+        statuses.append(short.status)
+    ok, ill = FitStatus.CONVERGED, FitStatus.ILL_CONDITIONED
+    assert statuses == [ok, ok, ill, ok]
+
+
+def test_offset_data_with_an_optimum_near_the_cap_converge():
+    # at an offset of 1e3 against a spread of about 1, the MLE lies at
+    # cond(T) = 8.2e13, just inside COND_CAP: Newton trials that overshoot
+    # the cap are halved, not accepted, so the fit converges there
+    rng = np.random.default_rng(20240817)
+    A = rng.standard_normal((400, 4)) @ rng.standard_normal((4, 4))
+    T, report = cauchy.fit(cauchy.lift(A + 1e3))
+    assert report.status is FitStatus.CONVERGED
+    assert 1e13 < np.linalg.cond(T) < COND_CAP
+
+
+def test_data_mostly_on_a_line_end_degenerate():
+    # n = 2 with 70% of the points on the line y = 2: the lifted line is a
+    # 2-dimensional subspace holding more than 2/3 of the data, so no MLE
+    # exists.  The Newton path runs to the boundary within the default
+    # budget; at 50% the MLE exists and the fit converges
+    X = np.random.default_rng(7).standard_normal((1000, 2))
+    for frac, want in [(0.7, FitStatus.DEGENERATE_DATA),
+                       (0.5, FitStatus.CONVERGED)]:
+        Y = X.copy()
+        Y[:int(1000 * frac), 1] = 2.0
+        _, report = cauchy.fit(cauchy.lift(Y))
+        assert report.status is want
+        assert report.iterations < 50

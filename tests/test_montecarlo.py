@@ -69,6 +69,22 @@ def test_instability_flags_balanced_bimodal():
     assert s.status_counts.get("ill_conditioned", 0) >= 8
 
 
+def test_instability_separates_fresh_balanced_and_unbalanced_batches():
+    # the Hessian verdict on master seeds the suite uses nowhere else: the
+    # plateau rule it replaces flagged 48 of the 50 balanced runs and none
+    # of the 50 unbalanced ones on these seeds
+    flags = {}
+    for weights in ((0.5, 0.5), (0.6, 0.4)):
+        flags[weights] = sum(
+            run_mc(GeneratorSpec(kind="mixture", sample_size=1000, seed=seed,
+                                 weights=weights,
+                                 components=((0.0, 10.0), (300.0, 1.0))),
+                   runs=10).status_counts.get("ill_conditioned", 0)
+            for seed in range(1101, 1106))
+    assert flags[(0.5, 0.5)] >= 48
+    assert flags[(0.6, 0.4)] == 0
+
+
 def test_table_csv_layout():
     s = run_mc(gaussian_spec(), runs=3)
     text = s.table_csv()
