@@ -174,9 +174,9 @@ def minimize_on_spd(T0, loss_fn, grad_fn, hess_fn, config):
     `spd.frame_basis`, positive semidefinite for a geodesically convex
     loss.  The "backtracking" policy takes damped Newton steps
     (`newton_step`): it solves (H + g^2 I) d = W, g the gradient norm, and
-    moves along -d with `spd.factor_step`, refusing trials past COND_CAP.
-    The "safe" policy takes the gradient step of length 1 (the loss is
-    assumed to have geodesic second derivative at most ||gamma'||^2).  A
+    moves along -d with `spd.factor_step`.  The "safe" policy takes the
+    gradient step of length 1 (the loss is assumed to have geodesic second
+    derivative at most ||gamma'||^2).  Both refuse frames past COND_CAP.  A
     fit that converged or ran out of budget is ill-conditioned when the
     smallest eigenvalue of the Hessian at the returned point, kept in
     FitReport.hessian_min_eig, is below ILL_CONDITIONED_EIG.  Returns
@@ -184,13 +184,14 @@ def minimize_on_spd(T0, loss_fn, grad_fn, hess_fn, config):
     """
     start = time.perf_counter()
     if config.step_policy == "safe":
-        step = _backtracking(spd.factor_step, 1.0, 1.0)
+        step = _backtracking(_capped_factor_step, 1.0, 1.0)
     else:
         step = newton_step(_frame_newton(hess_fn), _capped_factor_step,
                            lambda R: _frobenius(grad_fn(R)))
+    # no guard in the loop: the capped retraction keeps R inside COND_CAP
     R, report = _descend(np.linalg.cholesky(T0), loss_fn, grad_fn,
-                         lambda R, W: _frobenius(W), _past_cap, step, config,
-                         budget=lambda grads: FitStatus.MAX_ITERS_EXCEEDED)
+                         lambda R, W: _frobenius(W), lambda R: False, step,
+                         config, budget=lambda g: FitStatus.MAX_ITERS_EXCEEDED)
     if report.status is not FitStatus.DEGENERATE_DATA:
         lam = float(np.linalg.eigvalsh(hess_fn(R))[0])
         report.hessian_min_eig = lam
@@ -221,21 +222,16 @@ def _frame_newton(hess_fn):
     return solve
 
 
-def _past_cap(R):
-    """SPD guard: cond(R R^T) = (s_max / s_min)^2 of R passed COND_CAP."""
-    s = np.linalg.svd(R, compute_uv=False)
-    return not s[0] ** 2 <= COND_CAP * s[-1] ** 2
-
-
 def _capped_factor_step(R, D, t):
-    """`spd.factor_step` that refuses a frame past COND_CAP as out of range.
+    """`spd.factor_step` refusing a frame R1 past COND_CAP as out of range.
 
-    A Newton trial that overshoots toward an optimum just inside the cap is
-    then halved, not accepted for the loop's guard to end the fit; data
-    with no MLE still end degenerate when no trial inside the cap is left.
+    The SPD guard, cond(R1 R1^T) = (s_max / s_min)^2: a Newton trial that
+    overshoots toward an optimum just inside the cap is halved, and data
+    with no MLE end degenerate when no trial inside the cap is left.
     """
     R1 = spd.factor_step(R, D, t)
-    if _past_cap(R1):
+    s = np.linalg.svd(R1, compute_uv=False)
+    if not s[0] ** 2 <= COND_CAP * s[-1] ** 2:
         raise spd.NumericRangeError("trial frame past the condition cap")
     return R1
 

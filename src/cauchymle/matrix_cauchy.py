@@ -110,31 +110,32 @@ def datum_grad(T, frame):
 
 
 def _frame_forms(R, Fc):
-    """Factors A, B (m, p, N) of the per-datum projectors seen from R, and
-    the log determinants of the Gram matrices G.
+    """Orthonormal frames Q (m, p, N) of Y = R^T Xt, and log det Y^T Y.
 
     Fc holds the frames Xt column by column, Fc[k, :, i] = Xt_i[:, k].
-    With Y = R^T Xt and G = Y^T Y, P = Y G^-1 Y^T = sum_k A[k] B[k]^T.  At
-    m = 1, A and B are the one array of unit vectors y / |y|.  Working in
-    the frame, not with T = R R^T, keeps the forms accurate to roundoff
-    when T is ill-conditioned.
+    One pass of modified Gram-Schmidt, in place: each column of Y loses
+    its projections on the earlier unit columns, adds the log of its
+    squared norm q to log det and is scaled to unit length, so the
+    projector of a datum is P = Q Q^T, and at m = 1 Q holds y / |y|.  The
+    log det is accurate to about eps cond(Y), whatever cond(R R^T).
     """
-    Y = R.T @ Fc
-    if len(Y) == 1:  # m = 1: G is the quadratic form q = |y|^2
-        q = np.einsum("ai,ai->i", Y[0], Y[0])
-        Y /= np.sqrt(q)
-        return Y, Y, np.log(q)
-    G = np.einsum("jai,kai->ijk", Y, Y)
-    sign, logdet = np.linalg.slogdet(G)
-    if np.any(sign <= 0):
-        raise ValueError("rank-deficient Gram matrix: a frame lost column rank")
-    return np.einsum("jai,ijk->kai", Y, np.linalg.inv(G)), Y, logdet
+    Q = R.T @ Fc
+    logdet = 0.0
+    for k, v in enumerate(Q):
+        for u in Q[:k]:
+            v -= np.einsum("ai,ai->i", u, v) * u
+        q = np.einsum("ai,ai->i", v, v)
+        if np.any(q <= 0):
+            raise ValueError("rank-deficient Gram matrix: a frame lost column rank")
+        v /= np.sqrt(q)
+        logdet = logdet + np.log(q)
+    return Q, logdet
 
 
-def _frame_grad(A, B):
+def _frame_grad(Q):
     # mean of the projectors, less (m/p) I
-    return spd.trace_free(np.matmul(A, np.swapaxes(B, 1, 2)).sum(axis=0)
-                          / A.shape[2])
+    return spd.trace_free(np.matmul(Q, np.swapaxes(Q, 1, 2)).sum(axis=0)
+                          / Q.shape[2])
 
 
 @functools.lru_cache(maxsize=None)
@@ -149,27 +150,28 @@ def _upper_triangle(p):
     return ia, ib, at
 
 
-def _frame_hessian(A, B):
+def _frame_hessian(Q):
     """Riemannian Hessian seen from the frame, in the basis `spd.frame_basis`.
 
     H[k, l] = mean of tr(E_k E_l P) - tr(P E_k P E_l) over the projectors
-    P = sum_k A[k] B[k]^T, the symmetric part of vec(E_k)^T (I kron S - K)
-    vec(E_l) with S the mean of P and K the mean of P kron P.  Both come
-    from the first two moments of the upper-triangle entries w of P,
-    summed over blocks of HESSIAN_CHUNK data, so the pass holds O(p^4)
-    numbers and no (N, p^2) array.
+    P = Q Q^T, the symmetric part of vec(E_k)^T (vec(E_l S) - K vec(E_l))
+    with S the mean of P and K the mean of P kron P.  Both come from the
+    first two moments of the upper-triangle entries w of P, summed over
+    blocks of HESSIAN_CHUNK data, so the pass holds O(p^4) numbers and no
+    (N, p^2) array.
     """
-    m, p, N = A.shape
+    m, p, N = Q.shape
     ia, ib, at = _upper_triangle(p)
     w1 = w2 = 0.0
     for i in range(0, N, HESSIAN_CHUNK):
         block = slice(i, i + HESSIAN_CHUNK)
-        w = np.einsum("kai,kai->ai", A[:, ia, block], B[:, ib, block])
+        w = np.einsum("kai,kai->ai", Q[:, ia, block], Q[:, ib, block])
         w1, w2 = w1 + w.sum(axis=1), w2 + w @ w.T
     # K[(a, b), (c, d)] = mean of P[a, c] P[b, d]
     K = w2[at[:, None, :, None], at[None, :, None, :]].reshape(p * p, -1)
-    E = spd.frame_basis(p).reshape(-1, p * p)
-    return spd.sym(E @ ((np.kron(np.eye(p), w1[at]) - K) / N) @ E.T)
+    E = spd.frame_basis(p)
+    Ef = E.reshape(len(E), -1)
+    return spd.sym(Ef @ ((E @ w1[at]).reshape(Ef.shape).T - K @ Ef.T) / N)
 
 
 def _standardizing_map(F, n, m):
@@ -224,17 +226,18 @@ def fit(frames, m, n, config=None):
 def _oracle(F):
     """(loss_fn, grad_fn, hess_fn) of a frame R of T = R R^T, on valid frames.
 
-    All three share one pass over the data at T, which yields the
-    per-datum projectors seen from R (`_frame_forms`); grad_fn returns the
+    All three share one pass over the data at T, the Gram-Schmidt of
+    `_frame_forms`, which yields the log determinants and the orthonormal
+    frames Q of the per-datum projectors seen from R; grad_fn returns the
     gradient seen from R and hess_fn the Hessian in `spd.frame_basis`.
-    The frames are laid out column by column once, so that at m = 1 the
-    pass is one (p, p) by (p, N) product and a few O(N) array operations.
+    The frames are laid out column by column once, so that the pass is
+    m (p, p) by (p, N) products and a few O(m^2 p N) array operations.
     """
     Fc = np.ascontiguousarray(F.transpose(2, 1, 0))
     return shared_oracle(lambda R: _frame_forms(R, Fc),
-                         lambda R, f: float(np.mean(f[2])),
-                         lambda R, f: _frame_grad(*f[:2]),
-                         lambda R, f: _frame_hessian(*f[:2]))
+                         lambda R, f: float(np.mean(f[1])),
+                         lambda R, f: _frame_grad(f[0]),
+                         lambda R, f: _frame_hessian(f[0]))
 
 
 def to_params(T, n, m):

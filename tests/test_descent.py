@@ -83,6 +83,21 @@ def test_newton_trials_out_of_range_are_skipped():
     assert np.array_equal(T, np.eye(2))
 
 
+def test_safe_step_past_the_cap_ends_degenerate_inside_it():
+    # the safe step retracts through the capped step of the Newton trials:
+    # each step multiplies cond(T) by e, so the 32 steps up to
+    # e^32 = 7.9e13 are taken and the 33rd, past COND_CAP, ends the fit
+    # degenerate at the last frame inside the cap, with no loss evaluation
+    W = np.diag([-0.5, 0.5])
+    T, report = minimize_on_spd(
+        np.eye(2), lambda R: -np.log(abs(R[0, 0] / R[1, 1])), lambda R: W,
+        lambda R: np.zeros((2, 2)), DescentConfig(step_policy="safe"))
+    steps = int(np.log(COND_CAP))
+    assert report.status is FitStatus.DEGENERATE_DATA
+    assert report.iterations == steps and report.loss_evals == 1 + steps
+    assert np.linalg.cond(T) == pytest.approx(np.exp(steps), rel=1e-9)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_matrix_fit_with_a_zero_coordinate_row_is_degenerate(rng, n):
     # no MLE: the zero row's scale runs to the boundary of the manifold

@@ -207,9 +207,51 @@ def test_fit_recovers_identity_from_standard_samples():
                          rows=2, cols=2)
     data = generate(spec)
     F = mc.lift(data)
-    T, report = mc.fit(F, 2, 2, DescentConfig())
+    for standardize in (False, True):
+        T, report = mc.fit(F, 2, 2, DescentConfig(standardize=standardize))
+        assert report.status is FitStatus.CONVERGED
+        assert spd.distance(T, np.eye(4)) < 0.1
+
+
+@pytest.mark.parametrize("seed", [130, 147, 154])
+def test_fit_of_standard_samples_does_not_stall_on_roundoff(seed):
+    # a log det read from the Gram matrix Y^T Y carries roundoff of about
+    # eps cond(Y)^2, which hid the decrease the Newton line search looks
+    # for: these fits ended degenerate_data after 2-6 iterations at
+    # gradient norms of about 1e-6
+    spec = GeneratorSpec(kind="matrix_standard", sample_size=10000,
+                         seed=seed, rows=2, cols=2)
+    _, report = mc.fit(mc.lift(generate(spec)), 2, 2)
     assert report.status is FitStatus.CONVERGED
-    assert spd.distance(T, np.eye(4)) < 0.1
+
+
+@pytest.mark.skipif(not np.finfo(np.longdouble).eps < 1e-18,
+                    reason="long double is not extended precision here")
+def test_frame_forms_log_det_is_accurate_to_eps_cond(rng):
+    # the log det of 2-column frames Y = U diag(1, 1/c) V^T, c from 1 to
+    # 1e7, against the Cauchy-Binet sum of their squared 2 x 2 minors in
+    # long double.  Gram-Schmidt's factor is exact for some Y + dY with
+    # |dY| about p eps |Y| (Higham 2002, ch. 19), which moves log det by
+    # 2 tr(Y^+ dY), at most 2 m p eps cond(Y); the logarithms add
+    # eps |log det|, since every column has norm at most one.  A log det
+    # read from Y^T Y would carry eps cond(Y)^2
+    m, p, N = 2, 4, 2000
+    eps = np.finfo(float).eps
+    U = np.linalg.qr(rng.standard_normal((N, p, m)))[0]
+    V = np.linalg.qr(rng.standard_normal((N, m, m)))[0]
+    s = np.ones((N, m))
+    s[:, 1] = 10.0 ** -rng.uniform(0.0, 7.0, N)
+    Y = (U * s[:, None, :]) @ np.swapaxes(V, 1, 2)
+    _, logdet = mc._frame_forms(np.eye(p),
+                                np.ascontiguousarray(Y.transpose(2, 1, 0)))
+    Z = Y.astype(np.longdouble)
+    a, b = np.triu_indices(p, 1)
+    minors = Z[:, a, 0] * Z[:, b, 1] - Z[:, b, 0] * Z[:, a, 1]
+    want = np.log(np.sum(minors * minors, axis=1))
+    err = np.abs(logdet - want).astype(float)
+    cond = np.linalg.cond(Y)
+    assert cond.max() > 1e6
+    assert np.all(err <= 2 * m * p * eps * cond + eps * np.abs(logdet))
 
 
 def test_fit_congruence_equivariance(rng):
@@ -280,10 +322,10 @@ def test_fit_rejects_mismatched_dims(rng):
 
 
 def test_fused_oracle_matches_public_functions(rng):
-    # the public loss and grad run the Gram kernel; at m = 1 the fit's
-    # oracle runs the quadratic-form kernel of `cauchy` on the same frames.
-    # The oracle takes a frame R of T = R R^T and returns the gradient
-    # seen from R.
+    # the public loss and grad run the Gram kernel of T; the fit's oracle
+    # runs the Gram-Schmidt kernel of Y = R^T Xt on the same frames, at
+    # every m.  The oracle takes a frame R of T = R R^T and returns the
+    # gradient seen from R.
     frames = mc.lift(rng.standard_normal((200, 2, 2)))
     vectors = mc.lift(rng.standard_normal((300, 3, 1)) * 3.0 + 1.0)
     vectors[7, :, 0] = [0.5, -2.0, 1.5, 0.0]   # a datum at infinity
