@@ -294,11 +294,12 @@ def fit_univariate(data, config=None):
     """Univariate fit run directly on the hyperbolic upper half-plane.
 
     data is a sequence of reals, INFINITY among them, or an (N, 1) column.
-    Each datum pulls with a unit force along the geodesic toward it; descent
-    follows the mean force with step 1, which is safe for the averaged loss.
-    This is `conformal.fit` at n = 1, with its one exact check
-    (`conformal.has_dominant_point`).  Returns ((u, v), FitReport) and
-    agrees with fit + to_params.
+    Each datum pulls with a unit force along the geodesic toward it; the
+    damped Newton descent balances the forces.  This is `conformal.fit` at
+    n = 1, with its one exact check (`conformal.has_dominant_point`).
+    Returns ((u, v), FitReport) and agrees with fit + location_scale: the
+    half-plane metric is half the SPD frame metric at n = 1, so the two
+    take the same Newton steps, and hessian_min_eig here is twice theirs.
     """
     z, report = conformal.fit(data, 1, config)
     return (float(z.b[0]), float(z.a)), report

@@ -13,8 +13,11 @@ the datum:
 
 The averaged loss is therefore n times the mean of Busemann functions, a
 geodesically convex function with second derivative at most n along
-unit-speed geodesics; 1/n is a safe descent step.  The point at infinity
-is an admissible datum (Busemann -log a).
+unit-speed geodesics; 1/n is a safe descent step.  In the orthonormal
+frame (a d/da, a d/db) its gradient is n times the mean unit force u_i
+of the data and its Hessian n (I - mean u_i u_i^T), which the damped
+Newton fit solves with.  The point at infinity is an admissible datum
+(Busemann -log a, unit force (-1, 0)).
 """
 
 import math
@@ -48,46 +51,75 @@ def _split_data(data, n):
     return F, n_inf
 
 
-def _forms(z, Ft):
+def _forms(x, Ft):
     """Offsets b - x and quadratic forms a^2 + |b - x|^2 of the finite data."""
-    diff = z.b[:, None] - Ft
-    return diff, z.a * z.a + np.einsum("ij,ij->j", diff, diff)
+    a, b = x
+    diff = b[:, None] - Ft
+    return diff, a * a + np.einsum("ij,ij->j", diff, diff)
 
 
-def _loss(z, n_inf, q):
+def _loss(a, n, n_inf, q):
     # n * mean of log(q / a) over finite data and -log a over data at infinity
     N = q.size + n_inf
-    return z.n * (float(np.sum(np.log(q))) - N * math.log(z.a)) / N
+    return n * (float(np.sum(np.log(q))) - N * math.log(a)) / N
 
 
-def _grad(z, n_inf, diff, q):
+def _grad(a, n, n_inf, diff, q):
+    """Riemannian gradient in the orthonormal frame (a d/da, a d/db).
+
+    It is n times the mean unit force u_i = (2 a^2 / q_i - 1,
+    2 a (b - x_i) / q_i) of the finite data, u = (-1, 0) at infinity.
+    """
     N = q.size + n_inf
     w = 1.0 / q
-    a2 = z.a * z.a
-    # finite data: a (a^2 - r^2) / q = a (2 a^2 / q - 1); at infinity: -a
-    da = z.a * (2.0 * a2 * float(np.sum(w)) - N)
-    db = 2.0 * a2 * (diff @ w)
-    return halfspace.HTangent(z, z.n * da / N, z.n * db / N)
+    g = np.empty(n + 1)
+    g[0] = 2.0 * a * a * float(np.sum(w)) - N
+    g[1:] = 2.0 * a * (diff @ w)
+    return (n / N) * g
+
+
+def _hess(a, n, n_inf, diff, q):
+    """Riemannian Hessian in the frame of `_grad`: n (I - mean u_i u_i^T).
+
+    Each datum's Busemann function has Hessian g - dB dB^T, its unit force
+    u_i being dB; one (n + 1, N) array holds the u_i of the finite data.
+    """
+    N = q.size + n_inf
+    c = (2.0 * a) / q
+    U = np.empty((n + 1, q.size))
+    np.multiply(c, a, out=U[0])
+    U[0] -= 1.0
+    np.multiply(diff, c, out=U[1:])
+    M = U @ U.T
+    M[0, 0] += n_inf
+    return n * (np.eye(n + 1) - M / N)
 
 
 def _oracle(F, n_inf):
-    """(loss_fn, grad_fn) on validated data, sharing the offsets and forms."""
+    """(loss_fn, grad_fn, hess_fn) of (a, b) on validated data, sharing one pass.
+
+    The three share the offsets and forms of `_forms`; the gradient and
+    the Hessian are in the orthonormal frame (a d/da, a d/db).
+    """
     Ft = as_columns(F)
-    return shared_oracle(lambda z: _forms(z, Ft),
-                         lambda z, f: _loss(z, n_inf, f[1]),
-                         lambda z, f: _grad(z, n_inf, *f))
+    n = F.shape[1]
+    return shared_oracle(lambda x: _forms(x, Ft),
+                         lambda x, f: _loss(x[0], n, n_inf, f[1]),
+                         lambda x, f: _grad(x[0], n, n_inf, *f),
+                         lambda x, f: _hess(x[0], n, n_inf, *f))
 
 
 def loss(z, data, n=None):
     """Averaged negative log likelihood, n * mean Busemann, up to a constant."""
     F, n_inf = _split_data(data, z.n if n is None else n)
-    return _loss(z, n_inf, _forms(z, as_columns(F))[1])
+    return _loss(z.a, z.n, n_inf, _forms((z.a, z.b), as_columns(F))[1])
 
 
 def grad(z, data, n=None):
     """Riemannian gradient of loss at z; norm at most n (mean of n-scaled unit forces)."""
     F, n_inf = _split_data(data, z.n if n is None else n)
-    return _grad(z, n_inf, *_forms(z, as_columns(F)))
+    g = _grad(z.a, z.n, n_inf, *_forms((z.a, z.b), as_columns(F)))
+    return halfspace.HTangent(z, z.a * g[0], z.a * g[1:])
 
 
 def _largest_repeat(v):
@@ -117,27 +149,30 @@ def has_dominant_point(F, n_inf):
 
 
 def fit(data, n, config=None):
-    """Fit (a, b) by geodesic gradient descent in H^(n+1) from (1, 0).
+    """Fit (a, b) by geodesic descent in H^(n+1) from (1, 0).
 
-    Returns (HPoint, FitReport).  Data with a dominant point (see
+    The descent is `descent.minimize_on_halfspace`: damped Newton steps
+    under the default policy, gradient steps of length 1/n under "safe",
+    and the Hessian at the returned point tells a converged fit from an
+    ill-conditioned one, below (1 - PLATEAU_RATE) n.  Returns
+    (HPoint, FitReport).  Data with a dominant point (see
     `has_dominant_point`) come back at once with status DEGENERATE_DATA;
     divergence to the boundary (the scale collapsing or exploding past the
     caps) is reported the same way.  config.standardize runs the descent on
     median/MAD-standardized data and maps the estimate back.
     """
     F, n_inf = _split_data(data, n)
-    z = halfspace.HPoint(1.0, np.zeros(n))
+    x = (1.0, np.zeros(n))
     if has_dominant_point(F, n_inf):
-        start = _loss(z, n_inf, _forms(z, as_columns(F))[1])
-        return z, FitReport(FitStatus.DEGENERATE_DATA, 0, [start], [], 0.0,
-                            loss_evals=1)
+        start = _loss(1.0, n, n_inf, _forms(x, as_columns(F))[1])
+        return halfspace.HPoint(*x), FitReport(
+            FitStatus.DEGENERATE_DATA, 0, [start], [], 0.0, loss_evals=1)
     config = config or DescentConfig()
     if config.standardize:
         med, mad = halfspace.median_mad(F)
         F = (F - med) / mad
-    loss_fn, grad_fn = _oracle(F, n_inf)
-    z, report = minimize_on_halfspace(z, loss_fn, grad_fn, safe_step=1.0 / n,
-                                      config=config)
+    (a, b), report = minimize_on_halfspace(x, *_oracle(F, n_inf),
+                                           curvature=n, config=config)
     if config.standardize:
-        z = halfspace.HPoint(mad * z.a, med + mad * z.b)
-    return z, report
+        a, b = mad * a, med + mad * b
+    return halfspace.HPoint(a, b), report

@@ -2,25 +2,27 @@
 
 Two engines live here, one for losses on the unit-determinant SPD manifold
 and one for losses on the hyperbolic half-space; both, and the spline
-solver, run one loop, each with its own step.  The spline and, under the
-default policy, the SPD engine take the same damped Newton step
-(`newton_step`); the half-space engine and the `safe` policy take
-gradient steps of a certified length.  The SPD engine moves a frame R of
-the point T = R R^T: its oracle returns the gradient seen from R, a
-symmetric trace-free p x p matrix whose Frobenius norm is the Riemannian
-norm, and the Riemannian Hessian in an orthonormal basis of such matrices
-(`spd.frame_basis`); a step is one symmetric eigendecomposition
-(`spd.factor_step`), with no factorization of T.
+solver, run one loop, each with its own step.  Under the default policy
+the three take the same damped Newton step (`newton_step`); the `safe`
+policy takes one gradient step of a certified length.  Each oracle gives
+the gradient and the Riemannian Hessian in an orthonormal frame.  The SPD
+engine moves a frame R of the point T = R R^T: its gradient is seen from
+R, a symmetric trace-free p x p matrix whose Frobenius norm is the
+Riemannian norm, and its Hessian is in an orthonormal basis of such
+matrices (`spd.frame_basis`); a step is one symmetric eigendecomposition
+(`spd.factor_step`), with no factorization of T.  The half-space engine
+moves a point (a, b) held as arrays, in the frame (a d/da, a d/db), along
+`halfspace.exp_kernel`.
 
 The loop stops when the gradient norm falls below the configured
-tolerance.  An SPD fit that converged or ran out of budget is then
-classified by the smallest eigenvalue of its Hessian at the returned
-point: below (1 - PLATEAU_RATE) times CURVATURE_BOUND, a unit-length
-gradient step would contract the error slower than PLATEAU_RATE, so the
-argmin is nearly degenerate along a geodesic and the estimate is
-statistically unstable (ill-conditioned).  The half-space engine and the
-spline, which have no Hessian verdict yet, read the same rate from the
-tail of the gradient norms when the budget runs out (`plateau_status`).
+tolerance.  A fit of either engine that converged or ran out of budget
+is then classified by the smallest eigenvalue of its Hessian at the
+returned point: below (1 - PLATEAU_RATE) times the loss's curvature
+bound L, a gradient step of length 1/L would contract the error slower
+than PLATEAU_RATE, so the argmin is nearly degenerate along a geodesic
+and the estimate is statistically unstable (ill-conditioned).  The
+spline, which has no Hessian verdict yet, reads the same rate from the
+tail of the gradient norms (`plateau_status`).
 """
 
 import time
@@ -63,11 +65,9 @@ class DescentConfig:
 
     step_policy: "safe" takes the provably non-increasing gradient step
     of certified length.  "backtracking", the default, takes the damped
-    Newton step of `newton_step` on the SPD manifold, and on the
-    half-space tries twice the safe step first and halves until the loss
-    decreases, never going below the safe step.  The spline takes its
-    Newton step under either policy.  Under every policy the loss trace is
-    non-increasing up to roundoff.
+    Newton step of `newton_step`, whose line search halves from the full
+    step.  The spline takes its Newton step under either policy.  Under
+    every policy the loss trace is non-increasing up to roundoff.
     """
 
     step_policy: str = "backtracking"
@@ -94,8 +94,7 @@ class FitReport:
     backtracks counts the trial points among them that were rejected.
     hessian_min_eig is the smallest eigenvalue of the Riemannian Hessian at
     the returned point, in an orthonormal frame; None where the engine has
-    no Hessian verdict (the half-space fits, the spline) or the fit ended
-    degenerate.
+    no Hessian verdict (the spline) or the fit ended degenerate.
     """
 
     status: FitStatus
@@ -182,44 +181,14 @@ def minimize_on_spd(T0, loss_fn, grad_fn, hess_fn, config):
     FitReport.hessian_min_eig, is below ILL_CONDITIONED_EIG.  Returns
     (T, FitReport).
     """
-    start = time.perf_counter()
-    if config.step_policy == "safe":
-        step = _backtracking(_capped_factor_step, 1.0, 1.0)
-    else:
-        step = newton_step(_frame_newton(hess_fn), _capped_factor_step,
-                           lambda R: _frobenius(grad_fn(R)))
-    # no guard in the loop: the capped retraction keeps R inside COND_CAP
-    R, report = _descend(np.linalg.cholesky(T0), loss_fn, grad_fn,
-                         lambda R, W: _frobenius(W), lambda R: False, step,
-                         config, budget=lambda g: FitStatus.MAX_ITERS_EXCEEDED)
-    if report.status is not FitStatus.DEGENERATE_DATA:
-        lam = float(np.linalg.eigvalsh(hess_fn(R))[0])
-        report.hessian_min_eig = lam
-        if lam < ILL_CONDITIONED_EIG:
-            report.status = FitStatus.ILL_CONDITIONED
-    report.wall_time = time.perf_counter() - start  # the verdict included
-    return spd.unit_det(spd.sym(R @ R.T)), report
-
-
-def _frobenius(W):
-    return float(np.linalg.norm(W))
-
-
-def _frame_newton(hess_fn):
-    """SPD Newton solve: the tangent D with (H + g^2 I) coords(D) = coords(W).
-
-    Damping by the squared gradient norm keeps a flat valley solvable and
-    fades faster than damping by g, which took 1.6-1.9x the iterations on
-    the Monte Carlo batches and on c08.
-    """
     def solve(R, W, g):
-        H = hess_fn(R)
-        try:
-            d = np.linalg.solve(H + g * g * np.eye(len(H)), spd.frame_coords(W))
-        except np.linalg.LinAlgError:
-            return None
-        return spd.from_frame_coords(d)
-    return solve
+        d = _damped_solve(hess_fn(R), spd.frame_coords(W), g)
+        return None if d is None else spd.from_frame_coords(d)
+    # no guard in the loop: the capped retraction keeps R inside COND_CAP
+    R, report = _minimize(np.linalg.cholesky(T0), loss_fn, grad_fn, hess_fn,
+                          solve, _capped_factor_step, lambda R: False, 1.0,
+                          ILL_CONDITIONED_EIG, config)
+    return spd.unit_det(spd.sym(R @ R.T)), report
 
 
 def _capped_factor_step(R, D, t):
@@ -236,18 +205,34 @@ def _capped_factor_step(R, D, t):
     return R1
 
 
-def minimize_on_halfspace(z0, loss_fn, grad_fn, safe_step, config):
-    """Gradient descent for a loss on the hyperbolic half-space.
+def minimize_on_halfspace(x0, loss_fn, grad_fn, hess_fn, curvature, config):
+    """Geodesic descent for a loss on the hyperbolic half-space.
 
-    safe_step must make a full step provably non-increasing (second
-    derivative of the loss along unit-speed geodesics at most
-    1/safe_step).  Backtracking starts from twice the safe step and halves
-    down to it.  Returns (HPoint, FitReport).
+    Points are pairs x = (a, b) of a scale a and a center array b (n,).
+    grad_fn(x) is the Riemannian gradient and hess_fn(x) the Riemannian
+    Hessian, positive semidefinite for a geodesically convex loss, both in
+    the orthonormal frame (a d/da, a d/db).  curvature bounds the loss's
+    second derivative along unit-speed geodesics.  The "backtracking"
+    policy takes damped Newton steps (`newton_step`): it solves
+    (H + g^2 I) d = grad and moves along -d with `halfspace.exp_kernel`.
+    The "safe" policy takes the gradient step of length 1 / curvature,
+    which cannot raise the loss.  A fit that converged or ran out of budget
+    is ill-conditioned when the smallest eigenvalue of the Hessian at the
+    returned point, kept in FitReport.hessian_min_eig, is below
+    (1 - PLATEAU_RATE) * curvature.  Scales leaving SCALE_CAP end the fit
+    degenerate.  Returns ((a, b), FitReport).
     """
-    first = 2.0 * safe_step if config.step_policy == "backtracking" else safe_step
-    return _descend(z0, loss_fn, grad_fn, lambda z, v: v.norm(),
-                    lambda z: off_scale(z.a),
-                    _backtracking(halfspace.exp_map, first, safe_step), config)
+    return _minimize(x0, loss_fn, grad_fn, hess_fn,
+                     lambda x, v, g: _damped_solve(hess_fn(x), v, g),
+                     _frame_exp, lambda x: off_scale(x[0]), 1.0 / curvature,
+                     (1.0 - PLATEAU_RATE) * curvature, config)
+
+
+def _frame_exp(x, d, t):
+    """`halfspace.exp_kernel` from x = (a, b) along frame coordinates d."""
+    a, b = x
+    at, bt = halfspace.exp_kernel(a, b, a * d[0], a * d[1:], t)
+    return float(at), bt
 
 
 def off_scale(a):
@@ -255,8 +240,51 @@ def off_scale(a):
     return not np.all((a > 1.0 / SCALE_CAP) & (a < SCALE_CAP))
 
 
+def _minimize(x, loss_fn, grad_fn, hess_fn, solve, retract, diverged,
+              safe_length, threshold, config):
+    """The two engines: a step by policy, the loop, the Hessian verdict.
+
+    Gradients are measured by their Frobenius norm, the Riemannian norm in
+    an orthonormal frame.  The verdict of a fit that did not end degenerate
+    is ILL_CONDITIONED when the smallest eigenvalue of hess_fn at the
+    returned point is below threshold; the report's wall time includes it.
+    """
+    start = time.perf_counter()
+    if config.step_policy == "safe":
+        step = _safe_step(retract, safe_length)
+    else:
+        step = newton_step(solve, retract, lambda x: _frobenius(grad_fn(x)))
+    x, report = _descend(x, loss_fn, grad_fn, lambda x, v: _frobenius(v),
+                         diverged, step, config)
+    if report.status is not FitStatus.DEGENERATE_DATA:
+        lam = float(np.linalg.eigvalsh(hess_fn(x))[0])
+        report.hessian_min_eig = lam
+        if lam < threshold:
+            report.status = FitStatus.ILL_CONDITIONED
+    report.wall_time = time.perf_counter() - start
+    return x, report
+
+
+def _frobenius(W):
+    return float(np.linalg.norm(W))
+
+
+def _damped_solve(H, v, g):
+    """Newton coordinates d with (H + g^2 I) d = v, or None when singular.
+
+    Damping by the squared gradient norm keeps a flat valley solvable and
+    fades faster than damping by g, which took 1.6-1.9x the iterations on
+    the Monte Carlo batches and on c08.  The step is unchanged when the
+    metric is scaled by a constant, as H and g^2 scale alike.
+    """
+    try:
+        return np.linalg.solve(H + g * g * np.eye(len(H)), v)
+    except np.linalg.LinAlgError:
+        return None
+
+
 def newton_step(solve, retract, grad_norm):
-    """Damped Newton step of the spline and the SPD engine.
+    """Damped Newton step of the spline and of both engines.
 
     solve(x, v, g) returns the damped Newton tangent for the gradient v of
     norm g, or None when it cannot; retract(x, d, t) moves x along d by t;
@@ -288,34 +316,31 @@ def newton_step(solve, retract, grad_norm):
     return step
 
 
-def _backtracking(retract, first, floor):
-    """Family step: halve from first until the loss falls; accept the floor step."""
+def _safe_step(retract, length):
+    """Gradient step of the certified length: one trial, accepted as it is.
+
+    Returns None when the trial leaves the floating-point range.
+    """
     def step(x, v, g, cur, loss_fn):
-        s = first
-        while True:
-            try:
-                cand = retract(x, v, -s)
-                cand_loss = loss_fn(cand)
-                if s <= floor or (np.isfinite(cand_loss) and cand_loss < cur):
-                    return cand, cand_loss
-            except spd.NumericRangeError:
-                if s <= floor:
-                    return None
-            s = max(0.5 * s, floor)
+        try:
+            cand = retract(x, v, -length)
+            return cand, loss_fn(cand)
+        except spd.NumericRangeError:
+            return None
     return step
 
 
-def _descend(x, loss_fn, grad_fn, norm, diverged, step, config, stuck=None,
-             budget=plateau_status):
+def _descend(x, loss_fn, grad_fn, norm, diverged, step, config,
+             classify=None):
     """Descent loop of every solver: the stop rules and the FitReport.
 
     norm(x, v) measures the gradient v = grad_fn(x), diverged(x) is the
     boundary guard, and step(x, v, norm, loss, loss_fn) returns the next
     point and its loss, or None when it cannot move; it evaluates the loss
-    through the loss_fn it is handed, which counts the evaluations.
-    stuck(grad_norms) then names the outcome; by default the data are
-    degenerate.  budget(grad_norms) names the outcome when the iteration
-    budget runs out.
+    through the loss_fn it is handed, which counts the evaluations.  A fit
+    that cannot move ends DEGENERATE_DATA, and one that runs out of budget
+    MAX_ITERS_EXCEEDED, unless classify(grad_norms) names the outcome of
+    both.
     """
     start = time.perf_counter()
     evals = 0
@@ -340,11 +365,12 @@ def _descend(x, loss_fn, grad_fn, norm, diverged, step, config, stuck=None,
             status = FitStatus.DEGENERATE_DATA
             break
         if iters == config.max_iters:
-            status = budget(grads)
+            status = (classify(grads) if classify
+                      else FitStatus.MAX_ITERS_EXCEEDED)
             break
         moved = step(x, v, g, losses[-1], counted)
         if moved is None:
-            status = stuck(grads) if stuck else FitStatus.DEGENERATE_DATA
+            status = classify(grads) if classify else FitStatus.DEGENERATE_DATA
             break
         x, loss = moved
         losses.append(loss)

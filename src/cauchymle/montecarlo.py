@@ -79,9 +79,7 @@ def _estimate_columns(spec):
 def _fit_one(spec, data, config):
     family = _family_for(spec)
     if family == "cauchy1d":
-        lifted = cauchy.lift(np.asarray(data))
-        T, report = cauchy.fit(lifted, config)
-        u, v = cauchy.location_scale(T)
+        (u, v), report = cauchy.fit_univariate(np.asarray(data), config)
         return {"u": u, "v": v}, report
     if family == "cauchy":
         lifted = cauchy.lift(np.asarray(data))

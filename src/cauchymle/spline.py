@@ -239,10 +239,10 @@ def fit(problem, config=None):
     positive semidefinite since the objective is geodesically convex, G
     the metric and |g| the total gradient norm.  The knots move along the
     tangents (a p_s, p_b) by the line search of `descent.newton_step`,
-    which the SPD engine shares.  When the factorization or that search
-    fails, the fit stops and the tail of the gradient norms names the
-    outcome.  The step is the same under both step policies, and the loss
-    trace never increases beyond roundoff.
+    which the two engines share.  When the budget runs out, or the
+    factorization or that search fails, the fit stops and the tail of the
+    gradient norms names the outcome.  The step is the same under both
+    step policies, and the loss trace never increases beyond roundoff.
 
     Converged means the total gradient norm (root of summed squared knot
     gradients) fell below config.tol, which bounds every junction residual.
@@ -258,7 +258,7 @@ def fit(problem, config=None):
                        lambda x: _total_norm(x, grad_fn(x)))
     x, report = _descend(_initial_values(data), loss_fn, grad_fn,
                          _total_norm, lambda x: off_scale(x[0]), step, config,
-                         stuck=plateau_status)
+                         classify=plateau_status)
     report.wall_time = time.perf_counter() - start
     return SplineFit(problem.times, [HPoint(a, b) for a, b in zip(*x)], report)
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cauchymle import cauchy, matrix_cauchy, spd
+from cauchymle.datasets import GeneratorSpec, generate
 from cauchymle.descent import DescentConfig, FitStatus
 from cauchymle.gradcheck import random_spd_point, random_tangent
 from cauchymle.halfspace import INFINITY
@@ -383,18 +384,53 @@ def test_fit_univariate_agrees_with_manifold_fit(rng):
     # small samples can be legitimately ill-conditioned (near-bimodal), so
     # give both solvers budget enough to converge before comparing
     config = DescentConfig(max_iters=5000)
+    # the SPD frame metric is twice the half-plane metric at n = 1, so the
+    # lifted fit's gradient norms are 1/sqrt(2) of the half-plane ones: at
+    # this tolerance both fits stop at the same iterate
+    lifted = DescentConfig(max_iters=5000, tol=config.tol / math.sqrt(2.0))
     for _ in range(100):
         N = int(rng.integers(4, 30))
         data = rng.standard_normal(N) * (1 + 2 * rng.random())
         (u1, v1), rep1 = cauchy.fit_univariate(data, config)
-        T, rep2 = cauchy.fit(cauchy.lift(data), config)
+        T, rep2 = cauchy.fit(cauchy.lift(data), lifted)
         u2, v2 = cauchy.location_scale(T)
-        assert rep1.status is FitStatus.CONVERGED
-        # the lifted fit reads its verdict from the Hessian, which may flag
-        # a small sample; it still has to reach the tolerance
+        # both fits read their verdict from the Hessian, which may flag a
+        # small sample; they still have to reach the tolerance, and the
+        # half-plane metric, half the SPD frame metric, doubles the Hessian
+        assert rep1.final_grad_norm < config.tol
         assert rep2.final_grad_norm < config.tol
+        assert rep1.status is rep2.status
+        assert rep1.hessian_min_eig == pytest.approx(
+            2.0 * rep2.hessian_min_eig, rel=1e-9)
         assert u1 == pytest.approx(u2, abs=1e-6)
         assert v1 == pytest.approx(v2, abs=1e-6)
+
+
+def test_fit_univariate_retraces_the_lifted_fit_on_mixtures():
+    # two engines on one loss: the half-plane metric is half the SPD frame
+    # metric at n = 1, so the g^2-damped Newton steps coincide, gradient
+    # norms differ by sqrt(2) and Hessian eigenvalues by 2.  With the
+    # lifted fit's tolerance scaled by 1/sqrt(2) both stop at one iterate.
+    tol = DescentConfig().tol / math.sqrt(2.0)
+    mixtures = [((0.9, 0.1), ((0.0, 1.0), (100.0, 100.0))),
+                ((0.5, 0.5), ((0.0, 10.0), (300.0, 1.0))),
+                ((0.6, 0.4), ((0.0, 10.0), (300.0, 1.0)))]
+    for weights, components in mixtures:
+        for seed in range(5):
+            data = generate(GeneratorSpec(
+                kind="mixture", sample_size=1000, seed=seed, weights=weights,
+                components=components))
+            (u1, v1), rep1 = cauchy.fit_univariate(data)
+            T, rep2 = cauchy.fit(cauchy.lift(data), DescentConfig(tol=tol))
+            u2, v2 = cauchy.location_scale(T)
+            assert rep1.status is rep2.status
+            assert rep1.iterations == rep2.iterations
+            assert rep1.grad_norm_trace[0] == pytest.approx(
+                math.sqrt(2.0) * rep2.grad_norm_trace[0], rel=1e-12)
+            assert rep1.hessian_min_eig == pytest.approx(
+                2.0 * rep2.hessian_min_eig, rel=1e-9)
+            assert u1 == pytest.approx(u2, abs=1e-9 * max(1.0, abs(u2)))
+            assert v1 == pytest.approx(v2, abs=1e-9 * max(1.0, v2))
 
 
 def test_fit_standardize_matches_plain(rng):

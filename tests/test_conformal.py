@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize
 
-from cauchymle import cauchy, conformal
+from cauchymle import cauchy, conformal, halfspace
 from cauchymle.descent import DescentConfig, FitStatus
 from cauchymle.gradcheck import random_hpoint, random_htangent
 from cauchymle.halfspace import INFINITY, HPoint, exp_map
@@ -85,8 +85,10 @@ def test_loss_convexity_along_geodesics(rng):
 
 
 def test_fit_symmetric_pair_matches_univariate():
+    # every point of the geodesic |z| = 1 minimises, so the Hessian at the
+    # returned point has the eigenvalue 0 along it
     z, report = conformal.fit([np.array([-1.0]), np.array([1.0])], 1)
-    assert report.status is FitStatus.CONVERGED
+    assert report.status is FitStatus.ILL_CONDITIONED
     assert z.b[0] == pytest.approx(0.0, abs=1e-9)
     assert z.a == pytest.approx(1.0, abs=1e-9)
 
@@ -98,6 +100,27 @@ def test_fit_four_unit_vectors():
     assert report.status is FitStatus.CONVERGED
     assert np.allclose(z.b, 0.0, atol=1e-9)
     assert z.a == pytest.approx(1.0, abs=1e-9)
+
+
+def test_fit_four_points_at_radius_two_converge():
+    # at the optimum a = 2 the Hessian is diag(2, 1, 1): the damped Newton
+    # step lands there in a few iterations instead of bouncing around it
+    data = [np.array(v) for v in ([2.0, 0.0], [-2.0, 0.0],
+                                  [0.0, 2.0], [0.0, -2.0])]
+    z, report = conformal.fit(data, 2)
+    assert report.status is FitStatus.CONVERGED
+    assert report.iterations <= 10
+    assert z.a == pytest.approx(2.0, abs=1e-9)
+    assert np.allclose(z.b, 0.0, atol=1e-9)
+    assert report.hessian_min_eig == pytest.approx(1.0, abs=1e-9)
+
+
+def test_fit_small_four_dimensional_samples_converge():
+    # no point holds half of five distinct points: each sample has an MLE
+    for seed in range(20):
+        data = np.random.default_rng(seed).standard_normal((5, 4))
+        _, report = conformal.fit(data, 4)
+        assert report.status is FitStatus.CONVERGED, seed
 
 
 def test_fit_matches_univariate_cauchy_argmin(rng):
@@ -191,12 +214,15 @@ def test_fit_univariate_runs_one_check(monkeypatch):
 @pytest.mark.parametrize("data", [[1.0, 2.0], [1.0, 1.0, 2.0, 2.0]])
 def test_fit_univariate_two_halves_converge_onto_the_geodesic(data):
     # two points of half each are not refused: every point of the geodesic
-    # |z - 1.5| = 0.5 between them minimises, and the safe step reaches it
-    (u, v), report = cauchy.fit_univariate(
-        data, DescentConfig(step_policy="safe"))
-    assert report.status is FitStatus.CONVERGED
-    assert report.iterations > 0
-    assert math.hypot(u - 1.5, v) == pytest.approx(0.5, abs=1e-9)
+    # |z - 1.5| = 0.5 between them minimises, and either step reaches it in
+    # a few iterations; the Hessian is singular along that geodesic, so the
+    # fit is flagged
+    for policy in ("safe", "backtracking"):
+        (u, v), report = cauchy.fit_univariate(
+            data, DescentConfig(step_policy=policy))
+        assert report.status is FitStatus.ILL_CONDITIONED
+        assert 0 < report.iterations <= 10
+        assert math.hypot(u - 1.5, v) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_fit_normal_samples_match_scalar_oracle():
@@ -247,27 +273,62 @@ def test_equilibrium_mean_unit_force(rng):
 
 
 def test_fused_oracle_matches_public_functions(rng):
+    # the oracle takes (a, b) as arrays and returns the gradient and the
+    # Hessian in the orthonormal frame (a d/da, a d/db); the public
+    # functions take an HPoint and return the tangent at it
     data = list(rng.standard_normal((300, 2)) * 2.0 + 0.5) + [INFINITY] * 7
     F, n_inf = conformal._split_data(data, 2)
-    loss_fn, grad_fn = conformal._oracle(F, n_inf)
+    loss_fn, grad_fn, hess_fn = conformal._oracle(F, n_inf)
+    _, _, fresh_hess = conformal._oracle(F, n_inf)
 
-    def check_grad(z):
-        g, want = grad_fn(z), conformal.grad(z, data, 2)
-        gap = math.hypot(g.da - want.da, float(np.linalg.norm(g.db - want.db)))
+    def check(x):
+        z = HPoint(*x)
+        g, want = grad_fn(x), conformal.grad(z, data, 2)
+        gap = math.hypot(z.a * g[0] - want.da,
+                         float(np.linalg.norm(z.a * g[1:] - want.db)))
         assert gap <= 1e-12 * want.norm() * z.a
+        H = hess_fn(x)
+        assert np.abs(H - fresh_hess(x)).max() <= 1e-14 * np.abs(H).max()
 
-    z0 = HPoint(1.0, [0.0, 0.0])
-    assert loss_fn(z0) == pytest.approx(conformal.loss(z0, data, 2), rel=1e-12)
-    check_grad(z0)
+    x0 = (1.0, np.zeros(2))
+    assert loss_fn(x0) == pytest.approx(conformal.loss(HPoint(*x0), data, 2),
+                                        rel=1e-12)
+    check(x0)
     # a backtracked trial: a long step, then a shorter one from the same base
-    v = grad_fn(z0)
-    far, near = (exp_map(z0, v, -t) for t in (1.0, 0.5))
-    for z in (far, near):
-        assert loss_fn(z) == pytest.approx(conformal.loss(z, data, 2), rel=1e-12)
-    check_grad(near)
+    g = grad_fn(x0)
+    far, near = (halfspace.exp_kernel(*x0, g[0], g[1:], -t) for t in (1.0, 0.5))
+    for x in (far, near):
+        assert loss_fn(x) == pytest.approx(conformal.loss(HPoint(*x), data, 2),
+                                           rel=1e-12)
+    check(near)
     # away from the last loss evaluation the forms are recomputed
-    check_grad(far)
-    check_grad(z0)
+    check(far)
+    check(x0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_hessian_matches_finite_differences_of_gradient(rng, n):
+    # along the geodesic with frame velocity v the frame e_a = a d/da,
+    # e_j = a d/db_j is not parallel: its covariant derivatives are
+    # -v_j e_j for e_a and v_j e_a for e_j.  So the covariant derivative of
+    # the gradient g is d/dt g - Omega g, Omega the frame's rotation rate
+    data = list(rng.standard_normal((40, n)) * 2.0 + 0.3) + [INFINITY] * 3
+    F, n_inf = conformal._split_data(data, n)
+    _, grad_fn, hess_fn = conformal._oracle(F, n_inf)
+    h = 1e-5
+    for _ in range(10):
+        z = random_hpoint(n, rng)
+        x = (z.a, z.b)
+        v = rng.standard_normal(n + 1)
+        plus, minus = (grad_fn(halfspace.exp_kernel(
+            z.a, z.b, z.a * v[0], z.a * v[1:], t)) for t in (h, -h))
+        g = grad_fn(x)
+        Omega = np.zeros((n + 1, n + 1))
+        Omega[1:, 0] = v[1:]
+        Omega[0, 1:] = -v[1:]
+        fd = (plus - minus) / (2 * h) - Omega @ g
+        an = hess_fn(x) @ v
+        assert np.linalg.norm(fd - an) < 1e-7 * max(np.linalg.norm(an), 1.0)
 
 
 @pytest.mark.parametrize("bad", [np.array([[0.0, np.nan], [1.0, 2.0]]),
