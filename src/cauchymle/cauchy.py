@@ -181,16 +181,26 @@ def has_atom(X, count):
     PROJECTIVE_DUP_TOL, to count the atom exactly.
     """
     N, p = X.shape
-    R = _key_forms(p)
-    a, b = R.T @ X.T
     # rows within PROJECTIVE_DUP_TOL after normalising have keys this
     # close, as long as |a| + |b| is at least ATOM_KEY_FLOOR of its scale
     tol = 4 * p * PROJECTIVE_DUP_TOL / ATOM_KEY_FLOOR
-    with np.errstate(invalid="ignore"):
-        key = a / (b + np.copysign(a, b))  # nan only where a = b = 0
+    # the (N,) arrays are formed in place, at most four at once, so the
+    # check can run beside the fit's copy of the data
+    R = _key_forms(p)
     scale = np.abs(X) @ np.abs(R).sum(axis=1)  # bounds the forms' roundoff
-    ill = ~(np.abs(a) + np.abs(b) > ATOM_KEY_FLOOR * scale)
-    ill |= np.abs(key) > 1.0 - 2.0 * tol
+    scale *= ATOM_KEY_FLOOR
+    a, b = R.T @ X.T
+    key = np.copysign(a, b)
+    key += b
+    with np.errstate(invalid="ignore"):
+        np.divide(a, key, out=key)  # nan only where a = b = 0
+    np.abs(a, out=a)
+    a += np.abs(b, out=b)
+    ill = a > scale
+    del scale
+    np.logical_not(ill, out=ill)
+    ill |= np.abs(key, out=a) > 1.0 - 2.0 * tol
+    del a, b
     n_ill = int(np.count_nonzero(ill))
     if n_ill + 1 >= count:  # a lone key could reach count with them
         return _largest_group(X) >= count
@@ -240,7 +250,7 @@ def check_general_position(lifted, n):
 
 
 def fit(lifted, config=None):
-    """Maximum-likelihood fit by geodesic descent from the identity.
+    """Maximum-likelihood fit by geodesic descent in the data's own frame.
 
     Returns (T, FitReport).  This is `matrix_cauchy.fit` at m = 1, with
     damped Newton steps under the default policy: datasets failing the

@@ -57,7 +57,9 @@ def _stop_flags(parser):
 def _fit_flags(parser):
     parser.add_argument("--step", choices=STEP_POLICIES, default="backtracking")
     _stop_flags(parser)
-    parser.add_argument("--standardize", action="store_true")
+    parser.add_argument("--standardize", action="store_true",
+                        help="accepted for compatibility; every fit already "
+                             "runs in the data's median/MAD frame")
 
 
 def _generator_flags(parser):
@@ -83,7 +85,7 @@ def _generator_flags(parser):
 
 def _config_from(args):
     return DescentConfig(step_policy=args.step, tol=args.tol,
-                         max_iters=args.max_iters, standardize=args.standardize)
+                         max_iters=args.max_iters)
 
 
 def _spec_from(args):
@@ -196,8 +198,8 @@ def _cmd_fit1d(args):
 
 def _cmd_regress(args):
     from . import spline  # the only command that loads scipy
-    # the spline takes the same Newton step under every policy and does
-    # not standardize, so regress reads only the stop rules
+    # the spline takes the same Newton step under every policy, and no
+    # fit reads --standardize, so regress reads only the stop rules
     config = DescentConfig(tol=args.tol, max_iters=args.max_iters)
     ts, xs = parse_dataset(args.input, "regression")
     problem = spline.SplineProblem.from_pairs(ts, xs, args.alpha)

@@ -149,30 +149,27 @@ def has_dominant_point(F, n_inf):
 
 
 def fit(data, n, config=None):
-    """Fit (a, b) by geodesic descent in H^(n+1) from (1, 0).
+    """Fit (a, b) by geodesic descent in H^(n+1) from (MAD, median).
 
     The descent is `descent.minimize_on_halfspace`: damped Newton steps
     under the default policy, gradient steps of length 1/n under "safe",
     and the Hessian at the returned point tells a converged fit from an
     ill-conditioned one, below (1 - PLATEAU_RATE) n.  Returns
-    (HPoint, FitReport).  Data with a dominant point (see
-    `has_dominant_point`) come back at once with status DEGENERATE_DATA;
-    divergence to the boundary (the scale collapsing or exploding past the
-    caps) is reported the same way.  config.standardize runs the descent on
-    median/MAD-standardized data and maps the estimate back.
+    (HPoint, FitReport).  The start, from `halfspace.median_mad` of the
+    finite data, is the image of (1, 0) under the similarity that
+    standardizes them, an isometry that the steps commute with.  Data with
+    a dominant point (see `has_dominant_point`) come back at once with
+    status DEGENERATE_DATA; divergence to the boundary (the scale leaving
+    the caps around the start's) is reported the same way.
     """
     F, n_inf = _split_data(data, n)
-    x = (1.0, np.zeros(n))
+    med, mad = halfspace.median_mad(F)
+    x = (mad, med)
     if has_dominant_point(F, n_inf):
-        start = _loss(1.0, n, n_inf, _forms(x, as_columns(F))[1])
+        start = _loss(mad, n, n_inf, _forms(x, as_columns(F))[1])
         return halfspace.HPoint(*x), FitReport(
             FitStatus.DEGENERATE_DATA, 0, [start], [], 0.0, loss_evals=1)
     config = config or DescentConfig()
-    if config.standardize:
-        med, mad = halfspace.median_mad(F)
-        F = (F - med) / mad
     (a, b), report = minimize_on_halfspace(x, *_oracle(F, n_inf),
                                            curvature=n, config=config)
-    if config.standardize:
-        a, b = mad * a, med + mad * b
     return halfspace.HPoint(a, b), report

@@ -73,7 +73,6 @@ class DescentConfig:
     step_policy: str = "backtracking"
     tol: float = 1e-9
     max_iters: int = 200
-    standardize: bool = False
 
     def __post_init__(self):
         if self.step_policy not in STEP_POLICIES:
@@ -219,13 +218,15 @@ def minimize_on_halfspace(x0, loss_fn, grad_fn, hess_fn, curvature, config):
     which cannot raise the loss.  A fit that converged or ran out of budget
     is ill-conditioned when the smallest eigenvalue of the Hessian at the
     returned point, kept in FitReport.hessian_min_eig, is below
-    (1 - PLATEAU_RATE) * curvature.  Scales leaving SCALE_CAP end the fit
-    degenerate.  Returns ((a, b), FitReport).
+    (1 - PLATEAU_RATE) * curvature.  Scales leaving SCALE_CAP around the
+    start's end the fit degenerate, so that the guard commutes with the
+    similarities of H^(n+1) as the steps do.  Returns ((a, b), FitReport).
     """
+    a0 = x0[0]
     return _minimize(x0, loss_fn, grad_fn, hess_fn,
                      lambda x, v, g: _damped_solve(hess_fn(x), v, g),
-                     _frame_exp, lambda x: off_scale(x[0]), 1.0 / curvature,
-                     (1.0 - PLATEAU_RATE) * curvature, config)
+                     _frame_exp, lambda x: off_scale(x[0] / a0),
+                     1.0 / curvature, (1.0 - PLATEAU_RATE) * curvature, config)
 
 
 def _frame_exp(x, d, t):

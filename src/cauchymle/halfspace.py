@@ -118,9 +118,21 @@ def median_mad(F):
     """
     if F.shape[0] == 0:
         return np.zeros(F.shape[1]), 1.0
-    med = np.median(F, axis=0)
-    mad = float(np.median(np.abs(F - med)))
+    med = _median(F.copy())
+    mad = float(_median(np.abs(F - med).ravel()))
     return med, mad if mad > 0 else 1.0
+
+
+def _median(x):
+    """np.median(x, axis=0) from one partition of x, in place.
+
+    np.median partitions twice and imports numpy.ma on its first call.
+    """
+    h = x.shape[0] // 2
+    x.partition(h, axis=0)
+    if x.shape[0] % 2:
+        return x[h].copy()  # not a view that keeps x alive
+    return (x[:h].max(axis=0) + x[h]) / 2
 
 
 def busemann_kernel(a, b, x=None):

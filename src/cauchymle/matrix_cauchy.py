@@ -178,8 +178,9 @@ def _standardizing_map(F, n, m):
     """Block-affine lift transform from coordinate-wise median/MAD.
 
     Only frames whose bottom block is the identity count, so points at
-    infinity are left out.  Each of the n coordinates is shifted by the
-    median of its entries and scaled by their MAD over the m columns.
+    infinity are left out.  Each entry of the n x m observations is
+    shifted by its median, and each of the n rows scaled by the MAD of its
+    entries pooled over the m columns.
     """
     X = F[np.all(F[:, n:, :] == np.eye(m), axis=(1, 2)), :n, :]
     med, mad = zip(*[halfspace.median_mad(X[:, i]) for i in range(n)])
@@ -192,48 +193,51 @@ def _standardizing_map(F, n, m):
 
 
 def fit(frames, m, n, config=None):
-    """Maximum-likelihood fit by geodesic descent from the identity.
+    """Maximum-likelihood fit by geodesic descent in the data's own frame.
 
     The descent is `descent.minimize_on_spd`: damped Newton steps under
     the default policy, gradient steps under "safe", and the Hessian at the
     returned point tells a converged fit from an ill-conditioned one.
-    frames is the lifted (N, m+n, m) array.  Returns (T, FitReport).  At
-    m = 1 the frames are the lifted vectors of the multivariate Cauchy
-    family: data failing `cauchy.check_general_position` come back at once
-    with status DEGENERATE_DATA.  The check sees the frames the descent
-    sees, standardized under config.standardize (an invertible map keeps
-    rank and atoms).  For m >= 2 degeneracy is detected only through
-    boundary divergence during descent.
+    frames is the lifted (N, m+n, m) array.  Returns (T, FitReport).  The
+    descent runs from the identity on the frames A Xt, A the median/MAD
+    map of `_standardizing_map`, and returns A^T T A at determinant one:
+    the family is equivariant under such row-affine maps, so this is the
+    MLE, with the same Hessian, while the guards see the spread of the
+    data rather than their offset.  The loss trace is that of the frames
+    as given.  At m = 1 data failing `cauchy.check_general_position` come
+    back at once with status DEGENERATE_DATA; for m >= 2 degeneracy is
+    detected only through boundary divergence during descent.
     """
     F = _check_frames(frames)
     config = config or DescentConfig()
     if F.shape[1] != m + n or F.shape[2] != m:
         raise ValueError(f"frames of shape {F.shape} do not match m={m}, n={n}")
-    if config.standardize:
-        A = _standardizing_map(F, n, m)
-        F = np.einsum("pq,nqm->npm", A, F)
-    if m == 1 and not cauchy.check_general_position(F[:, :, 0], n):
+    A = _standardizing_map(F, n, m)
+    # the one copy of the data: A Xt laid out column by column for the oracle
+    Fc = np.matmul(A, F.transpose(2, 1, 0))
+    if m == 1 and not cauchy.check_general_position(Fc[0].T, n):
         T = np.eye(n + 1)
-        report = FitReport(FitStatus.DEGENERATE_DATA, 0, [loss(T, F)], [],
-                           0.0, loss_evals=1)
+        report = FitReport(FitStatus.DEGENERATE_DATA, 0, [_oracle(Fc)[0](T)],
+                           [], 0.0, loss_evals=1)
     else:
-        T, report = minimize_on_spd(np.eye(m + n), *_oracle(F), config)
-    if config.standardize:
-        T = spd.unit_det(A.T @ T @ A)
-    return T, report
+        T, report = minimize_on_spd(np.eye(m + n), *_oracle(Fc), config)
+    # log det(Xt^T T Xt) of the data exceeds that of A Xt by m log c, where
+    # c = det(A)^(-2/p) rescales A^T T A to determinant one
+    shift = -2.0 * m / (m + n) * float(np.sum(np.log(np.diag(A))))
+    report.loss_trace = [v + shift for v in report.loss_trace]
+    return spd.unit_det(A.T @ T @ A), report
 
 
-def _oracle(F):
+def _oracle(Fc):
     """(loss_fn, grad_fn, hess_fn) of a frame R of T = R R^T, on valid frames.
 
-    All three share one pass over the data at T, the Gram-Schmidt of
-    `_frame_forms`, which yields the log determinants and the orthonormal
-    frames Q of the per-datum projectors seen from R; grad_fn returns the
-    gradient seen from R and hess_fn the Hessian in `spd.frame_basis`.
-    The frames are laid out column by column once, so that the pass is
-    m (p, p) by (p, N) products and a few O(m^2 p N) array operations.
+    Fc holds the frames column by column, Fc[k, :, i] = Xt_i[:, k], so that
+    the shared pass is m (p, p) by (p, N) products and a few O(m^2 p N)
+    array operations: the Gram-Schmidt of `_frame_forms`, which yields the
+    log determinants and the orthonormal frames Q of the per-datum
+    projectors seen from R.  grad_fn returns the gradient seen from R and
+    hess_fn the Hessian in `spd.frame_basis`.
     """
-    Fc = np.ascontiguousarray(F.transpose(2, 1, 0))
     return shared_oracle(lambda R: _frame_forms(R, Fc),
                          lambda R, f: float(np.mean(f[1])),
                          lambda R, f: _frame_grad(f[0]),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -341,6 +342,20 @@ def test_atom_split_by_the_key_floor_is_counted_whole():
     assert cauchy.has_atom(np.vstack([X, np.eye(3)]), 41)
 
 
+def test_atom_check_holds_few_arrays_of_the_sample_size():
+    # the fit's copy of the data is alive while the check runs: the check's
+    # own (N,) temporaries are formed in place, fewer than five at once
+    N = 200000
+    X = cauchy.lift(np.random.default_rng(48).standard_normal(N))
+    tracemalloc.start()
+    try:
+        assert not cauchy.has_atom(X, N // 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * N * X.itemsize
+
+
 def test_exact_branch_matches_subset_loop(rng):
     # reference: one matrix_rank per subset of n + 1 rows; half the sets
     # get a point on the affine hull of n others
@@ -433,21 +448,26 @@ def test_fit_univariate_retraces_the_lifted_fit_on_mixtures():
             assert v1 == pytest.approx(v2, abs=1e-9 * max(1.0, v2))
 
 
-def test_fit_standardize_matches_plain(rng):
+def test_fit_is_affine_equivariant(rng):
     data = rng.standard_normal((60, 2)) * 40 + [300.0, -90.0]
-    # rows at infinity take no part in the median/MAD of the standardizing map
+    # rows at infinity are directions: an affine map moves them by its
+    # linear part only, and they take no part in the median/MAD of the fit
     X = np.vstack([cauchy.lift(data), [[1.0, 2.0, 0.0], [-3.0, 0.5, 0.0]]])
-    T_plain, rep0 = cauchy.fit(X, DescentConfig(tol=1e-11, max_iters=500))
-    T_std, rep = cauchy.fit(X, DescentConfig(tol=1e-11, max_iters=500,
-                                             standardize=True))
+    M, c = np.array([[2.0, 0.5], [-1.0, 3.0]]), np.array([-7.0, 40.0])
+    B = np.block([[M, c[:, None]], [np.zeros((1, 2)), np.ones((1, 1))]])
+    config = DescentConfig(tol=1e-11, max_iters=500)
+    T, rep0 = cauchy.fit(X, config)
+    T_img, rep = cauchy.fit(X @ B.T, config)
     assert rep0.status is FitStatus.CONVERGED
     assert rep.status is FitStatus.CONVERGED
-    assert spd.distance(T_plain, T_std) < 1e-8
-    p0 = cauchy.to_params(T_plain)
-    p1 = cauchy.to_params(T_std)
-    assert np.allclose(p0.location, p1.location, atol=1e-5)
-    assert np.allclose(p0.scatter, p1.scatter,
-                       rtol=1e-5, atol=1e-5 * np.abs(p0.scatter).max())
+    Binv = np.linalg.inv(B)
+    assert spd.distance(T_img, spd.unit_det(Binv.T @ T @ Binv)) < 1e-8
+    p0 = cauchy.to_params(T)
+    p1 = cauchy.to_params(T_img)
+    scatter = M @ p0.scatter @ M.T
+    assert np.allclose(p1.location, M @ p0.location + c, atol=1e-5)
+    assert np.allclose(p1.scatter, scatter,
+                       rtol=1e-5, atol=1e-5 * np.abs(scatter).max())
 
 
 def test_fit_validates_data_once(rng, monkeypatch):
@@ -467,19 +487,23 @@ def test_fit_validates_data_once(rng, monkeypatch):
     assert calls == [(50, 3, 1)]
 
 
-def test_fit_univariate_standardize(rng):
-    data = list(rng.standard_normal(50) * 1000 + 5e4)
-    (u0, v0), rep0 = cauchy.fit_univariate(data, DescentConfig(max_iters=5000))
-    (u1, v1), rep = cauchy.fit_univariate(
-        data, DescentConfig(standardize=True))
+def test_fit_univariate_is_similarity_equivariant(rng):
+    # both fits descend in the data's median/MAD frame, which a similarity
+    # x -> s x + t maps onto itself: the same iterates, mapped
+    data = rng.standard_normal(50) * 1000 + 5e4
+    s, t = -1e-3, 7.0
+    (u0, v0), rep0 = cauchy.fit_univariate(list(data))
+    (u1, v1), rep = cauchy.fit_univariate(list(s * data + t))
     assert rep0.status is FitStatus.CONVERGED
     assert rep.status is FitStatus.CONVERGED
-    assert rep.iterations <= rep0.iterations
-    assert u1 == pytest.approx(u0, abs=1e-4)
-    assert v1 == pytest.approx(v0, rel=1e-5)
+    assert rep.iterations == rep0.iterations
+    assert u1 == pytest.approx(s * u0 + t, abs=1e-4)
+    assert v1 == pytest.approx(abs(s) * v0, rel=1e-5)
 
 
 def test_descent_config_validation():
+    with pytest.raises(TypeError):
+        DescentConfig(standardize=True)
     with pytest.raises(ValueError):
         DescentConfig(step_policy="newton")
     with pytest.raises(ValueError):
@@ -515,7 +539,7 @@ def test_fused_oracle_matches_public_functions(rng):
     # the oracle takes a frame R of T = R R^T and returns the gradient seen
     # from R; the public functions take T and return the tangent at T
     X = cauchy.lift(rng.standard_normal((300, 2)) * 3.0 + 1.0)
-    loss_fn, grad_fn, _ = matrix_cauchy._oracle(X[:, :, None])
+    loss_fn, grad_fn, _ = matrix_cauchy._oracle(X.T[None])
 
     def gap(R):
         return _rel_gap(spd.from_frame(R, grad_fn(R)),
@@ -541,16 +565,19 @@ def test_fit_oracle_agrees_with_public_functions_along_descent(rng, monkeypatch)
     # report counts what it saw.  Newton steps are seldom rejected, so the
     # engine is shown a non-finite loss at its first trial
     X = cauchy.lift(rng.standard_normal((400, 4)) @ rng.standard_normal((4, 4)))
+    # the engine sees the data in their median/MAD frame, A x
+    A = matrix_cauchy._standardizing_map(X[:, :, None], 4, 1)
+    Xs = X @ A.T
     seen = {"loss": 0, "grad": 0}
     engine = matrix_cauchy.minimize_on_spd
     # an oracle whose loss_fn is never called recomputes the forms each time
-    _, fresh_grad, fresh_hess = matrix_cauchy._oracle(X[:, :, None])
+    _, fresh_grad, fresh_hess = matrix_cauchy._oracle(Xs.T[None])
 
     def checked(T0, loss_fn, grad_fn, hess_fn, config):
         def loss_chk(R):
             seen["loss"] += 1
             val = loss_fn(R)
-            assert val == pytest.approx(cauchy.loss(R @ R.T, X), rel=1e-12)
+            assert val == pytest.approx(cauchy.loss(R @ R.T, Xs), rel=1e-12)
             return np.inf if seen["loss"] == 2 else val
 
         def grad_chk(R):
@@ -559,7 +586,7 @@ def test_fit_oracle_agrees_with_public_functions_along_descent(rng, monkeypatch)
             # the forms grad_fn reuses are those at R: the same kernel in
             # the same frame, so the gap is relative to the gradient itself
             assert _rel_gap(W, fresh_grad(R)) < 1e-12
-            assert _frame_gap(R, W, cauchy.loss_grad(R @ R.T, X)) < 1e-12
+            assert _frame_gap(R, W, cauchy.loss_grad(R @ R.T, Xs)) < 1e-12
             return W
 
         def hess_chk(R):

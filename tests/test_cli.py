@@ -153,6 +153,7 @@ def offset_csv(tmp_path):
     ["fit1d"],
     ["fit1d", "--standardize"],
     ["fit", "--family", "cauchy", "--standardize"],
+    ["fit", "--family", "cauchy"],
 ])
 def test_offset_data_converge(offset_csv, capsys, argv):
     code, out = run_cli(argv + ["--input", offset_csv], capsys)
@@ -160,6 +161,32 @@ def test_offset_data_converge(offset_csv, capsys, argv):
     assert code == 0
     assert doc["status"] == "converged"
     assert doc["location"][0] == pytest.approx(1e5, abs=0.05)
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit1d", "--input", "{one}"],
+    ["fit", "--family", "cauchy", "--input", "{two}"],
+    ["fit", "--family", "conformal", "--input", "{two}"],
+    ["fit", "--family", "matrix", "--rows", "2", "--cols", "1",
+     "--input", "{two}"],
+    ["mc", "--kind", "cauchy1d", "--runs", "3"],
+])
+def test_standardize_flag_changes_no_output(tmp_path, capsys, argv):
+    # accepted for compatibility: every fit already runs in the data's
+    # median/MAD frame
+    x = 300.0 + 40.0 * np.random.default_rng(51).standard_normal((200, 2))
+    files = {}
+    for name, columns in (("one", x[:, :1]), ("two", x)):
+        files[name] = str(tmp_path / f"{name}.csv")
+        np.savetxt(files[name], columns, delimiter=",", fmt="%.17g")
+    argv = [arg.format(**files) for arg in argv]
+    docs = []
+    for flag in ([], ["--standardize"]):
+        code, out = run_cli(argv + flag, capsys)
+        assert code == 0
+        docs.append(json.loads(out))
+        docs[-1].pop("wall_time", None)
+    assert docs[0] == docs[1]
 
 
 def test_exit_code_ill_conditioned(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate, optimize
 
 from cauchymle import cauchy, conformal, halfspace
-from cauchymle.descent import DescentConfig, FitStatus
+from cauchymle.descent import DescentConfig, FitStatus, minimize_on_halfspace
 from cauchymle.gradcheck import random_hpoint, random_htangent
 from cauchymle.halfspace import INFINITY, HPoint, exp_map
 
@@ -166,7 +166,7 @@ def test_fit_refuses_infinity_holding_half(n):
     z, report = conformal.fit(data, n)
     assert report.status is FitStatus.DEGENERATE_DATA
     assert report.iterations == 0
-    assert report.loss_trace == [conformal.loss(HPoint(1.0, np.zeros(n)), data, n)]
+    assert report.loss_trace == [conformal.loss(z, data, n)]
     assert conformal.fit(data[:800], n)[1].status is FitStatus.CONVERGED
 
 
@@ -192,11 +192,37 @@ def test_dominant_points_are_counted_exactly():
 
 def test_fit_accepts_offset_data():
     # neighbours 2.5e-5 apart at 1e5 are distinct points, although their
-    # lifted rows agree to 1e-12 up to scale
+    # lifted rows agree to 1e-12 up to scale; the fit descends in the data's
+    # median/MAD frame, which the translation by 1e5 maps onto itself
     x = 1e5 + np.random.default_rng(45).standard_normal((100000, 1))
-    z, report = conformal.fit(x, 1, DescentConfig(standardize=True))
+    z, report = conformal.fit(x, 1)
+    z0, report0 = conformal.fit(x - 1e5, 1)
     assert report.status is FitStatus.CONVERGED
+    assert report0.status is FitStatus.CONVERGED
+    assert report.iterations == report0.iterations
     assert z.b[0] == pytest.approx(1e5, abs=0.05)
+    assert z.b[0] - 1e5 == pytest.approx(z0.b[0], abs=0.05)
+    assert z.a == pytest.approx(z0.a, rel=1e-9)
+
+
+def test_fit_of_a_tiny_spread_stays_inside_the_scale_caps():
+    # the caps on a are taken around the start's, as the similarity that
+    # standardizes the data maps them
+    x = 1e-12 * np.random.default_rng(49).standard_normal((1000, 2))
+    z, report = conformal.fit(x, 2)
+    z0, report0 = conformal.fit(x * 1e12, 2)
+    assert report.status is FitStatus.CONVERGED
+    assert report.iterations == report0.iterations
+    assert z.a == pytest.approx(1e-12 * z0.a, rel=1e-9)
+
+
+def test_loss_trace_is_the_loss_of_the_data():
+    rng = np.random.default_rng(50)
+    for x in (rng.standard_normal((500, 2)),
+              rng.standard_normal((500, 2)) * 20.0 + 1e3):
+        z, report = conformal.fit(x, 2)
+        assert report.status is FitStatus.CONVERGED
+        assert report.loss_trace[-1] == pytest.approx(conformal.loss(z, x))
 
 
 def test_fit_univariate_runs_one_check(monkeypatch):
@@ -216,13 +242,21 @@ def test_fit_univariate_two_halves_converge_onto_the_geodesic(data):
     # two points of half each are not refused: every point of the geodesic
     # |z - 1.5| = 0.5 between them minimises, and either step reaches it in
     # a few iterations; the Hessian is singular along that geodesic, so the
-    # fit is flagged
+    # fit is flagged.  The fit starts at (MAD, median), a point of the
+    # geodesic already; the engine from (1, 0) has to walk to it
+    F = np.array(data)[:, None]
     for policy in ("safe", "backtracking"):
-        (u, v), report = cauchy.fit_univariate(
-            data, DescentConfig(step_policy=policy))
+        config = DescentConfig(step_policy=policy)
+        (u, v), report = cauchy.fit_univariate(data, config)
+        assert report.status is FitStatus.ILL_CONDITIONED
+        assert report.iterations <= 10
+        assert math.hypot(u - 1.5, v) == pytest.approx(0.5, abs=1e-9)
+        (v, u), report = minimize_on_halfspace(
+            (1.0, np.zeros(1)), *conformal._oracle(F, 0), curvature=1,
+            config=config)
         assert report.status is FitStatus.ILL_CONDITIONED
         assert 0 < report.iterations <= 10
-        assert math.hypot(u - 1.5, v) == pytest.approx(0.5, abs=1e-9)
+        assert math.hypot(u[0] - 1.5, v) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_fit_normal_samples_match_scalar_oracle():

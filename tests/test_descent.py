@@ -19,7 +19,7 @@ def random_frame(T, rng):
 @pytest.mark.parametrize("m, n", [(1, 2), (1, 4), (2, 2), (2, 3)])
 def test_frame_gradient_norm_is_the_riemannian_norm(rng, m, n):
     F = mc.lift(rng.standard_normal((300, n, m)) * 2.0 + 0.5)
-    _, grad_fn, _ = mc._oracle(F)
+    _, grad_fn, _ = mc._oracle(F.transpose(2, 1, 0))
     for _ in range(20):
         R = random_frame(random_spd_point(m + n, rng), rng)
         T = R @ R.T
@@ -192,6 +192,25 @@ def test_offset_data_with_an_optimum_near_the_cap_converge():
     T, report = cauchy.fit(cauchy.lift(A + 1e3))
     assert report.status is FitStatus.CONVERGED
     assert 1e13 < np.linalg.cond(T) < COND_CAP
+
+
+def test_offset_data_are_fit_in_their_own_frame():
+    # far from the origin against their spread, the lifted data are nearly
+    # one projective point and the MLE lies past COND_CAP in the raw frame;
+    # the fit runs in the data's median/MAD frame, so it converges, with
+    # the Hessian of the raw fit at the offset of 1e3 (affine equivariance)
+    rng = np.random.default_rng(20240817)
+    A = rng.standard_normal((400, 4)) @ rng.standard_normal((4, 4))
+    _, near = cauchy.fit(cauchy.lift(A + 1e3))
+    assert near.hessian_min_eig == pytest.approx(0.1217646631, rel=1e-8)
+    for offset in (2e3, 1e5):
+        _, report = cauchy.fit(cauchy.lift(A + offset))
+        assert report.status is FitStatus.CONVERGED
+        assert report.hessian_min_eig == pytest.approx(near.hessian_min_eig,
+                                                       rel=1e-9)
+    x = 1e5 + np.random.default_rng(47).standard_normal((20000, 3))
+    _, report = cauchy.fit(cauchy.lift(x))
+    assert report.status is FitStatus.CONVERGED
 
 
 def test_data_mostly_on_a_line_end_degenerate():

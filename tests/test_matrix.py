@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -95,26 +96,21 @@ def test_safe_step_descent_guarantee(rng):
 
 
 def test_fit_agrees_with_vector_fit_at_m1(rng):
-    # cauchy.fit is this fit on one-column frames: two step paths, damped
-    # Newton on the frames and the safe gradient step on the vectors, reach
-    # one argmin, with a datum at infinity among the data
-    for n, standardize in [(1, False), (2, True)]:
-        X = cauchy.lift(rng.standard_cauchy((12, n)))
-        X[3, :n], X[3, n] = rng.standard_normal(n), 0.0
-        newton = DescentConfig(tol=1e-11, max_iters=2000,
-                               standardize=standardize)
-        safe = DescentConfig(step_policy="safe", tol=1e-11, max_iters=2000,
-                             standardize=standardize)
-        Tm, rep_m = mc.fit(X[:, :, None], 1, n, newton)
-        Tv, rep_v = cauchy.fit(X, safe)
-        assert rep_m.final_grad_norm < newton.tol
-        assert rep_v.final_grad_norm < safe.tol
-        assert rep_m.iterations < rep_v.iterations
-        assert spd.distance(Tm, Tv) < 1e-8
+    # cauchy.fit is this fit on one-column frames, a datum at infinity
+    # among the data
+    n = 2
+    X = cauchy.lift(rng.standard_cauchy((12, n)))
+    X[3, :n], X[3, n] = rng.standard_normal(n), 0.0
+    Tm, rep_m = mc.fit(X[:, :, None], 1, n)
+    Tv, rep_v = cauchy.fit(X)
+    assert rep_m.status is FitStatus.CONVERGED
+    assert np.array_equal(Tm, Tv)
+    assert dataclasses.replace(rep_m, wall_time=0.0) == dataclasses.replace(
+        rep_v, wall_time=0.0)
 
 
 def _hessian_at(F, R):
-    return mc._oracle(F)[2](R)
+    return mc._oracle(F.transpose(2, 1, 0))[2](R)
 
 
 @pytest.mark.parametrize("m, n", [(1, 1), (1, 3), (2, 1), (2, 2)])
@@ -123,7 +119,7 @@ def test_hessian_matches_finite_differences_of_gradient(rng, m, n):
     # a parallel-transported tangent has the coordinates Q^T W Q: so the
     # covariant derivative of the gradient along V is d/dt Q g(t) Q^T
     F = mc.lift(rng.standard_normal((60, n, m)) * 2.0 + 0.3)
-    _, grad_fn, hess_fn = mc._oracle(F)
+    _, grad_fn, hess_fn = mc._oracle(F.transpose(2, 1, 0))
     h = 1e-5
     for _ in range(10):
         O, _ = np.linalg.qr(rng.standard_normal((m + n, m + n)))
@@ -206,11 +202,9 @@ def test_fit_recovers_identity_from_standard_samples():
     spec = GeneratorSpec(kind="matrix_standard", sample_size=10000, seed=11,
                          rows=2, cols=2)
     data = generate(spec)
-    F = mc.lift(data)
-    for standardize in (False, True):
-        T, report = mc.fit(F, 2, 2, DescentConfig(standardize=standardize))
-        assert report.status is FitStatus.CONVERGED
-        assert spd.distance(T, np.eye(4)) < 0.1
+    T, report = mc.fit(mc.lift(data), 2, 2)
+    assert report.status is FitStatus.CONVERGED
+    assert spd.distance(T, np.eye(4)) < 0.1
 
 
 @pytest.mark.parametrize("seed", [130, 147, 154])
@@ -302,17 +296,38 @@ def test_to_params_splits_quadratic_form(rng):
     assert np.allclose(lhs, rhs, atol=1e-10)
 
 
-def test_fit_standardize_matches_plain(rng):
+def test_fit_is_row_affine_equivariant(rng):
+    # X -> M X + C maps the frames by B = [[M, C], [0, I]], and the MLE
+    # by T -> B^-T T B^-1
     m = n = 2
     data = rng.standard_normal((30, n, m)) * 15 + 40.0
+    M, C = np.array([[0.5, -2.0], [1.5, 1.0]]), np.array([[3.0, -9.0],
+                                                            [60.0, 0.25]])
+    B = np.block([[M, C], [np.zeros((m, n)), np.eye(m)]])
     config = DescentConfig(tol=1e-11, max_iters=3000)
     T0, rep0 = mc.fit(mc.lift(data), m, n, config)
-    T1, rep1 = mc.fit(mc.lift(data), m, n,
-                      DescentConfig(tol=1e-11, max_iters=3000,
-                                    standardize=True))
+    T1, rep1 = mc.fit(mc.lift(M @ data + C), m, n, config)
     assert rep0.status is FitStatus.CONVERGED
     assert rep1.status is FitStatus.CONVERGED
-    assert spd.distance(T0, T1) < 1e-6
+    Binv = np.linalg.inv(B)
+    assert spd.distance(T1, spd.unit_det(Binv.T @ T0 @ Binv)) < 1e-6
+
+
+def test_loss_trace_is_the_loss_of_the_data(rng):
+    # the descent runs on the frames A Xt, and the trace is read back as
+    # the likelihood of the frames as given, also when refused at once
+    X = rng.standard_normal((300, 2, 2))
+    for data in (X, X * 20.0 + 1e3):
+        F = mc.lift(data)
+        T, report = mc.fit(F, 2, 2)
+        assert report.status is FitStatus.CONVERGED
+        assert report.loss_trace[-1] == pytest.approx(mc.loss(T, F))
+    for x in (X[:, :, 0], X[:, :, 0] * 20.0 + 1e3):
+        F = cauchy.lift(x)[:, :, None]
+        for rows in (F, F[[0, 0, 0, 1]]):
+            T, report = mc.fit(rows, 1, 2)
+            assert report.loss_trace[-1] == pytest.approx(mc.loss(T, rows))
+        assert report.status is FitStatus.DEGENERATE_DATA
 
 
 def test_fit_rejects_mismatched_dims(rng):
@@ -330,7 +345,7 @@ def test_fused_oracle_matches_public_functions(rng):
     vectors = mc.lift(rng.standard_normal((300, 3, 1)) * 3.0 + 1.0)
     vectors[7, :, 0] = [0.5, -2.0, 1.5, 0.0]   # a datum at infinity
     for F in (frames, vectors):
-        loss_fn, grad_fn, _ = mc._oracle(F)
+        loss_fn, grad_fn, _ = mc._oracle(F.transpose(2, 1, 0))
 
         def gap(R):
             want = mc.grad(R @ R.T, F)
