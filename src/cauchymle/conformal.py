@@ -17,16 +17,19 @@ unit-speed geodesics; 1/n is a safe descent step.  In the orthonormal
 frame (a d/da, a d/db) its gradient is n times the mean unit force u_i
 of the data and its Hessian n (I - mean u_i u_i^T), which the damped
 Newton fit solves with.  The point at infinity is an admissible datum
-(Busemann -log a, unit force (-1, 0)).
+(Busemann -log a, unit force (-1, 0)).  `fit_batch` fits many datasets
+in one descent, each as `fit` fits it alone.
 """
-
-import math
 
 import numpy as np
 
 from . import halfspace
 from .descent import (DescentConfig, FitReport, FitStatus, as_columns,
-                      minimize_on_halfspace, shared_oracle)
+                      minimize_on_halfspace, minimize_on_halfspace_batch)
+
+# a loss evaluation of a batch runs over chunks of members holding about
+# this many data, so that its temporaries stay in a core's cache
+CHUNK_DATA = 2**14
 
 
 def _split_data(data, n):
@@ -51,80 +54,108 @@ def _split_data(data, n):
     return F, n_inf
 
 
-def _forms(x, Ft):
-    """Offsets b - x and quadratic forms a^2 + |b - x|^2 of the finite data."""
-    a, b = x
-    diff = b[:, None] - Ft
-    return diff, a * a + np.einsum("ij,ij->j", diff, diff)
+def _unit_forces(a, diff):
+    """The unit forces at (a (k,), b) of data at offsets diff = b - x (k, n, N).
 
-
-def _loss(a, n, n_inf, q):
-    # n * mean of log(q / a) over finite data and -log a over data at infinity
-    N = q.size + n_inf
-    return n * (float(np.sum(np.log(q))) - N * math.log(a)) / N
-
-
-def _grad(a, n, n_inf, diff, q):
-    """Riemannian gradient in the orthonormal frame (a d/da, a d/db).
-
-    It is n times the mean unit force u_i = (2 a^2 / q_i - 1,
-    2 a (b - x_i) / q_i) of the finite data, u = (-1, 0) at infinity.
+    u_i = (2 a^2 / q_i - 1, 2 a (b - x_i) / q_i) with q_i = a^2 + |b - x_i|^2.
+    The center parts overwrite diff; returns q and the scale parts (k, N).
     """
-    N = q.size + n_inf
-    w = 1.0 / q
-    g = np.empty(n + 1)
-    g[0] = 2.0 * a * a * float(np.sum(w)) - N
-    g[1:] = 2.0 * a * (diff @ w)
-    return (n / N) * g
+    q = np.square(diff[:, 0])
+    for i in range(1, diff.shape[1]):
+        q += np.square(diff[:, i])
+    q += (a * a)[:, None]
+    c = np.divide((2.0 * a)[:, None], q)
+    diff *= c[:, None]
+    c *= a[:, None]
+    c -= 1.0
+    return q, c
 
 
-def _hess(a, n, n_inf, diff, q):
-    """Riemannian Hessian in the frame of `_grad`: n (I - mean u_i u_i^T).
+def _oracle(Ft, n_inf):
+    """(loss_fn, grad_fn, hess_fn) of a batch of validated datasets.
 
-    Each datum's Busemann function has Hessian g - dB dB^T, its unit force
-    u_i being dB; one (n + 1, N) array holds the u_i of the finite data.
+    Ft (B, n, N) holds each member's finite data as columns, as an array
+    or as a sequence of B arrays (n, N), and n_inf (B,) counts its data at
+    infinity.  Each function takes the points x =
+    (a (k,), b (k, n)) of the members with the sorted indices members (k,)
+    and gives each one's loss, its gradient n mean u_i (k, n + 1) and its
+    Hessian n (I - mean u_i u_i^T) (k, n + 1, n + 1) in the orthonormal
+    frame (a d/da, a d/db), u = (-1, 0) at infinity.  One pass over the
+    data, in chunks of CHUNK_DATA, gives all three: a loss evaluation
+    keeps each member's gradient and Hessian, which the other two
+    functions read at the point of the member's last evaluation, and
+    recompute at any other point.
     """
-    N = q.size + n_inf
-    c = (2.0 * a) / q
-    U = np.empty((n + 1, q.size))
-    np.multiply(c, a, out=U[0])
-    U[0] -= 1.0
-    np.multiply(diff, c, out=U[1:])
-    M = U @ U.T
-    M[0, 0] += n_inf
-    return n * (np.eye(n + 1) - M / N)
+    B, (n, size) = len(Ft), Ft[0].shape
+    n_inf = np.asarray(n_inf, dtype=float)
+    N = size + n_inf
+    grads, hessians = np.empty((B, n + 1)), np.empty((B, n + 1, n + 1))
+    at, bt = np.full(B, np.nan), np.empty((B, n))  # where they were formed
+
+    step = max(1, CHUNK_DATA // max(size, 1))
+
+    def loss_fn(x, members):
+        a, b = x
+        return np.concatenate([
+            evaluate((a[i:i + step], b[i:i + step]), members[i:i + step])
+            for i in range(0, len(members), step)])
+
+    def evaluate(x, members):
+        a, b = x
+        u = np.stack([Ft[i] for i in members])
+        np.subtract(b[:, :, None], u, out=u)
+        q, u0 = _unit_forces(a, u)
+        rows = [u0, *u.transpose(1, 0, 2)]
+        M = np.empty((len(members), n + 1, n + 1))
+        for i in range(n + 1):
+            for j in range(i, n + 1):
+                M[:, i, j] = M[:, j, i] = np.einsum("kj,kj->k", rows[i],
+                                                    rows[j])
+        Nk = N[members]
+        M[:, 0, 0] += n_inf[members]
+        hessians[members] = n * (np.eye(n + 1) - M / Nk[:, None, None])
+        g = np.column_stack([u0.sum(axis=1) - n_inf[members], u.sum(axis=2)])
+        grads[members] = g * (n / Nk)[:, None]
+        at[members], bt[members] = a, b
+        return n * (np.log(q, out=q).sum(axis=1) - Nk * np.log(a)) / Nk
+
+    def reading(kept):
+        def fn(x, members):
+            a, b = x
+            stale = (at[members] != a) | (bt[members] != b).any(axis=1)
+            if stale.any():
+                loss_fn((a[stale], b[stale]), members[stale])
+            return kept[members]
+        return fn
+
+    return loss_fn, reading(grads), reading(hessians)
 
 
-def _oracle(F, n_inf):
-    """(loss_fn, grad_fn, hess_fn) of (a, b) on validated data, sharing one pass.
-
-    The three share the offsets and forms of `_forms`; the gradient and
-    the Hessian are in the orthonormal frame (a d/da, a d/db).
-    """
-    Ft = as_columns(F)
-    n = F.shape[1]
-    return shared_oracle(lambda x: _forms(x, Ft),
-                         lambda x, f: _loss(x[0], n, n_inf, f[1]),
-                         lambda x, f: _grad(x[0], n, n_inf, *f),
-                         lambda x, f: _hess(x[0], n, n_inf, *f))
+def _evaluate(F, n_inf, a, b):
+    """The loss and the frame gradient of validated data at one point (a, b)."""
+    loss_fn, grad_fn, _ = _oracle(as_columns(F)[None], [n_inf])
+    x = (np.array([a], dtype=float), np.asarray(b, dtype=float)[None])
+    one = np.zeros(1, dtype=int)
+    return float(loss_fn(x, one)[0]), grad_fn(x, one)[0]
 
 
 def loss(z, data, n=None):
     """Averaged negative log likelihood, n * mean Busemann, up to a constant."""
-    F, n_inf = _split_data(data, z.n if n is None else n)
-    return _loss(z.a, z.n, n_inf, _forms((z.a, z.b), as_columns(F))[1])
+    return _evaluate(*_split_data(data, z.n if n is None else n), z.a, z.b)[0]
 
 
 def grad(z, data, n=None):
     """Riemannian gradient of loss at z; norm at most n (mean of n-scaled unit forces)."""
-    F, n_inf = _split_data(data, z.n if n is None else n)
-    g = _grad(z.a, z.n, n_inf, *_forms((z.a, z.b), as_columns(F)))
+    g = _evaluate(*_split_data(data, z.n if n is None else n), z.a, z.b)[1]
     return halfspace.HTangent(z, z.a * g[0], z.a * g[1:])
 
 
 def _largest_repeat(v):
     """The largest number of equal entries of the 1-d array v."""
-    edges = np.flatnonzero(np.diff(np.sort(v)))
+    s = np.sort(v)
+    edges = np.flatnonzero(s[1:] != s[:-1])
+    if edges.size == v.size - 1:  # no entry repeats
+        return min(v.size, 1)
     return int(np.diff(edges, prepend=-1, append=v.size - 1).max())
 
 
@@ -148,6 +179,17 @@ def has_dominant_point(F, n_inf):
     return not np.array_equal(counts[counts > 0], [N // 2, N // 2])
 
 
+def _start(F, n_inf, n):
+    """The start (MAD, median) of the finite data F, and the refusal of data
+    with a dominant point (see `has_dominant_point`), or None."""
+    med, mad = halfspace.median_mad(F)
+    if not has_dominant_point(F, n_inf):
+        return (mad, med), None
+    loss = _evaluate(F, n_inf, mad, med)[0]
+    return (mad, med), FitReport(FitStatus.DEGENERATE_DATA, 0, [loss], [],
+                                 0.0, loss_evals=1)
+
+
 def fit(data, n, config=None):
     """Fit (a, b) by geodesic descent in H^(n+1) from (MAD, median).
 
@@ -160,16 +202,37 @@ def fit(data, n, config=None):
     standardizes them, an isometry that the steps commute with.  Data with
     a dominant point (see `has_dominant_point`) come back at once with
     status DEGENERATE_DATA; divergence to the boundary (the scale leaving
-    the caps around the start's) is reported the same way.
+    the caps around the start's) is reported the same way.  The fit is a
+    batch of one: `fit_batch` gives each member this same answer.
     """
     F, n_inf = _split_data(data, n)
-    med, mad = halfspace.median_mad(F)
-    x = (mad, med)
-    if has_dominant_point(F, n_inf):
-        start = _loss(mad, n, n_inf, _forms(x, as_columns(F))[1])
-        return halfspace.HPoint(*x), FitReport(
-            FitStatus.DEGENERATE_DATA, 0, [start], [], 0.0, loss_evals=1)
-    config = config or DescentConfig()
-    (a, b), report = minimize_on_halfspace(x, *_oracle(F, n_inf),
-                                           curvature=n, config=config)
+    x, refused = _start(F, n_inf, n)
+    if refused:
+        return halfspace.HPoint(*x), refused
+    (a, b), report = minimize_on_halfspace(
+        x, *_oracle(as_columns(F)[None], [n_inf]), curvature=n,
+        config=config or DescentConfig())
     return halfspace.HPoint(a, b), report
+
+
+def fit_batch(members, n, config=None):
+    """`fit` of many datasets at once: one descent runs all of them in lockstep.
+
+    members holds validated datasets as `_split_data` gives them, pairs
+    (F, n_inf) with the same number of finite observations.  Returns one
+    (HPoint, FitReport) per member, as `fit` gives it alone; every
+    report's wall time is that of the whole batch.
+    """
+    starts = [_start(F, n_inf, n) for F, n_inf in members]
+    out = [refused and (halfspace.HPoint(*x), refused) for x, refused in starts]
+    live = [i for i, (_, refused) in enumerate(starts) if refused is None]
+    if live:
+        oracle = _oracle([as_columns(members[i][0]) for i in live],
+                         [members[i][1] for i in live])
+        x0 = (np.array([starts[i][0][0] for i in live]),
+              np.stack([starts[i][0][1] for i in live]))
+        (a, b), reports = minimize_on_halfspace_batch(
+            x0, *oracle, curvature=n, config=config or DescentConfig())
+        for j, i in enumerate(live):
+            out[i] = halfspace.HPoint(a[j], b[j]), reports[j]
+    return out

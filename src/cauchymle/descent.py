@@ -2,7 +2,13 @@
 
 Two engines live here, one for losses on the unit-determinant SPD manifold
 and one for losses on the hyperbolic half-space; both, and the spline
-solver, run one loop, each with its own step.  Under the default policy
+solver, run one loop, `_descend`, each with its own step.  The loop runs a
+batch of fits in lockstep: every point, gradient and direction carries a
+leading member axis, and each member keeps its own traces, counts, status
+and line-search multiplier, so that it takes the steps of its fit alone.
+The half-space engine fits a stack of datasets at once
+(`minimize_on_halfspace_batch`); a single fit, of either engine or of the
+spline, is the batch of one.  Under the default policy
 the three take the same damped Newton step (`newton_step`); the `safe`
 policy takes one gradient step of a certified length.  Each oracle gives
 the gradient and the Riemannian Hessian in an orthonormal frame.  The SPD
@@ -94,6 +100,9 @@ class FitReport:
     hessian_min_eig is the smallest eigenvalue of the Riemannian Hessian at
     the returned point, in an orthonormal frame; None where the engine has
     no Hessian verdict (the spline) or the fit ended degenerate.
+    wall_time is the time of the descent that made the fit: for a member
+    of a batch fit in lockstep, that of the whole batch, the same for
+    every member.
     """
 
     status: FitStatus
@@ -141,22 +150,24 @@ def shared_oracle(forms, value, *derived):
     and each of derived, say grad(x, f) and hess(x, f), a quantity from
     them.  The engines take the gradient and the Hessian at the point of
     their last loss evaluation, so the derived functions reuse the forms
-    that loss_fn computed when handed that same object, and recompute them
+    that loss_fn computed at a point equal to theirs, and recompute them
     at any other point.  Only the forms of the last loss evaluation are
-    kept, and they are dropped before the next are computed.
+    kept, with a copy of its point, and they are dropped before the next
+    are computed.
     """
     last = [None, None]
 
     def loss_fn(x):
         last[:] = None, None
         f = forms(x)
-        last[:] = x, f
+        last[:] = np.array(x), f
         return value(x, f)
 
     def reusing(fn):
         def derived_fn(x):
             at, f = last
-            return fn(x, f if x is at else forms(x))
+            return fn(x, f if at is not None and np.array_equal(x, at)
+                      else forms(x))
         return derived_fn
 
     return (loss_fn, *map(reusing, derived))
@@ -177,68 +188,99 @@ def minimize_on_spd(T0, loss_fn, grad_fn, hess_fn, config):
     derivative at most ||gamma'||^2).  Both refuse frames past COND_CAP.  A
     fit that converged or ran out of budget is ill-conditioned when the
     smallest eigenvalue of the Hessian at the returned point, kept in
-    FitReport.hessian_min_eig, is below ILL_CONDITIONED_EIG.  Returns
-    (T, FitReport).
+    FitReport.hessian_min_eig, is below ILL_CONDITIONED_EIG.  The fit runs
+    the loop as a batch of one.  Returns (T, FitReport).
     """
-    def solve(R, W, g):
-        d = _damped_solve(hess_fn(R), spd.frame_coords(W), g)
-        return None if d is None else spd.from_frame_coords(d)
+    hess = _one(hess_fn)
+
+    def solve(x, members, W, g):
+        d, ok = _damped_solve(hess(x, members), _lead(spd.frame_coords(W[0])), g)
+        return _lead(spd.from_frame_coords(d[0])), ok
+
     # no guard in the loop: the capped retraction keeps R inside COND_CAP
-    R, report = _minimize(np.linalg.cholesky(T0), loss_fn, grad_fn, hess_fn,
-                          solve, _capped_factor_step, lambda R: False, 1.0,
-                          ILL_CONDITIONED_EIG, config)
-    return spd.unit_det(spd.sym(R @ R.T)), report
+    R, (report,) = _minimize(
+        _lead(np.linalg.cholesky(T0)), _one(loss_fn), _one(grad_fn), hess,
+        solve, _capped_factor_step,
+        lambda x, members: np.zeros(len(members), dtype=bool), 1.0,
+        ILL_CONDITIONED_EIG, config)
+    return spd.unit_det(spd.sym(R[0] @ R[0].T)), report
 
 
-def _capped_factor_step(R, D, t):
-    """`spd.factor_step` refusing a frame R1 past COND_CAP as out of range.
+def _capped_factor_step(x, D, t):
+    """`spd.factor_step` of a batch of one, a frame R1 past COND_CAP out of range.
 
     The SPD guard, cond(R1 R1^T) = (s_max / s_min)^2: a Newton trial that
     overshoots toward an optimum just inside the cap is halved, and data
     with no MLE end degenerate when no trial inside the cap is left.
     """
-    R1 = spd.factor_step(R, D, t)
+    try:
+        R1 = spd.factor_step(x[0], D[0], t[0])
+    except spd.NumericRangeError:
+        return x, np.ones(1, dtype=bool)
     s = np.linalg.svd(R1, compute_uv=False)
-    if not s[0] ** 2 <= COND_CAP * s[-1] ** 2:
-        raise spd.NumericRangeError("trial frame past the condition cap")
-    return R1
+    return R1[None], np.array([not s[0] ** 2 <= COND_CAP * s[-1] ** 2])
 
 
 def minimize_on_halfspace(x0, loss_fn, grad_fn, hess_fn, curvature, config):
-    """Geodesic descent for a loss on the hyperbolic half-space.
+    """`minimize_on_halfspace_batch` of one fit: the batch of one.
 
-    Points are pairs x = (a, b) of a scale a and a center array b (n,).
-    grad_fn(x) is the Riemannian gradient and hess_fn(x) the Riemannian
-    Hessian, positive semidefinite for a geodesically convex loss, both in
-    the orthonormal frame (a d/da, a d/db).  curvature bounds the loss's
+    x0 = (a, b) is a scale and a center (n,); the functions are those of
+    the batch.  Returns ((a, b), FitReport).
+    """
+    (a, b), (report,) = minimize_on_halfspace_batch(
+        _lead((float(x0[0]), np.asarray(x0[1], dtype=float))), loss_fn,
+        grad_fn, hess_fn, curvature, config)
+    return (float(a[0]), b[0]), report
+
+
+def minimize_on_halfspace_batch(x0, loss_fn, grad_fn, hess_fn, curvature,
+                                config):
+    """Geodesic descent for a batch of losses on the hyperbolic half-space.
+
+    Member i starts at the scale x0[0][i] and the center x0[1][i] (n,).
+    loss_fn(x, members), grad_fn(x, members) and hess_fn(x, members) take
+    the points x = (a (k,), b (k, n)) of the members with the sorted
+    indices members (k,), and give each one's loss, Riemannian gradient
+    (k, n + 1) and Riemannian Hessian (k, n + 1, n + 1), positive
+    semidefinite for a geodesically convex loss, both in the orthonormal
+    frame (a d/da, a d/db).  The loop asks for the gradient and the Hessian
+    only at a member's last loss evaluation.  curvature bounds each loss's
     second derivative along unit-speed geodesics.  The "backtracking"
     policy takes damped Newton steps (`newton_step`): it solves
-    (H + g^2 I) d = grad and moves along -d with `halfspace.exp_kernel`.
-    The "safe" policy takes the gradient step of length 1 / curvature,
-    which cannot raise the loss.  A fit that converged or ran out of budget
-    is ill-conditioned when the smallest eigenvalue of the Hessian at the
-    returned point, kept in FitReport.hessian_min_eig, is below
-    (1 - PLATEAU_RATE) * curvature.  Scales leaving SCALE_CAP around the
-    start's end the fit degenerate, so that the guard commutes with the
-    similarities of H^(n+1) as the steps do.  Returns ((a, b), FitReport).
+    (H + g^2 I) d = grad, all members in one stacked solve, and moves along
+    -d with `halfspace.exp_kernel_masked`.  The "safe" policy takes the
+    gradient step of length 1 / curvature, which cannot raise the loss.  A
+    fit that converged or ran out of budget is ill-conditioned when the
+    smallest eigenvalue of the Hessian at the returned point, kept in
+    FitReport.hessian_min_eig, is below (1 - PLATEAU_RATE) * curvature.
+    Scales leaving SCALE_CAP around the member's start end its fit
+    degenerate, so that the guard commutes with the similarities of
+    H^(n+1) as the steps do.  Returns ((a (B,), b (B, n)), [FitReport]).
     """
-    a0 = x0[0]
-    return _minimize(x0, loss_fn, grad_fn, hess_fn,
-                     lambda x, v, g: _damped_solve(hess_fn(x), v, g),
-                     _frame_exp, lambda x: off_scale(x[0] / a0),
-                     1.0 / curvature, (1.0 - PLATEAU_RATE) * curvature, config)
+    a0 = np.array(x0[0], dtype=float)
+
+    def solve(x, members, v, g):
+        return _damped_solve(hess_fn(x, members), v, g)
+
+    def diverged(x, members):
+        return off_scale(x[0] / a0[members])
+
+    return _minimize(x0, loss_fn, grad_fn, hess_fn, solve, _frame_exp,
+                     diverged, 1.0 / curvature,
+                     (1.0 - PLATEAU_RATE) * curvature, config)
 
 
 def _frame_exp(x, d, t):
-    """`halfspace.exp_kernel` from x = (a, b) along frame coordinates d."""
+    """`halfspace.exp_kernel_masked` from x = (a, b) along frame coordinates d."""
     a, b = x
-    at, bt = halfspace.exp_kernel(a, b, a * d[0], a * d[1:], t)
-    return float(at), bt
+    at, bt, out = halfspace.exp_kernel_masked(a, b, a * d[:, 0],
+                                              a[:, None] * d[:, 1:], t)
+    return (at, bt), out
 
 
 def off_scale(a):
-    """Half-space guard: some scale left (1/SCALE_CAP, SCALE_CAP)."""
-    return not np.all((a > 1.0 / SCALE_CAP) & (a < SCALE_CAP))
+    """Half-space guard, elementwise: a scale left (1/SCALE_CAP, SCALE_CAP)."""
+    return ~((a > 1.0 / SCALE_CAP) & (a < SCALE_CAP))
 
 
 def _minimize(x, loss_fn, grad_fn, hess_fn, solve, retract, diverged,
@@ -248,134 +290,220 @@ def _minimize(x, loss_fn, grad_fn, hess_fn, solve, retract, diverged,
     Gradients are measured by their Frobenius norm, the Riemannian norm in
     an orthonormal frame.  The verdict of a fit that did not end degenerate
     is ILL_CONDITIONED when the smallest eigenvalue of hess_fn at the
-    returned point is below threshold; the report's wall time includes it.
+    returned point is below threshold, one stacked eigvalsh for the batch.
+    The wall time of every report is the batch's, the verdict included.
     """
     start = time.perf_counter()
     if config.step_policy == "safe":
-        step = _safe_step(retract, safe_length)
+        step = _safe_step(safe_length)
     else:
-        step = newton_step(solve, retract, lambda x: _frobenius(grad_fn(x)))
-    x, report = _descend(x, loss_fn, grad_fn, lambda x, v: _frobenius(v),
-                         diverged, step, config)
-    if report.status is not FitStatus.DEGENERATE_DATA:
-        lam = float(np.linalg.eigvalsh(hess_fn(x))[0])
-        report.hessian_min_eig = lam
-        if lam < threshold:
-            report.status = FitStatus.ILL_CONDITIONED
-    report.wall_time = time.perf_counter() - start
-    return x, report
+        step = newton_step(solve, lambda x, members:
+                           _frame_norm(x, grad_fn(x, members)))
+    x, reports = _descend(x, loss_fn, grad_fn, _frame_norm, diverged,
+                          retract, step, config)
+    live = np.array([i for i, r in enumerate(reports)
+                     if r.status is not FitStatus.DEGENERATE_DATA], dtype=int)
+    if live.size:
+        lams = np.linalg.eigvalsh(hess_fn(_take(x, live), live))[:, 0]
+        for i, lam in zip(live.tolist(), lams.tolist()):
+            reports[i].hessian_min_eig = lam
+            if lam < threshold:
+                reports[i].status = FitStatus.ILL_CONDITIONED
+    wall = time.perf_counter() - start
+    for report in reports:
+        report.wall_time = wall
+    return x, reports
 
 
-def _frobenius(W):
-    return float(np.linalg.norm(W))
+def _frame_norm(x, v):
+    """Frobenius norms of the members' gradients v (k, ...)."""
+    v = v.reshape(len(v), -1)
+    return np.sqrt(np.einsum("ki,ki->k", v, v))
 
 
 def _damped_solve(H, v, g):
-    """Newton coordinates d with (H + g^2 I) d = v, or None when singular.
+    """Newton coordinates d (k, dim) with (H + g^2 I) d = v, and which solved.
 
     Damping by the squared gradient norm keeps a flat valley solvable and
     fades faster than damping by g, which took 1.6-1.9x the iterations on
     the Monte Carlo batches and on c08.  The step is unchanged when the
-    metric is scaled by a constant, as H and g^2 scale alike.
+    metric is scaled by a constant, as H and g^2 scale alike.  The k systems
+    are one stacked solve; should one be singular, each is solved alone.
     """
+    A = H + (g * g)[:, None, None] * np.eye(H.shape[-1])
+    ok = np.ones(len(A), dtype=bool)
     try:
-        return np.linalg.solve(H + g * g * np.eye(len(H)), v)
+        return np.linalg.solve(A, v[..., None])[..., 0], ok
     except np.linalg.LinAlgError:
-        return None
+        d = np.zeros_like(v)
+        for i in range(len(A)):
+            try:
+                d[i] = np.linalg.solve(A[i], v[i])
+            except np.linalg.LinAlgError:
+                ok[i] = False
+        return d, ok
 
 
-def newton_step(solve, retract, grad_norm):
+def newton_step(solve, grad_norm):
     """Damped Newton step of the spline and of both engines.
 
-    solve(x, v, g) returns the damped Newton tangent for the gradient v of
-    norm g, or None when it cannot; retract(x, d, t) moves x along d by t;
-    grad_norm(x) is the gradient norm at a point just evaluated.  The step
-    multiplier halves from 1 down to 2^-39.  A trial is accepted when it
-    decreases the loss, or keeps it flat within roundoff slack while the
-    gradient norm shrinks by SHRINK: valid progress for a geodesically
-    convex loss whose certifiable decrease has dropped below float
-    resolution.  Trials leaving the floating-point range are skipped.
-    Returns (point, loss), or None when no trial is accepted.
+    A step policy of the loop is a tuple (direction, first, trials,
+    accept): direction(x, members, v, g) gives the members' directions
+    from their gradients v of norms g, and a mask of those it could give;
+    a trial moves a member along -direction by its own multiplier, at first
+    and halved after each refused trial, for at most trials trials; and
+    accept(x, members, loss, cur, g) says which trial points x of loss loss
+    are taken from points of loss cur and gradient norm g.
+
+    Here the direction is solve(x, members, v, g), the damped Newton
+    tangent, and grad_norm(x, members) is the gradient norm at points just
+    evaluated.  The multiplier halves from 1 down to 2^-39.  A trial is
+    accepted when it decreases the loss, or keeps it flat within roundoff
+    slack while the gradient norm shrinks by SHRINK: valid progress for a
+    geodesically convex loss whose certifiable decrease has dropped below
+    float resolution.  Trials leaving the floating-point range are skipped.
     """
-    def step(x, v, g, cur, loss_fn):
-        direction = solve(x, v, g)
-        if direction is None:
-            return None
-        slack = FLAT_SLACK * max(1.0, abs(cur))
-        for s in 0.5 ** np.arange(NEWTON_HALVINGS):
-            try:
-                cand = retract(x, direction, -s)
-                cand_loss = loss_fn(cand)
-                if np.isfinite(cand_loss) and (
-                        cand_loss < cur
-                        or (cand_loss <= cur + slack
-                            and grad_norm(cand) < SHRINK * g)):
-                    return cand, cand_loss
-            except spd.NumericRangeError:
-                pass
-        return None
-    return step
+    def accept(x, members, loss, cur, g):
+        finite = np.isfinite(loss)
+        take = finite & (loss < cur)
+        flat = finite & ~take & (
+            loss <= cur + FLAT_SLACK * np.maximum(1.0, np.abs(cur)))
+        if flat.any():
+            take[flat] = (grad_norm(_take(x, flat), members[flat])
+                          < SHRINK * g[flat])
+        return take
+
+    return solve, 1.0, NEWTON_HALVINGS, accept
 
 
-def _safe_step(retract, length):
-    """Gradient step of the certified length: one trial, accepted as it is.
+def _safe_step(length):
+    """Gradient step of the certified length: one trial, accepted as it is."""
+    def everyone(x, members, *args):
+        return np.ones(len(members), dtype=bool)
 
-    Returns None when the trial leaves the floating-point range.
-    """
-    def step(x, v, g, cur, loss_fn):
-        try:
-            cand = retract(x, v, -length)
-            return cand, loss_fn(cand)
-        except spd.NumericRangeError:
-            return None
-    return step
+    def direction(x, members, v, g):
+        return v, everyone(x, members)
+
+    return direction, length, 1, everyone
 
 
-def _descend(x, loss_fn, grad_fn, norm, diverged, step, config,
+def _map(fn, y):
+    """fn of a batch quantity: of an array, or of each array of a tuple."""
+    return tuple(map(fn, y)) if isinstance(y, tuple) else fn(y)
+
+
+def _take(y, i):
+    """Members i of a batch quantity."""
+    return tuple([c[i] for c in y]) if isinstance(y, tuple) else y[i]
+
+
+def _put(y, i, values):
+    """Set members i of a batch quantity to values, in place."""
+    for c, v in zip(y, values) if isinstance(y, tuple) else [(y, values)]:
+        c[i] = v
+
+
+def _lead(y):
+    """A quantity of one point as that of a batch of one."""
+    if isinstance(y, tuple):
+        return tuple([np.asarray(c)[None] for c in y])
+    return np.asarray(y)[None]
+
+
+def _one(fn):
+    """fn of one point, and more arguments, as a function of a batch of one."""
+    return lambda x, members, *args: _lead(
+        fn(_take(x, 0), *[_take(y, 0) for y in args]))
+
+
+def _descend(x, loss_fn, grad_fn, norm, diverged, retract, step, config,
              classify=None):
-    """Descent loop of every solver: the stop rules and the FitReport.
+    """Descent loop of every solver: a batch of members, in lockstep.
 
-    norm(x, v) measures the gradient v = grad_fn(x), diverged(x) is the
-    boundary guard, and step(x, v, norm, loss, loss_fn) returns the next
-    point and its loss, or None when it cannot move; it evaluates the loss
-    through the loss_fn it is handed, which counts the evaluations.  A fit
-    that cannot move ends DEGENERATE_DATA, and one that runs out of budget
+    x holds the members' start points, an array or a tuple of arrays with
+    a leading member axis; a single fit is a batch of one.  loss_fn,
+    grad_fn and diverged take the points x of the members with the sorted
+    indices members, as f(x, members); norm(x, v) measures their gradients
+    v; retract(x, d, t) moves points x along directions d for times t (k,)
+    and gives the new points and a mask of those out of range; step is
+    the policy (see `newton_step`).  Each pass of the loop makes one trial
+    for every member still descending: a member whose trial is taken
+    starts its next iteration at once, and one whose trial is refused
+    halves its own multiplier.  So each member takes the steps, and makes
+    the loss evaluations, of its fit alone.  A member that cannot move
+    ends DEGENERATE_DATA, and one that runs out of budget
     MAX_ITERS_EXCEEDED, unless classify(grad_norms) names the outcome of
-    both.
+    both.  Returns the points and one FitReport per member.
     """
     start = time.perf_counter()
-    evals = 0
+    directions, first, trials, accept = step
+    x = _map(np.array, x)
+    size = len(x[0] if isinstance(x, tuple) else x)
+    everyone = np.arange(size)
+    cur = np.asarray(loss_fn(x, everyone), dtype=float)
+    losses = [[c] for c in cur.tolist()]
+    grads = [[] for _ in everyone]
+    status = [None] * size
+    evals, iters, tries = (np.zeros(size, dtype=int) for _ in range(3))
+    evals += 1
+    g, mult, d = np.empty(size), np.empty(size), None
 
-    def counted(x):
-        nonlocal evals
-        evals += 1
-        return loss_fn(x)
+    def stop(members, rule, classified=False):
+        for i in members.tolist():
+            status[i] = classify(grads[i]) if classified and classify else rule
 
-    losses = [counted(x)]
-    grads = []
-    status = None
-    iters = 0
-    for _ in range(config.max_iters + 1):
-        v = grad_fn(x)
-        g = norm(x, v)
-        grads.append(g)
-        if g < config.tol:
-            status = FitStatus.CONVERGED
-            break
-        if diverged(x):
-            status = FitStatus.DEGENERATE_DATA
-            break
-        if iters == config.max_iters:
-            status = (classify(grads) if classify
-                      else FitStatus.MAX_ITERS_EXCEEDED)
-            break
-        moved = step(x, v, g, losses[-1], counted)
-        if moved is None:
-            status = classify(grads) if classify else FitStatus.DEGENERATE_DATA
-            break
-        x, loss = moved
-        losses.append(loss)
-        iters += 1
-    report = FitReport(status, iters, losses, grads, time.perf_counter() - start,
-                       loss_evals=evals)
-    return x, report
+    def arrive(members):
+        """Start an iteration of each member; returns those that move."""
+        nonlocal d
+        if not members.size:
+            return members
+        xm = _take(x, members)
+        v = grad_fn(xm, members)
+        g[members] = gm = norm(xm, v)
+        for i, gi in zip(members.tolist(), gm.tolist()):
+            grads[i].append(gi)
+        done = gm < config.tol
+        out = ~done & diverged(xm, members)
+        spent = ~done & ~out & (iters[members] == config.max_iters)
+        stop(members[done], FitStatus.CONVERGED)
+        stop(members[out], FitStatus.DEGENERATE_DATA)
+        stop(members[spent], FitStatus.MAX_ITERS_EXCEEDED, classified=True)
+        going = ~(done | out | spent)
+        if not going.any():
+            return members[going]
+        dm, ok = directions(_take(xm, going), members[going], _take(v, going),
+                            gm[going])
+        stop(members[going][~ok], FitStatus.DEGENERATE_DATA, classified=True)
+        moving = members[going][ok]
+        if moving.size:
+            if d is None:
+                d = _map(lambda c: np.empty((size,) + c.shape[1:]), dm)
+            _put(d, moving, _take(dm, ok))
+            mult[moving], tries[moving] = first, 0
+        return moving
+
+    active = arrive(everyone)
+    while active.size:
+        cand, out = retract(_take(x, active), _take(d, active), -mult[active])
+        taken = np.zeros(len(active), dtype=bool)
+        tried = active[~out]
+        if tried.size:
+            cand = _take(cand, ~out)
+            loss = np.asarray(loss_fn(cand, tried), dtype=float)
+            evals[tried] += 1
+            taken[~out] = took = accept(cand, tried, loss, cur[tried], g[tried])
+            moved = tried[took]
+            _put(x, moved, _take(cand, took))
+            cur[moved] = loss[took]
+            iters[moved] += 1
+            for i, c in zip(moved.tolist(), loss[took].tolist()):
+                losses[i].append(c)
+        moved, refused = active[taken], active[~taken]
+        mult[refused] *= 0.5
+        tries[refused] += 1
+        spent = tries[refused] == trials
+        stop(refused[spent], FitStatus.DEGENERATE_DATA, classified=True)
+        active = np.sort(np.concatenate([refused[~spent], arrive(moved)]))
+    wall = time.perf_counter() - start
+    return x, [FitReport(status[i], int(iters[i]), losses[i], grads[i], wall,
+                         loss_evals=int(evals[i])) for i in everyone]

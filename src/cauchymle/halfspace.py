@@ -181,6 +181,18 @@ def exp_kernel(a, b, da, db, t=1.0):
 
     Raises NumericRangeError when a point reaches the boundary in floats.
     """
+    at, bt, out = exp_kernel_masked(a, b, da, db, t)
+    if out.any():
+        raise NumericRangeError("geodesic point left the numeric range")
+    return at, bt
+
+
+def exp_kernel_masked(a, b, da, db, t=1.0):
+    """`exp_kernel` reporting, not raising: (at, bt, out of range).
+
+    The mask is True where a point reached the boundary in floats; the
+    other points are exact as `exp_kernel` gives them.
+    """
     with np.errstate(all="ignore"):
         vx = np.sqrt((db * db).sum(axis=-1))
         ds = np.hypot(vx, da) / a * t
@@ -196,13 +208,11 @@ def exp_kernel(a, b, da, db, t=1.0):
         den = 1.0 + (-c / rho) * td  # strictly positive in exact arithmetic
         xt = td * a * a / (rho * den)
         at = np.where(vertical, a * np.exp(t * da / a), a / (np.cosh(ds) * den))
+        shift = np.where(vertical | still, 0.0, xt)[..., None] * (db / w[..., None])
     # |ds| > 700 overflows cosh: the point degenerates to the boundary
     bad = ~((at > 0.0) & (at < math.inf))
     bad |= ~vertical & ((np.abs(ds) > 700.0) | ~np.isfinite(xt))
-    if (bad & ~still).any():
-        raise NumericRangeError("geodesic point left the numeric range")
-    shift = np.where(vertical | still, 0.0, xt)[..., None] * (db / w[..., None])
-    return np.where(still, a, at), b + shift
+    return np.where(still, a, at), b + shift, bad & ~still
 
 
 def log_kernel(a, b, a2, b2):

@@ -13,9 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import cauchy, matrix_cauchy
+from . import cauchy, conformal, matrix_cauchy
 from .datasets import generate
 from .descent import DescentConfig
+
+# the univariate runs fit together hold about this many data, all at once:
+# on 100 runs at N = 1000, batches of 32 took 32 ms against 25 ms for one
+# batch of 100, and raised the process's peak memory 0.6 MiB less
+BATCH_DATA = 2**15
 
 
 @dataclass
@@ -76,27 +81,49 @@ def _estimate_columns(spec):
     return cols
 
 
-def _fit_one(spec, data, config):
+def _prepare(spec, data):
+    """One run's data as its family's fit takes them; raises on data it cannot fit."""
     family = _family_for(spec)
     if family == "cauchy1d":
-        (u, v), report = cauchy.fit_univariate(np.asarray(data), config)
-        return {"u": u, "v": v}, report
+        return conformal._split_data(np.asarray(data), 1)
     if family == "cauchy":
-        lifted = cauchy.lift(np.asarray(data))
-        T, report = cauchy.fit(lifted, config)
-        params = cauchy.to_params(T)
-        n = params.location.size
-        est = {f"b{i + 1}": float(params.location[i]) for i in range(n)}
-        for i in range(n):
-            for j in range(i, n):
-                est[f"S{i + 1}{j + 1}"] = float(params.scatter[i, j])
-        return est, report
-    frames = matrix_cauchy.lift(data)
-    T, report = matrix_cauchy.fit(frames, spec.cols, spec.rows, config)
-    B, _, _ = matrix_cauchy.to_params(T, spec.rows, spec.cols)
-    est = {f"B{i + 1}{j + 1}": float(B[i, j])
-           for i in range(spec.rows) for j in range(spec.cols)}
-    return est, report
+        return cauchy.lift(np.asarray(data))
+    return matrix_cauchy.lift(data)
+
+
+def _fit(spec, inputs, config):
+    """(estimates, report) of each prepared run: the univariate ones in one batch."""
+    family = _family_for(spec)
+    if family == "cauchy1d":
+        return [({"u": float(z.b[0]), "v": float(z.a)}, report)
+                for z, report in conformal.fit_batch(inputs, 1, config)]
+    fits = []
+    for lifted in inputs:
+        if family == "cauchy":
+            T, report = cauchy.fit(lifted, config)
+            params = cauchy.to_params(T)
+            n = params.location.size
+            est = {f"b{i + 1}": float(params.location[i]) for i in range(n)}
+            for i in range(n):
+                for j in range(i, n):
+                    est[f"S{i + 1}{j + 1}"] = float(params.scatter[i, j])
+        else:
+            T, report = matrix_cauchy.fit(lifted, spec.cols, spec.rows, config)
+            B, _, _ = matrix_cauchy.to_params(T, spec.rows, spec.cols)
+            est = {f"B{i + 1}{j + 1}": float(B[i, j])
+                   for i in range(spec.rows) for j in range(spec.cols)}
+        fits.append((est, report))
+    return fits
+
+
+def _fit_isolated(spec, inputs, config):
+    """`_fit`, or the exception raised by each run that raises alone."""
+    try:
+        return _fit(spec, inputs, config)
+    except Exception as exc:
+        if len(inputs) == 1:
+            return [exc]
+        return [fit for m in inputs for fit in _fit_isolated(spec, [m], config)]
 
 
 def run_mc(spec, runs, config=None):
@@ -104,25 +131,39 @@ def run_mc(spec, runs, config=None):
 
     Returns an McSummary with one table row per run, aggregate mean/std of
     every estimated quantity (plus iteration counts), and status counts.
+    Univariate runs are fit in batches of about BATCH_DATA data, each one
+    descent (`conformal.fit_batch`) with the answers of the runs' own fits;
+    the other families fit one run at a time.
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
     config = config or DescentConfig()
     summary = McSummary(family=_family_for(spec), runs=runs, seed=spec.seed,
                         columns=_estimate_columns(spec))
-    for r in range(runs):
-        data = generate(spec, run_index=r)
-        row = {"run": r, "status": "error", "iterations": 0,
-               "grad_norm": float("nan")}
-        try:
-            est, report = _fit_one(spec, data, config)
+    size = (max(1, BATCH_DATA // spec.sample_size)
+            if summary.family == "cauchy1d" else 1)
+    for first in range(0, runs, size):
+        rows, inputs = [], []
+        for r in range(first, min(first + size, runs)):
+            data = generate(spec, run_index=r)
+            row = {"run": r, "status": "error", "iterations": 0,
+                   "grad_norm": float("nan")}
+            summary.rows.append(row)
+            try:
+                inputs.append(_prepare(spec, data))
+                rows.append(row)
+            except Exception as exc:
+                row["error"] = f"{type(exc).__name__}: {exc}"
+        for row, fit in zip(rows, _fit_isolated(spec, inputs, config) if inputs else []):
+            if isinstance(fit, Exception):
+                row["error"] = f"{type(fit).__name__}: {fit}"
+                continue
+            est, report = fit
             row.update(est)
             row["status"] = report.status.value
             row["iterations"] = report.iterations
             row["grad_norm"] = report.final_grad_norm
-        except Exception as exc:
-            row["error"] = f"{type(exc).__name__}: {exc}"
-        summary.rows.append(row)
+    for row in summary.rows:
         summary.status_counts[row["status"]] = (
             summary.status_counts.get(row["status"], 0) + 1)
     for col in summary.columns + ["iterations"]:

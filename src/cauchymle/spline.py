@@ -14,10 +14,10 @@ energy d^2 / D.  At a stationary point every junction balances forces:
 
 with v_i the sum of the unit forces pulling z_i toward its observations.
 The knots are held as arrays, scales a (k,) and centers b (k, 1), and
-the fit runs the shared descent loop of `descent` with its damped Newton
-step (`descent.newton_step`) from the median and MAD of all finite
-observations (`fit`).  Its
-banded Newton solve is the package's one use of scipy (`solveh_banded`).
+the fit runs the shared descent loop of `descent`, as a batch of one,
+with its damped Newton step (`descent.newton_step`) from the median and
+MAD of all finite observations (`fit`).  Its banded Newton solve is the
+package's one use of scipy (`solveh_banded`).
 """
 
 import functools
@@ -30,8 +30,8 @@ from scipy.linalg import solveh_banded
 from . import halfspace
 # Uncalled: bench/test_bench.py checks the tracer's by-name wrapping on it.
 from .cauchy import fit_univariate  # noqa: F401
-from .descent import (DescentConfig, FitReport, _descend, newton_step,
-                      off_scale, plateau_status)
+from .descent import (DescentConfig, FitReport, _descend, _lead, _one, _take,
+                      newton_step, off_scale, plateau_status)
 from .halfspace import HPoint
 
 
@@ -150,8 +150,15 @@ def _gradient(data, x):
 
 
 def _total_norm(x, grad):
-    """Root of the summed squared knot gradient norms."""
-    return float(np.sqrt((halfspace.norm_kernel(x[0], *grad) ** 2).sum()))
+    """Root of the summed squared knot gradient norms, per member of a batch."""
+    return np.sqrt((halfspace.norm_kernel(x[0], *grad) ** 2).sum(axis=-1))
+
+
+def _retract(x, tangent, t):
+    """The knots of each member moved along tangent for time t; out of range
+    when one of them is."""
+    at, bt, out = halfspace.exp_kernel_masked(*x, *tangent, t[:, None])
+    return (at, bt), out.any(axis=-1)
 
 
 def junction_residuals(problem, values):
@@ -215,15 +222,21 @@ def _hessian(data, x, shift=0.0):
 
 
 def _newton(data, x, grad, g):
-    """Newton tangents (da, db) from (H + g G) p = chart gradient, or None.
+    """Newton tangents (da, db) from (H + r G) p = chart gradient, or None.
 
-    Damping by the total gradient norm g keeps a flat valley of minimizers
-    solvable, and it fades as the fit converges.
+    Damping keeps a flat valley of minimizers solvable, and it fades as the
+    fit converges.  It is r = g / sqrt(k), the RMS knot gradient norm, not
+    the total norm g: the objective is a sum over knots.  Two far-apart
+    copies of a problem, joined by an energy edge of tiny weight, raise g
+    by sqrt(2) while each copy's Hessian is unchanged, so damping by g
+    would shrink each copy's step as the problem grows; by r it does not,
+    and long problems take the steps of short ones.
     """
     a = x[0]
     rhs = np.column_stack([grad[0] / a, grad[1][:, 0] / a ** 2]).ravel()
     try:
-        p = solveh_banded(_hessian(data, x, g), rhs).reshape(-1, 2)
+        p = solveh_banded(_hessian(data, x, g / np.sqrt(data.k)),
+                          rhs).reshape(-1, 2)
     except np.linalg.LinAlgError:
         return None
     return a * p[:, 0], p[:, 1:]
@@ -234,10 +247,11 @@ def fit(problem, config=None):
 
     Every knot starts at (a, b) = (MAD, median) of the finite observations;
     the objective is geodesically convex, so the start sets only the path.
-    Each iteration solves (H + |g| G) p = g in the chart (log a, b) of
-    every knot: H is the closed-form block-tridiagonal Riemannian Hessian,
-    positive semidefinite since the objective is geodesically convex, G
-    the metric and |g| the total gradient norm.  The knots move along the
+    Each iteration solves (H + |g| / sqrt(k) G) p = g in the chart
+    (log a, b) of every knot: H is the closed-form block-tridiagonal
+    Riemannian Hessian, positive semidefinite since the objective is
+    geodesically convex, G the metric and |g| the total gradient norm
+    (see `_newton`).  The knots move along the
     tangents (a p_s, p_b) by the line search of `descent.newton_step`,
     which the two engines share.  When the budget runs out, or the
     factorization or that search fails, the fit stops and the tail of the
@@ -251,16 +265,20 @@ def fit(problem, config=None):
     config = config or DescentConfig()
     start = time.perf_counter()
     data = _Arrays(problem)
-    loss_fn = functools.partial(_objective, data)
-    grad_fn = functools.partial(_gradient, data)
-    step = newton_step(functools.partial(_newton, data),
-                       lambda x, tangent, s: halfspace.exp_kernel(*x, *tangent, s),
-                       lambda x: _total_norm(x, grad_fn(x)))
-    x, report = _descend(_initial_values(data), loss_fn, grad_fn,
-                         _total_norm, lambda x: off_scale(x[0]), step, config,
-                         classify=plateau_status)
+    grad_fn = _one(functools.partial(_gradient, data))
+
+    def solve(x, members, grad, g):
+        tangent = _newton(data, _take(x, 0), _take(grad, 0), g[0])
+        ok = np.array([tangent is not None])
+        return (_lead(tangent) if ok[0] else None), ok
+
+    step = newton_step(solve, lambda x, members: _total_norm(x, grad_fn(x, members)))
+    (a, b), (report,) = _descend(
+        _lead(_initial_values(data)), _one(functools.partial(_objective, data)),
+        grad_fn, _total_norm, lambda x, members: off_scale(x[0]).any(axis=1),
+        _retract, step, config, classify=plateau_status)
     report.wall_time = time.perf_counter() - start
-    return SplineFit(problem.times, [HPoint(a, b) for a, b in zip(*x)], report)
+    return SplineFit(problem.times, [HPoint(*z) for z in zip(a[0], b[0])], report)
 
 
 def evaluate(solution, t):

@@ -254,15 +254,15 @@ def test_mc_output_and_table(tmp_path, capsys):
 
 
 def test_mc_json_names_the_error_of_a_failed_run(tmp_path, monkeypatch):
-    fit_one = montecarlo._fit_one
+    prepare = montecarlo._prepare
     calls = iter(range(10))
 
-    def flaky(spec, data, config):
+    def flaky(spec, data):
         if next(calls) == 2:
             raise FloatingPointError("diverged")
-        return fit_one(spec, data, config)
+        return prepare(spec, data)
 
-    monkeypatch.setattr(montecarlo, "_fit_one", flaky)
+    monkeypatch.setattr(montecarlo, "_prepare", flaky)
     out_doc = tmp_path / "summary.json"
     code = main(["mc", "--kind", "cauchy1d", "--size", "200", "--seed", "4",
                  "--runs", "3", "--output", str(out_doc)])

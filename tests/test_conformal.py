@@ -1,13 +1,30 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, optimize
 
 from cauchymle import cauchy, conformal, halfspace
 from cauchymle.descent import DescentConfig, FitStatus, minimize_on_halfspace
 from cauchymle.gradcheck import random_hpoint, random_htangent
 from cauchymle.halfspace import INFINITY, HPoint, exp_map
+
+
+def one_point(F, n_inf):
+    """The oracle of the data F (N, n) as functions of one point (a, b).
+
+    `conformal._oracle` serves a batch: its functions take the points of
+    the members they name; these are its batch of one.
+    """
+    one = np.arange(1)
+
+    def at(fn):
+        return lambda x: fn((np.array([x[0]], dtype=float),
+                             np.asarray(x[1], dtype=float)[None]), one)[0]
+
+    return [at(fn) for fn in conformal._oracle(F.T[None], [n_inf])]
 
 
 def test_loss_equals_univariate_cauchy_loss_at_n1(rng):
@@ -252,7 +269,7 @@ def test_fit_univariate_two_halves_converge_onto_the_geodesic(data):
         assert report.iterations <= 10
         assert math.hypot(u - 1.5, v) == pytest.approx(0.5, abs=1e-9)
         (v, u), report = minimize_on_halfspace(
-            (1.0, np.zeros(1)), *conformal._oracle(F, 0), curvature=1,
+            (1.0, np.zeros(1)), *conformal._oracle(F.T[None], [0]), curvature=1,
             config=config)
         assert report.status is FitStatus.ILL_CONDITIONED
         assert 0 < report.iterations <= 10
@@ -312,8 +329,8 @@ def test_fused_oracle_matches_public_functions(rng):
     # functions take an HPoint and return the tangent at it
     data = list(rng.standard_normal((300, 2)) * 2.0 + 0.5) + [INFINITY] * 7
     F, n_inf = conformal._split_data(data, 2)
-    loss_fn, grad_fn, hess_fn = conformal._oracle(F, n_inf)
-    _, _, fresh_hess = conformal._oracle(F, n_inf)
+    loss_fn, grad_fn, hess_fn = one_point(F, n_inf)
+    _, _, fresh_hess = one_point(F, n_inf)
 
     def check(x):
         z = HPoint(*x)
@@ -348,7 +365,7 @@ def test_hessian_matches_finite_differences_of_gradient(rng, n):
     # the gradient g is d/dt g - Omega g, Omega the frame's rotation rate
     data = list(rng.standard_normal((40, n)) * 2.0 + 0.3) + [INFINITY] * 3
     F, n_inf = conformal._split_data(data, n)
-    _, grad_fn, hess_fn = conformal._oracle(F, n_inf)
+    _, grad_fn, hess_fn = one_point(F, n_inf)
     h = 1e-5
     for _ in range(10):
         z = random_hpoint(n, rng)
@@ -370,3 +387,78 @@ def test_hessian_matches_finite_differences_of_gradient(rng, n):
 def test_fit_rejects_malformed_data(bad):
     with pytest.raises(ValueError):
         conformal.fit(bad, 2)
+
+
+def mixed_batch(seed, half, n):
+    """Datasets of 2 half finite data each: a gaussian sample, a c09-like
+    pair of clusters (ill-conditioned), one with a dominant point (refused
+    at the start), a Cauchy sample with data at infinity and two without."""
+    rng = np.random.default_rng(seed)
+    gauss = rng.standard_normal((2 * half, n))
+    c09 = np.concatenate([10 * rng.standard_normal((half, n)),
+                          300 + rng.standard_normal((half, n))])
+    dominant = np.concatenate([np.full((half + 1, n), 2.0),
+                               rng.standard_normal((half - 1, n))])
+    at_infinity = list(rng.standard_cauchy((2 * half, n))) + [INFINITY] * half
+    return [gauss, c09, dominant, at_infinity,
+            *rng.standard_cauchy((2, 2 * half, n))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.sampled_from([1, 2]),
+       st.sampled_from([1, 3, 8, 200]),
+       st.sampled_from(["backtracking", "safe"]),
+       st.sampled_from([1e-9, 1e-16]))
+def test_batch_members_are_their_fits_alone(seed, half, n, max_iters, policy,
+                                            tol):
+    # one descent runs the members in lockstep, yet each takes the steps,
+    # the loss evaluations and the verdict of its own fit.  A tolerance
+    # below roundoff makes Newton trials fail near the optimum, so the
+    # members' line searches fall out of step
+    datas = mixed_batch(seed, half, n)
+    config = DescentConfig(step_policy=policy, max_iters=max_iters, tol=tol)
+    batch = conformal.fit_batch([conformal._split_data(d, n) for d in datas],
+                                n, config)
+    for data, (z, report) in zip(datas, batch):
+        z1, alone = conformal.fit(data, n, config)
+        assert report.status is alone.status
+        assert report.iterations == alone.iterations
+        assert report.loss_evals == alone.loss_evals
+        assert report.backtracks == alone.backtracks
+        assert report.hessian_min_eig == pytest.approx(alone.hessian_min_eig,
+                                                       rel=1e-12)
+        assert z.a == pytest.approx(z1.a, rel=1e-12)
+        assert np.allclose(z.b, z1.b, rtol=1e-12, atol=1e-12 * z1.a)
+    refused = batch[2][1]
+    assert refused.status is FitStatus.DEGENERATE_DATA
+    assert refused.loss_evals == 1 and refused.iterations == 0
+
+
+def test_mixed_batch_holds_every_outcome():
+    # the batch of the test above ends each way it is built to end
+    datas = mixed_batch(0, 4, 1)
+    batch = conformal.fit_batch([conformal._split_data(d, 1) for d in datas], 1)
+    assert [r.status for _, r in batch] == [
+        FitStatus.CONVERGED, FitStatus.ILL_CONDITIONED,
+        FitStatus.DEGENERATE_DATA] + [FitStatus.CONVERGED] * 3
+    _, report = conformal.fit_batch(
+        [conformal._split_data(d, 1) for d in datas], 1,
+        DescentConfig(max_iters=1))[0]
+    assert report.status is FitStatus.MAX_ITERS_EXCEEDED
+
+
+def test_fit_holds_few_arrays_of_the_sample_size():
+    # one pass gives the loss, the gradient and the Hessian at a point: the
+    # offsets, the forms q and the scale parts of the unit forces, the
+    # center parts overwriting the offsets.  Forming 1/q again for the
+    # Hessian, with a (2, N) array of forces, held five at once
+    N = 200000
+    x = np.random.default_rng(49).standard_cauchy(N)
+    tracemalloc.start()
+    try:
+        _, report = conformal.fit(x, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.status is FitStatus.CONVERGED
+    assert peak < 3.5 * N * x.itemsize

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cauchymle import montecarlo
+from cauchymle import conformal, montecarlo
 from cauchymle.datasets import GeneratorSpec
 from cauchymle.descent import DescentConfig
 from cauchymle.montecarlo import run_mc
@@ -105,15 +105,15 @@ def test_run_count_validation():
 
 
 def test_failed_run_is_recorded_and_tabulated(monkeypatch):
-    fit_one = montecarlo._fit_one
+    prepare = montecarlo._prepare
     calls = iter(range(10))
 
-    def flaky(spec, data, config):
+    def flaky(spec, data):
         if next(calls) == 1:
             raise RuntimeError("boom")
-        return fit_one(spec, data, config)
+        return prepare(spec, data)
 
-    monkeypatch.setattr(montecarlo, "_fit_one", flaky)
+    monkeypatch.setattr(montecarlo, "_prepare", flaky)
     s = run_mc(GeneratorSpec(kind="cauchy1d", sample_size=200, seed=4), runs=3)
     assert s.rows[1]["status"] == "error"
     assert s.rows[1]["error"] == "RuntimeError: boom"
@@ -124,3 +124,50 @@ def test_failed_run_is_recorded_and_tabulated(monkeypatch):
     lines = s.table_csv().strip().split("\n")
     assert lines[2] == "1,error,0,nan,,"
     assert len(lines[1].split(",")) == len(lines[0].split(","))
+
+
+def test_run_with_non_finite_data_is_an_error_row_of_its_batch(monkeypatch):
+    # the run is refused as it is prepared; the other runs fit in one batch,
+    # each as it fits without it
+    spec = GeneratorSpec(kind="cauchy1d", sample_size=200, seed=4)
+    clean = run_mc(spec, runs=4)
+    draw = montecarlo.generate
+
+    def nan_in_run_1(spec, run_index=None):
+        data = draw(spec, run_index=run_index)
+        if run_index == 1:
+            data[5] = np.nan
+        return data
+
+    batches = []
+    fit_batch = conformal.fit_batch
+    monkeypatch.setattr(montecarlo, "generate", nan_in_run_1)
+    monkeypatch.setattr(conformal, "fit_batch", lambda members, *args:
+                        batches.append(len(members)) or fit_batch(members, *args))
+    s = run_mc(spec, runs=4)
+    assert batches == [3]
+    assert s.rows[1]["status"] == "error"
+    assert s.rows[1]["error"] == (
+        "ValueError: finite observations must have finite coordinates")
+    assert s.status_counts == {"converged": 3, "error": 1}
+    assert [s.rows[r] for r in (0, 2, 3)] == [clean.rows[r] for r in (0, 2, 3)]
+
+
+def test_run_raising_inside_the_batch_fails_alone(monkeypatch):
+    # a run that raises in the batch's fit: the runs are refit one by one,
+    # so that only the run at fault becomes an error row
+    spec = GeneratorSpec(kind="cauchy1d", sample_size=200, seed=4)
+    clean = run_mc(spec, runs=4)
+    bad = montecarlo.generate(spec, run_index=2)
+    check = conformal.has_dominant_point
+
+    def raises_on_run_2(F, n_inf):
+        if np.array_equal(F[:, 0], bad):
+            raise RuntimeError("boom")
+        return check(F, n_inf)
+
+    monkeypatch.setattr(conformal, "has_dominant_point", raises_on_run_2)
+    s = run_mc(spec, runs=4)
+    assert s.rows[2]["error"] == "RuntimeError: boom"
+    assert s.status_counts == {"converged": 3, "error": 1}
+    assert [s.rows[r] for r in (0, 1, 3)] == [clean.rows[r] for r in (0, 1, 3)]
