@@ -20,7 +20,8 @@ the fit's descent engine takes.
 Each datum pulls the parameter along the geodesic toward its boundary
 point with constant force sqrt(n/(n+1)); the MLE is the point where these
 forces balance.  The family is the matrix-variate family at m = 1: `fit`
-runs `matrix_cauchy.fit` on the lifted vectors as one-column frames.
+runs `matrix_cauchy.fit` on the lifted vectors as one-column frames, and
+`loss` and `loss_grad` run its `loss` and `grad`, the fit's own kernel.
 """
 
 import math
@@ -30,7 +31,6 @@ from itertools import combinations, islice
 import numpy as np
 
 from . import conformal, halfspace, matrix_cauchy, spd
-from .descent import as_columns
 
 GENERAL_POSITION_EXACT_CAP = 20
 EXACT_CHUNK = 2**14
@@ -93,39 +93,14 @@ def _frames(lifted):
     return X[:, :, None]
 
 
-def _check_lifted(lifted):
-    """Validated lifted vectors: the frame check of matrix_cauchy at m = 1."""
-    return matrix_cauchy._check_frames(_frames(lifted))[:, :, 0]
-
-
-def _quad_forms(T, Xt):
-    q = np.einsum("ij,ij->j", T @ Xt, Xt)
-    if np.any(q <= 0):
-        raise ValueError("non-positive quadratic form; parameter is not SPD")
-    return q
-
-
-def _loss(q):
-    return float(np.mean(np.log(q)))
-
-
-def _grad(R, Xt, q):
-    # the gradient seen from the frame R; M = mean of xt xt^T / q
-    return spd.frame_gradient(R, (Xt / q) @ Xt.T / q.size)
-
-
 def loss(T, lifted):
     """Averaged negative log likelihood up to a data-independent constant."""
-    Xt = as_columns(_check_lifted(lifted))
-    return _loss(_quad_forms(np.asarray(T, dtype=float), Xt))
+    return matrix_cauchy.loss(T, _frames(lifted))
 
 
 def loss_grad(T, lifted):
     """Riemannian gradient L W L^T at T, W the frame gradient at L = chol(T)."""
-    Xt = as_columns(_check_lifted(lifted))
-    T = np.asarray(T, dtype=float)
-    L = np.linalg.cholesky(T)
-    return spd.from_frame(L, _grad(L, Xt, _quad_forms(T, Xt)))
+    return matrix_cauchy.grad(T, _frames(lifted))
 
 
 def datum_grad(T, xt):

@@ -178,8 +178,8 @@ def minimize_on_spd(T0, loss_fn, grad_fn, hess_fn, config):
 
     The descent moves a frame R of T = R R^T, starting from the Cholesky
     factor of T0.  loss_fn(R) is the loss at T, grad_fn(R) the Riemannian
-    gradient V seen from the frame, R^-1 V R^-T (see `spd.frame_gradient`),
-    and hess_fn(R) the Riemannian Hessian as a d x d matrix in the basis
+    gradient V seen from the frame, the trace-free R^-1 V R^-T, and
+    hess_fn(R) the Riemannian Hessian as a d x d matrix in the basis
     `spd.frame_basis`, positive semidefinite for a geodesically convex
     loss.  The "backtracking" policy takes damped Newton steps
     (`newton_step`): it solves (H + g^2 I) d = W, g the gradient norm, and

@@ -3,8 +3,9 @@
 For every family, random parameter points, datasets, and unit tangent
 directions are drawn; the analytic directional derivative <grad, V> is
 compared with the central difference of the loss along the geodesic
-through V.  This is the independent oracle backing the closed-form
-gradients, and it is exposed on the command line as `check-grad`.
+through V.  The public functions run the oracles the fits descend on, so
+this is the independent check of the fits' gradients, exposed on the
+command line as `check-grad`.
 """
 
 import numpy as np

@@ -22,9 +22,10 @@ velocity W seen from R, one datum's second derivative is
     |W U|^2 - |U^T W U|^2 = |(I - P) W U|^2,    P = U U^T,
 
 at most |W|^2 / 2, so the Riemannian Hessian, the mean of these, is
-positive semidefinite.  The closed forms are validated against finite
-differences in the test suite.  At m = 1 everything reduces exactly to the
-multivariate Cauchy family, and `fit` is the fit of both families.
+positive semidefinite.  The fit's one kernel computes them; `loss` and
+`grad` run it at the Cholesky frame of T, so `check-grad` tests it.  At
+m = 1 everything reduces exactly to the multivariate Cauchy family, and
+`fit` is the fit of both families.
 """
 
 import functools
@@ -69,39 +70,22 @@ def _check_frames(frames):
     return F
 
 
-def _gram(T, F):
-    # Xt^T T Xt for every frame, shape (N, m, m)
-    return np.swapaxes(F, 1, 2) @ (T @ F)
-
-
-def _forms(T, F):
-    """Gram matrices of the frames and their log determinants."""
-    G = _gram(T, F)
-    sign, logdet = np.linalg.slogdet(G)
-    if np.any(sign <= 0):
-        raise ValueError("rank-deficient Gram matrix; parameter is not SPD "
-                         "or a frame lost column rank")
-    return G, logdet
-
-
-def _grad(R, F, G):
-    # the gradient seen from the frame R, from M = mean of Xt G^-1 Xt^T
-    M = np.tensordot(F @ np.linalg.inv(G), F, axes=([0, 2], [0, 2])) / F.shape[0]
-    return spd.frame_gradient(R, M)
+def _at_cholesky(T, frames):
+    """L = chol(sym(T)), a LinAlgError unless T is SPD, and the fit's oracle."""
+    Fc = _check_frames(frames).transpose(2, 1, 0)
+    return np.linalg.cholesky(spd.sym(T)), _oracle(Fc)
 
 
 def loss(T, frames):
     """Averaged negative log likelihood up to a data-independent constant."""
-    F = _check_frames(frames)
-    return float(np.mean(_forms(np.asarray(T, dtype=float), F)[1]))
+    L, (loss_fn, _, _) = _at_cholesky(T, frames)
+    return loss_fn(L)
 
 
 def grad(T, frames):
     """Riemannian gradient L W L^T at T, W the frame gradient at L = chol(T)."""
-    F = _check_frames(frames)
-    T = np.asarray(T, dtype=float)
-    L = np.linalg.cholesky(T)
-    return spd.from_frame(L, _grad(L, F, _gram(T, F)))
+    L, (_, grad_fn, _) = _at_cholesky(T, frames)
+    return spd.from_frame(L, grad_fn(L))
 
 
 def datum_grad(T, frame):
@@ -180,11 +164,19 @@ def _standardizing_map(F, n, m):
     Only frames whose bottom block is the identity count, so points at
     infinity are left out.  Each entry of the n x m observations is
     shifted by its median, and each of the n rows scaled by the MAD of its
-    entries pooled over the m columns.
+    entries pooled over the m columns, all from one (n, m, N) copy.
     """
-    X = F[np.all(F[:, n:, :] == np.eye(m), axis=(1, 2)), :n, :]
-    med, mad = zip(*[halfspace.median_mad(X[:, i]) for i in range(n)])
-    med, mad = np.array(med), np.array(mad)
+    finite = np.ones(F.shape[0], dtype=bool)
+    for (j, k), e in np.ndenumerate(np.eye(m)):
+        finite &= F[:, n + j, k] == e
+    Y = np.compress(finite, F[:, :n, :].transpose(1, 2, 0), axis=2)
+    if Y.shape[2] == 0:
+        med, mad = np.zeros((n, m)), np.ones(n)
+    else:
+        med = halfspace._median(Y.T).T
+        Y -= med[:, :, None]
+        mad = halfspace._median(np.abs(Y, out=Y).reshape(n, -1).T)
+        mad[mad == 0] = 1.0
     A = np.zeros((n + m, n + m))
     A[:n, :n] = np.diag(1.0 / mad)
     A[:n, n:] = -med / mad[:, None]

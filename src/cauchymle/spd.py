@@ -160,16 +160,6 @@ def factor_step(R, W, t):
     return R1
 
 
-def frame_gradient(R, M):
-    """Riemannian gradient of a loss with Euclidean gradient M, seen from R.
-
-    At T = R R^T the gradient on the unit-determinant manifold is
-    T M T - (tr(T M) / p) T.  Seen from R it is the trace-free part of
-    R^T M R, whose Frobenius norm is the Riemannian norm.
-    """
-    return trace_free(R.T @ M @ R)
-
-
 def trace_free(M):
     """Trace-free part of the symmetric part of a square matrix."""
     W = sym(M)

@@ -19,6 +19,7 @@ from cauchymle.gradcheck import (check_gradients, random_hpoint,
 from cauchymle.halfspace import INFINITY, busemann, exp_map
 from cauchymle.montecarlo import run_mc
 
+from test_matrix import gram_grad, gram_loss
 from test_spline import mobius_boundary, mobius_point
 
 SQ3_2 = math.sqrt(3.0) / 2.0
@@ -341,8 +342,12 @@ def test_c12_reduction_identities(capsys):
         F = mcau.lift(data)
         X = cauchy.lift(data[:, :, 0])
         T = random_spd_point(n + 1, rng)
-        assert mcau.loss(T, F) == pytest.approx(cauchy.loss(T, X), rel=1e-12)
-        assert np.abs(mcau.grad(T, F) - cauchy.loss_grad(T, X)).max() < 1e-12
+        # both public functions against the closed forms of the vector family
+        assert mcau.loss(T, F) == pytest.approx(gram_loss(T, X[:, :, None]),
+                                                rel=1e-12)
+        assert cauchy.loss(T, X) == pytest.approx(gram_loss(T, F), rel=1e-12)
+        assert np.abs(mcau.grad(T, F) - gram_grad(T, X[:, :, None])).max() < 1e-12
+        assert np.abs(cauchy.loss_grad(T, X) - gram_grad(T, F)).max() < 1e-12
         # two step paths to one argmin: damped Newton on the frames, the
         # safe gradient step on the vectors; small samples may be flagged
         # ill-conditioned, so convergence is read from the gradient norm

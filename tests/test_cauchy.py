@@ -12,6 +12,8 @@ from cauchymle.descent import DescentConfig, FitStatus
 from cauchymle.gradcheck import random_spd_point, random_tangent
 from cauchymle.halfspace import INFINITY
 
+from test_matrix import gram_grad, gram_loss
+
 SQ3_2 = math.sqrt(3.0) / 2.0
 
 
@@ -382,6 +384,19 @@ def test_fit_degenerate_data_status():
     assert report.iterations == 0
 
 
+@pytest.mark.xfail(strict=True, reason="D4, ROADMAP item 3: the N <= 20 "
+                   "precheck asks for general position, not the Kent-Tyler "
+                   "counts, so the lifted fit refuses data that have an MLE")
+def test_lifted_fit_agrees_with_fit_univariate_on_a_double_point():
+    # the double point holds 2 < N/2 of the data, so the MLE exists
+    data = [0.0, 0.0, 1.0, 2.0, 3.0]
+    (u, v), ru = cauchy.fit_univariate(data)
+    assert ru.status is FitStatus.CONVERGED
+    T, report = cauchy.fit(cauchy.lift(data))
+    assert report.status is FitStatus.CONVERGED
+    assert cauchy.location_scale(T) == pytest.approx((u, v), abs=1e-6)
+
+
 def test_fit_univariate_symmetric_pair():
     (u, v), report = cauchy.fit_univariate([-1.0, 1.0, 3.0, -3.0])
     assert report.status is FitStatus.CONVERGED
@@ -537,22 +552,25 @@ def _frame_gap(R, W, want):
 
 def test_fused_oracle_matches_public_functions(rng):
     # the oracle takes a frame R of T = R R^T and returns the gradient seen
-    # from R; the public functions take T and return the tangent at T
+    # from R; the public functions run it at chol(T) and return the tangent
+    # at T.  Both are held to the Gram closed forms of T
     X = cauchy.lift(rng.standard_normal((300, 2)) * 3.0 + 1.0)
+    F = X[:, :, None]
     loss_fn, grad_fn, _ = matrix_cauchy._oracle(X.T[None])
 
     def gap(R):
-        return _rel_gap(spd.from_frame(R, grad_fn(R)),
-                        cauchy.loss_grad(R @ R.T, X))
+        return _rel_gap(spd.from_frame(R, grad_fn(R)), gram_grad(R @ R.T, F))
 
     R0 = np.eye(3)
-    assert loss_fn(R0) == pytest.approx(cauchy.loss(R0, X), rel=1e-12)
+    assert loss_fn(R0) == pytest.approx(gram_loss(R0, F), rel=1e-12)
     assert gap(R0) < 1e-12
+    assert cauchy.loss(R0, X) == pytest.approx(gram_loss(R0, F), rel=1e-12)
+    assert _rel_gap(cauchy.loss_grad(R0, X), gram_grad(R0, F)) < 1e-12
     # a backtracked trial: a long step, then a shorter one from the same base
     W = grad_fn(R0)
     far, near = (spd.factor_step(R0, W, -t) for t in (8.0, 1.0))
     for R in (far, near):
-        assert loss_fn(R) == pytest.approx(cauchy.loss(R @ R.T, X), rel=1e-12)
+        assert loss_fn(R) == pytest.approx(gram_loss(R @ R.T, F), rel=1e-12)
     assert gap(near) < 1e-12
     # away from the last loss evaluation the forms are recomputed
     assert gap(far) < 1e-12
@@ -560,8 +578,8 @@ def test_fused_oracle_matches_public_functions(rng):
 
 
 def test_fit_oracle_agrees_with_public_functions_along_descent(rng, monkeypatch):
-    # every loss, gradient and Hessian the engine sees equals the public
-    # functions' or a fresh oracle's, rejected trials included, and the
+    # every loss, gradient and Hessian the engine sees equals the Gram
+    # closed forms' or a fresh oracle's, rejected trials included, and the
     # report counts what it saw.  Newton steps are seldom rejected, so the
     # engine is shown a non-finite loss at its first trial
     X = cauchy.lift(rng.standard_normal((400, 4)) @ rng.standard_normal((4, 4)))
@@ -577,7 +595,8 @@ def test_fit_oracle_agrees_with_public_functions_along_descent(rng, monkeypatch)
         def loss_chk(R):
             seen["loss"] += 1
             val = loss_fn(R)
-            assert val == pytest.approx(cauchy.loss(R @ R.T, Xs), rel=1e-12)
+            assert val == pytest.approx(gram_loss(R @ R.T, Xs[:, :, None]),
+                                        rel=1e-12)
             return np.inf if seen["loss"] == 2 else val
 
         def grad_chk(R):
@@ -586,7 +605,7 @@ def test_fit_oracle_agrees_with_public_functions_along_descent(rng, monkeypatch)
             # the forms grad_fn reuses are those at R: the same kernel in
             # the same frame, so the gap is relative to the gradient itself
             assert _rel_gap(W, fresh_grad(R)) < 1e-12
-            assert _frame_gap(R, W, cauchy.loss_grad(R @ R.T, Xs)) < 1e-12
+            assert _frame_gap(R, W, gram_grad(R @ R.T, Xs[:, :, None])) < 1e-12
             return W
 
         def hess_chk(R):

@@ -5,10 +5,26 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cauchymle import cauchy, matrix_cauchy as mc, spd
+from cauchymle import cauchy, halfspace, matrix_cauchy as mc, spd
 from cauchymle.datasets import GeneratorSpec, generate
 from cauchymle.descent import DescentConfig, FitStatus
-from cauchymle.gradcheck import random_spd_point, random_tangent
+from cauchymle.gradcheck import check_gradients, random_spd_point, random_tangent
+
+
+# The paper's closed forms through the Gram matrices G = Xt^T T Xt, a
+# reference independent of the Gram-Schmidt oracle that the public
+# functions and the fits run
+def gram_loss(T, F):
+    """(1/N) sum log det(Xt^T T Xt) over the frames F (N, p, m)."""
+    return float(np.mean(np.linalg.slogdet(np.swapaxes(F, 1, 2) @ T @ F)[1]))
+
+
+def gram_grad(T, F):
+    """T M T - (m/p) T, with M = mean Xt G^-1 Xt^T over the frames F."""
+    _, p, m = F.shape
+    Ft = np.swapaxes(F, 1, 2)
+    M = np.mean(F @ np.linalg.inv(Ft @ T @ F) @ Ft, axis=0)
+    return spd.sym(T @ M @ T - (m / p) * T)
 
 
 def test_lift_appends_identity():
@@ -26,8 +42,13 @@ def test_loss_reduces_to_vector_family_at_m1(rng):
         data = rng.standard_normal((6, n, 1))
         F = mc.lift(data)
         X = cauchy.lift(data[:, :, 0])
-        assert mc.loss(T, F) == pytest.approx(cauchy.loss(T, X), rel=1e-12)
-        assert np.allclose(mc.grad(T, F), cauchy.loss_grad(T, X), atol=1e-13)
+        # at m = 1 the closed forms are those of the vector family
+        assert mc.loss(T, F) == pytest.approx(gram_loss(T, X[:, :, None]),
+                                              rel=1e-12)
+        assert cauchy.loss(T, X) == pytest.approx(gram_loss(T, F), rel=1e-12)
+        assert np.allclose(mc.grad(T, F), gram_grad(T, X[:, :, None]),
+                           atol=1e-13)
+        assert np.allclose(cauchy.loss_grad(T, X), gram_grad(T, F), atol=1e-13)
 
 
 def test_loss_zero_observation():
@@ -337,10 +358,10 @@ def test_fit_rejects_mismatched_dims(rng):
 
 
 def test_fused_oracle_matches_public_functions(rng):
-    # the public loss and grad run the Gram kernel of T; the fit's oracle
-    # runs the Gram-Schmidt kernel of Y = R^T Xt on the same frames, at
-    # every m.  The oracle takes a frame R of T = R R^T and returns the
-    # gradient seen from R.
+    # the fit's oracle, which the public loss and grad run at chol(T), is
+    # the Gram-Schmidt kernel of Y = R^T Xt; the reference is the Gram
+    # closed form of T, at every m.  The oracle takes a frame R of
+    # T = R R^T and returns the gradient seen from R.
     frames = mc.lift(rng.standard_normal((200, 2, 2)))
     vectors = mc.lift(rng.standard_normal((300, 3, 1)) * 3.0 + 1.0)
     vectors[7, :, 0] = [0.5, -2.0, 1.5, 0.0]   # a datum at infinity
@@ -348,19 +369,84 @@ def test_fused_oracle_matches_public_functions(rng):
         loss_fn, grad_fn, _ = mc._oracle(F.transpose(2, 1, 0))
 
         def gap(R):
-            want = mc.grad(R @ R.T, F)
+            want = gram_grad(R @ R.T, F)
             got = spd.from_frame(R, grad_fn(R))
             return np.linalg.norm(got - want) / np.linalg.norm(want)
 
         R0 = np.eye(4)
-        assert loss_fn(R0) == pytest.approx(mc.loss(R0, F), rel=1e-12)
+        assert loss_fn(R0) == pytest.approx(gram_loss(R0, F), rel=1e-12)
         assert gap(R0) < 1e-12
+        want = gram_grad(R0, F)
+        assert mc.loss(R0, F) == pytest.approx(gram_loss(R0, F), rel=1e-12)
+        assert np.linalg.norm(mc.grad(R0, F) - want) < 1e-12 * np.linalg.norm(want)
         # a backtracked trial: a long step, then a shorter one from the base
         W = grad_fn(R0)
         far, near = (spd.factor_step(R0, W, -t) for t in (8.0, 1.0))
         for R in (far, near):
-            assert loss_fn(R) == pytest.approx(mc.loss(R @ R.T, F), rel=1e-12)
+            assert loss_fn(R) == pytest.approx(gram_loss(R @ R.T, F),
+                                               rel=1e-12)
         assert gap(near) < 1e-12
         # away from the last loss evaluation the forms are recomputed
         assert gap(far) < 1e-12
         assert gap(R0) < 1e-12
+
+
+def test_check_grad_runs_the_fit_kernel(monkeypatch):
+    # check-grad differentiates the public functions, which run the
+    # Gram-Schmidt kernel the fits descend on, for vectors and for frames
+    kernel = mc._frame_forms
+    widths = []
+
+    def counted(R, Fc):
+        widths.append(Fc.shape[0])
+        return kernel(R, Fc)
+
+    monkeypatch.setattr(mc, "_frame_forms", counted)
+    assert check_gradients("cauchy", n=2)["passed"]
+    assert len(widths) > 0 and set(widths) == {1}
+    widths.clear()
+    assert check_gradients("matrix", n=2, m=2)["passed"]
+    assert len(widths) > 0 and set(widths) == {2}
+
+
+def test_parameter_not_positive_definite_is_refused(rng):
+    # symmetric with eigenvalues 3, -1, 1, 1: every datum's quadratic form
+    # may still be positive, the parameter is refused all the same
+    T = np.eye(4)
+    T[:2, :2] = [[1.0, 2.0], [2.0, 1.0]]
+    F = mc.lift(rng.standard_normal((5, 2, 2)))
+    X = cauchy.lift(rng.standard_normal((5, 3)))
+    for call in (lambda: mc.loss(T, F), lambda: mc.grad(T, F),
+                 lambda: cauchy.loss(T, X)):
+        with pytest.raises(ValueError, match="not positive definite"):
+            call()
+
+
+def test_parameter_is_read_through_its_symmetric_part(rng):
+    # the forms Xt^T T Xt of a likelihood see only sym(T)
+    T = random_spd_point(4, rng)
+    K = np.zeros((4, 4))
+    K[0, 3], K[3, 0] = 0.25, -0.25
+    F = mc.lift(rng.standard_normal((20, 2, 2)))
+    assert mc.loss(T + K, F) == pytest.approx(mc.loss(T, F), rel=1e-14)
+    assert np.abs(mc.grad(T + K, F) - mc.grad(T, F)).max() < 1e-14
+
+
+@pytest.mark.parametrize("n, m, N", [(2, 1, 7), (3, 2, 8), (2, 2, 1000),
+                                     (1, 3, 1001)])
+def test_standardizing_map_is_the_median_mad_of_each_row(rng, n, m, N):
+    # the reference takes each row's observations, pooled over the m
+    # columns, through halfspace.median_mad; frames at infinity, a zero
+    # observation and ties are among the data, and the map is bit-identical
+    F = mc.lift(np.round(rng.standard_cauchy((N, n, m)), 1))
+    F[:N // 5, n:, :] = rng.standard_normal((N // 5, m, m))
+    F[N // 5, :n, :] = 0.0
+    finite = np.all(F[:, n:, :] == np.eye(m), axis=(1, 2))
+    A = mc._standardizing_map(F, n, m)
+    for i in range(n):
+        med, mad = halfspace.median_mad(F[finite, i, :])
+        assert A[i, i] == 1.0 / mad
+        assert np.array_equal(A[i, n:], -med / mad)
+    # with every frame at infinity the map is the identity
+    F[:, n:, :] = 2.0 * np.eye(m)
+    assert np.array_equal(mc._standardizing_map(F, n, m), np.eye(n + m))
