@@ -17,14 +17,16 @@ unit-speed geodesics; 1/n is a safe descent step.  In the orthonormal
 frame (a d/da, a d/db) its gradient is n times the mean unit force u_i
 of the data and its Hessian n (I - mean u_i u_i^T), which the damped
 Newton fit solves with.  The point at infinity is an admissible datum
-(Busemann -log a, unit force (-1, 0)).  `fit_batch` fits many datasets
-in one descent, each as `fit` fits it alone.
+(Busemann -log a, unit force (-1, 0)).  Inside the package a point (a, b)
+is one array (n + 1,), the scale first; `fit` and `fit_batch` give
+HPoints.  `fit_batch` fits many datasets in one descent, each as `fit`
+fits it alone.
 """
 
 import numpy as np
 
 from . import halfspace
-from .descent import (DescentConfig, FitReport, FitStatus, as_columns,
+from .descent import (DescentConfig, FitReport, FitStatus,
                       minimize_on_halfspace, minimize_on_halfspace_batch)
 
 # a loss evaluation of a batch runs over chunks of members holding about
@@ -71,37 +73,38 @@ def _unit_forces(a, diff):
     return q, c
 
 
-def _oracle(Ft, n_inf):
+def _oracle(F, n_inf):
     """(loss_fn, grad_fn, hess_fn) of a batch of validated datasets.
 
-    Ft (B, n, N) holds each member's finite data as columns, as an array
-    or as a sequence of B arrays (n, N), and n_inf (B,) counts its data at
-    infinity.  Each function takes the points x =
-    (a (k,), b (k, n)) of the members with the sorted indices members (k,)
-    and gives each one's loss, its gradient n mean u_i (k, n + 1) and its
-    Hessian n (I - mean u_i u_i^T) (k, n + 1, n + 1) in the orthonormal
-    frame (a d/da, a d/db), u = (-1, 0) at infinity.  One pass over the
-    data, in chunks of CHUNK_DATA, gives all three: a loss evaluation
-    keeps each member's gradient and Hessian, which the other two
-    functions read at the point of the member's last evaluation, and
+    F holds each member's finite data, B arrays (N, n) with the same N, and
+    n_inf (B,) counts its data at infinity.  Each function takes the points
+    x (k, n + 1), scale first, of the members with the sorted indices
+    members (k,) and gives each one's loss, its gradient n mean u_i
+    (k, n + 1) and its Hessian n (I - mean u_i u_i^T) (k, n + 1, n + 1) in
+    the orthonormal frame (a d/da, a d/db), u = (-1, 0) at infinity.  One
+    pass over the data, in chunks of CHUNK_DATA, gives all three: a loss
+    evaluation keeps each member's gradient and Hessian, which the other
+    two functions read at the point of the member's last evaluation, and
     recompute at any other point.
     """
+    # each member's data as a contiguous (n, N) copy: at small n the
+    # products and reductions over N run several times faster on columns
+    Ft = [np.ascontiguousarray(X.T) for X in F]
     B, (n, size) = len(Ft), Ft[0].shape
     n_inf = np.asarray(n_inf, dtype=float)
     N = size + n_inf
     grads, hessians = np.empty((B, n + 1)), np.empty((B, n + 1, n + 1))
-    at, bt = np.full(B, np.nan), np.empty((B, n))  # where they were formed
+    at = np.full((B, n + 1), np.nan)  # where they were formed
 
     step = max(1, CHUNK_DATA // max(size, 1))
 
     def loss_fn(x, members):
-        a, b = x
         return np.concatenate([
-            evaluate((a[i:i + step], b[i:i + step]), members[i:i + step])
+            evaluate(x[i:i + step], members[i:i + step])
             for i in range(0, len(members), step)])
 
     def evaluate(x, members):
-        a, b = x
+        a, b = x[:, 0], x[:, 1:]
         u = np.stack([Ft[i] for i in members])
         np.subtract(b[:, :, None], u, out=u)
         q, u0 = _unit_forces(a, u)
@@ -116,37 +119,37 @@ def _oracle(Ft, n_inf):
         hessians[members] = n * (np.eye(n + 1) - M / Nk[:, None, None])
         g = np.column_stack([u0.sum(axis=1) - n_inf[members], u.sum(axis=2)])
         grads[members] = g * (n / Nk)[:, None]
-        at[members], bt[members] = a, b
+        at[members] = x
         return n * (np.log(q, out=q).sum(axis=1) - Nk * np.log(a)) / Nk
 
     def reading(kept):
         def fn(x, members):
-            a, b = x
-            stale = (at[members] != a) | (bt[members] != b).any(axis=1)
+            stale = (at[members] != x).any(axis=1)
             if stale.any():
-                loss_fn((a[stale], b[stale]), members[stale])
+                loss_fn(x[stale], members[stale])
             return kept[members]
         return fn
 
     return loss_fn, reading(grads), reading(hessians)
 
 
-def _evaluate(F, n_inf, a, b):
-    """The loss and the frame gradient of validated data at one point (a, b)."""
-    loss_fn, grad_fn, _ = _oracle(as_columns(F)[None], [n_inf])
-    x = (np.array([a], dtype=float), np.asarray(b, dtype=float)[None])
-    one = np.zeros(1, dtype=int)
+def _evaluate(F, n_inf, x):
+    """The loss and the frame gradient of validated data at one point x."""
+    loss_fn, grad_fn, _ = _oracle([F], [n_inf])
+    x, one = x[None], np.zeros(1, dtype=int)
     return float(loss_fn(x, one)[0]), grad_fn(x, one)[0]
 
 
 def loss(z, data, n=None):
     """Averaged negative log likelihood, n * mean Busemann, up to a constant."""
-    return _evaluate(*_split_data(data, z.n if n is None else n), z.a, z.b)[0]
+    F, n_inf = _split_data(data, z.n if n is None else n)
+    return _evaluate(F, n_inf, np.append(z.a, z.b))[0]
 
 
 def grad(z, data, n=None):
     """Riemannian gradient of loss at z; norm at most n (mean of n-scaled unit forces)."""
-    g = _evaluate(*_split_data(data, z.n if n is None else n), z.a, z.b)[1]
+    F, n_inf = _split_data(data, z.n if n is None else n)
+    g = _evaluate(F, n_inf, np.append(z.a, z.b))[1]
     return halfspace.HTangent(z, z.a * g[0], z.a * g[1:])
 
 
@@ -180,14 +183,16 @@ def has_dominant_point(F, n_inf):
 
 
 def _start(F, n_inf, n):
-    """The start (MAD, median) of the finite data F, and the refusal of data
-    with a dominant point (see `has_dominant_point`), or None."""
+    """The start (MAD, median) (n + 1,) of the finite data F, and the
+    refusal of data with a dominant point (see `has_dominant_point`), or
+    None."""
     med, mad = halfspace.median_mad(F)
+    x = np.append(mad, med)
     if not has_dominant_point(F, n_inf):
-        return (mad, med), None
-    loss = _evaluate(F, n_inf, mad, med)[0]
-    return (mad, med), FitReport(FitStatus.DEGENERATE_DATA, 0, [loss], [],
-                                 0.0, loss_evals=1)
+        return x, None
+    loss = _evaluate(F, n_inf, x)[0]
+    return x, FitReport(FitStatus.DEGENERATE_DATA, 0, [loss], [], 0.0,
+                        loss_evals=1)
 
 
 def fit(data, n, config=None):
@@ -206,13 +211,12 @@ def fit(data, n, config=None):
     batch of one: `fit_batch` gives each member this same answer.
     """
     F, n_inf = _split_data(data, n)
-    x, refused = _start(F, n_inf, n)
-    if refused:
-        return halfspace.HPoint(*x), refused
-    (a, b), report = minimize_on_halfspace(
-        x, *_oracle(as_columns(F)[None], [n_inf]), curvature=n,
-        config=config or DescentConfig())
-    return halfspace.HPoint(a, b), report
+    x, report = _start(F, n_inf, n)
+    if report is None:
+        x, report = minimize_on_halfspace(
+            x, *_oracle([F], [n_inf]), curvature=n,
+            config=config or DescentConfig())
+    return halfspace.HPoint(x[0], x[1:]), report
 
 
 def fit_batch(members, n, config=None):
@@ -224,15 +228,13 @@ def fit_batch(members, n, config=None):
     report's wall time is that of the whole batch.
     """
     starts = [_start(F, n_inf, n) for F, n_inf in members]
-    out = [refused and (halfspace.HPoint(*x), refused) for x, refused in starts]
     live = [i for i, (_, refused) in enumerate(starts) if refused is None]
     if live:
-        oracle = _oracle([as_columns(members[i][0]) for i in live],
+        oracle = _oracle([members[i][0] for i in live],
                          [members[i][1] for i in live])
-        x0 = (np.array([starts[i][0][0] for i in live]),
-              np.stack([starts[i][0][1] for i in live]))
-        (a, b), reports = minimize_on_halfspace_batch(
-            x0, *oracle, curvature=n, config=config or DescentConfig())
-        for j, i in enumerate(live):
-            out[i] = halfspace.HPoint(a[j], b[j]), reports[j]
-    return out
+        x, reports = minimize_on_halfspace_batch(
+            np.stack([starts[i][0] for i in live]), *oracle, curvature=n,
+            config=config or DescentConfig())
+        for i, xi, report in zip(live, x, reports):
+            starts[i] = xi, report
+    return [(halfspace.HPoint(x[0], x[1:]), report) for x, report in starts]

@@ -3,9 +3,10 @@
 Two engines live here, one for losses on the unit-determinant SPD manifold
 and one for losses on the hyperbolic half-space; both, and the spline
 solver, run one loop, `_descend`, each with its own step.  The loop runs a
-batch of fits in lockstep: every point, gradient and direction carries a
-leading member axis, and each member keeps its own traces, counts, status
-and line-search multiplier, so that it takes the steps of its fit alone.
+batch of fits in lockstep: the members' points are one float array with a
+leading member axis, their gradients and directions arrays of the same
+shape, and each member keeps its own traces, counts, status and
+line-search multiplier, so that it takes the steps of its fit alone.
 The half-space engine fits a stack of datasets at once
 (`minimize_on_halfspace_batch`); a single fit, of either engine or of the
 spline, is the batch of one.  Under the default policy
@@ -17,8 +18,9 @@ R, a symmetric trace-free p x p matrix whose Frobenius norm is the
 Riemannian norm, and its Hessian is in an orthonormal basis of such
 matrices (`spd.frame_basis`); a step is one symmetric eigendecomposition
 (`spd.factor_step`), with no factorization of T.  The half-space engine
-moves a point (a, b) held as arrays, in the frame (a d/da, a d/db), along
-`halfspace.exp_kernel`.
+moves a point x = (a, b) of H^(n+1), held as one array (n + 1,) with the
+scale a in x[0] and the center b in x[1:], in the frame (a d/da, a d/db),
+along `halfspace.exp_kernel`.
 
 The loop stops when the gradient norm falls below the configured
 tolerance.  A fit of either engine that converged or ran out of budget
@@ -137,12 +139,6 @@ def plateau_status(grad_norms, window=PLATEAU_WINDOW, rate=PLATEAU_RATE):
     return FitStatus.MAX_ITERS_EXCEEDED
 
 
-def as_columns(X):
-    # (N, d) rows as a contiguous (d, N) array: at small d the oracles'
-    # products and reductions over N run several times faster on columns
-    return np.ascontiguousarray(X.T)
-
-
 def shared_oracle(forms, value, *derived):
     """(loss_fn, *derived_fns) for a descent engine that share one O(N) pass.
 
@@ -194,12 +190,12 @@ def minimize_on_spd(T0, loss_fn, grad_fn, hess_fn, config):
     hess = _one(hess_fn)
 
     def solve(x, members, W, g):
-        d, ok = _damped_solve(hess(x, members), _lead(spd.frame_coords(W[0])), g)
-        return _lead(spd.from_frame_coords(d[0])), ok
+        d, ok = _damped_solve(hess(x, members), spd.frame_coords(W[0])[None], g)
+        return spd.from_frame_coords(d[0])[None], ok
 
     # no guard in the loop: the capped retraction keeps R inside COND_CAP
     R, (report,) = _minimize(
-        _lead(np.linalg.cholesky(T0)), _one(loss_fn), _one(grad_fn), hess,
+        np.linalg.cholesky(T0)[None], _one(loss_fn), _one(grad_fn), hess,
         solve, _capped_factor_step,
         lambda x, members: np.zeros(len(members), dtype=bool), 1.0,
         ILL_CONDITIONED_EIG, config)
@@ -224,24 +220,24 @@ def _capped_factor_step(x, D, t):
 def minimize_on_halfspace(x0, loss_fn, grad_fn, hess_fn, curvature, config):
     """`minimize_on_halfspace_batch` of one fit: the batch of one.
 
-    x0 = (a, b) is a scale and a center (n,); the functions are those of
-    the batch.  Returns ((a, b), FitReport).
+    x0 (n + 1,) is a scale and a center; the functions are those of the
+    batch.  Returns (x (n + 1,), FitReport).
     """
-    (a, b), (report,) = minimize_on_halfspace_batch(
-        _lead((float(x0[0]), np.asarray(x0[1], dtype=float))), loss_fn,
-        grad_fn, hess_fn, curvature, config)
-    return (float(a[0]), b[0]), report
+    x, (report,) = minimize_on_halfspace_batch(
+        np.asarray(x0, dtype=float)[None], loss_fn, grad_fn, hess_fn,
+        curvature, config)
+    return x[0], report
 
 
 def minimize_on_halfspace_batch(x0, loss_fn, grad_fn, hess_fn, curvature,
                                 config):
     """Geodesic descent for a batch of losses on the hyperbolic half-space.
 
-    Member i starts at the scale x0[0][i] and the center x0[1][i] (n,).
-    loss_fn(x, members), grad_fn(x, members) and hess_fn(x, members) take
-    the points x = (a (k,), b (k, n)) of the members with the sorted
-    indices members (k,), and give each one's loss, Riemannian gradient
-    (k, n + 1) and Riemannian Hessian (k, n + 1, n + 1), positive
+    Member i starts at x0[i] (n + 1,), the scale x0[i, 0] and the center
+    x0[i, 1:].  loss_fn(x, members), grad_fn(x, members) and
+    hess_fn(x, members) take the points x (k, n + 1) of the members with
+    the sorted indices members (k,), and give each one's loss, Riemannian
+    gradient (k, n + 1) and Riemannian Hessian (k, n + 1, n + 1), positive
     semidefinite for a geodesically convex loss, both in the orthonormal
     frame (a d/da, a d/db).  The loop asks for the gradient and the Hessian
     only at a member's last loss evaluation.  curvature bounds each loss's
@@ -255,15 +251,15 @@ def minimize_on_halfspace_batch(x0, loss_fn, grad_fn, hess_fn, curvature,
     FitReport.hessian_min_eig, is below (1 - PLATEAU_RATE) * curvature.
     Scales leaving SCALE_CAP around the member's start end its fit
     degenerate, so that the guard commutes with the similarities of
-    H^(n+1) as the steps do.  Returns ((a (B,), b (B, n)), [FitReport]).
+    H^(n+1) as the steps do.  Returns (x (B, n + 1), [FitReport]).
     """
-    a0 = np.array(x0[0], dtype=float)
+    a0 = np.array(x0, dtype=float)[:, 0]
 
     def solve(x, members, v, g):
         return _damped_solve(hess_fn(x, members), v, g)
 
     def diverged(x, members):
-        return off_scale(x[0] / a0[members])
+        return off_scale(x[:, 0] / a0[members])
 
     return _minimize(x0, loss_fn, grad_fn, hess_fn, solve, _frame_exp,
                      diverged, 1.0 / curvature,
@@ -271,11 +267,12 @@ def minimize_on_halfspace_batch(x0, loss_fn, grad_fn, hess_fn, curvature,
 
 
 def _frame_exp(x, d, t):
-    """`halfspace.exp_kernel_masked` from x = (a, b) along frame coordinates d."""
-    a, b = x
-    at, bt, out = halfspace.exp_kernel_masked(a, b, a * d[:, 0],
+    """`halfspace.exp_kernel_masked` from points x (k, n + 1) along frame
+    coordinates d (k, n + 1)."""
+    a = x[:, 0]
+    at, bt, out = halfspace.exp_kernel_masked(a, x[:, 1:], a * d[:, 0],
                                               a[:, None] * d[:, 1:], t)
-    return (at, bt), out
+    return np.column_stack([at, bt]), out
 
 
 def off_scale(a):
@@ -304,7 +301,7 @@ def _minimize(x, loss_fn, grad_fn, hess_fn, solve, retract, diverged,
     live = np.array([i for i, r in enumerate(reports)
                      if r.status is not FitStatus.DEGENERATE_DATA], dtype=int)
     if live.size:
-        lams = np.linalg.eigvalsh(hess_fn(_take(x, live), live))[:, 0]
+        lams = np.linalg.eigvalsh(hess_fn(x[live], live))[:, 0]
         for i, lam in zip(live.tolist(), lams.tolist()):
             reports[i].hessian_min_eig = lam
             if lam < threshold:
@@ -369,7 +366,7 @@ def newton_step(solve, grad_norm):
         flat = finite & ~take & (
             loss <= cur + FLAT_SLACK * np.maximum(1.0, np.abs(cur)))
         if flat.any():
-            take[flat] = (grad_norm(_take(x, flat), members[flat])
+            take[flat] = (grad_norm(x[flat], members[flat])
                           < SHRINK * g[flat])
         return take
 
@@ -387,44 +384,22 @@ def _safe_step(length):
     return direction, length, 1, everyone
 
 
-def _map(fn, y):
-    """fn of a batch quantity: of an array, or of each array of a tuple."""
-    return tuple(map(fn, y)) if isinstance(y, tuple) else fn(y)
-
-
-def _take(y, i):
-    """Members i of a batch quantity."""
-    return tuple([c[i] for c in y]) if isinstance(y, tuple) else y[i]
-
-
-def _put(y, i, values):
-    """Set members i of a batch quantity to values, in place."""
-    for c, v in zip(y, values) if isinstance(y, tuple) else [(y, values)]:
-        c[i] = v
-
-
-def _lead(y):
-    """A quantity of one point as that of a batch of one."""
-    if isinstance(y, tuple):
-        return tuple([np.asarray(c)[None] for c in y])
-    return np.asarray(y)[None]
-
-
 def _one(fn):
     """fn of one point, and more arguments, as a function of a batch of one."""
-    return lambda x, members, *args: _lead(
-        fn(_take(x, 0), *[_take(y, 0) for y in args]))
+    return lambda x, members, *args: np.asarray(
+        fn(x[0], *[y[0] for y in args]))[None]
 
 
 def _descend(x, loss_fn, grad_fn, norm, diverged, retract, step, config,
              classify=None):
     """Descent loop of every solver: a batch of members, in lockstep.
 
-    x holds the members' start points, an array or a tuple of arrays with
-    a leading member axis; a single fit is a batch of one.  loss_fn,
-    grad_fn and diverged take the points x of the members with the sorted
-    indices members, as f(x, members); norm(x, v) measures their gradients
-    v; retract(x, d, t) moves points x along directions d for times t (k,)
+    x (B, ...) holds the members' start points, one float array with a
+    leading member axis; a single fit is a batch of one.  Gradients and
+    directions have the shape of the points.  loss_fn, grad_fn and
+    diverged take the points x of the members with the sorted indices
+    members, as f(x, members); norm(x, v) measures their gradients v;
+    retract(x, d, t) moves points x along directions d for times t (k,)
     and gives the new points and a mask of those out of range; step is
     the policy (see `newton_step`).  Each pass of the loop makes one trial
     for every member still descending: a member whose trial is taken
@@ -435,10 +410,9 @@ def _descend(x, loss_fn, grad_fn, norm, diverged, retract, step, config,
     MAX_ITERS_EXCEEDED, unless classify(grad_norms) names the outcome of
     both.  Returns the points and one FitReport per member.
     """
-    start = time.perf_counter()
     directions, first, trials, accept = step
-    x = _map(np.array, x)
-    size = len(x[0] if isinstance(x, tuple) else x)
+    x = np.array(x, dtype=float)
+    size = len(x)
     everyone = np.arange(size)
     cur = np.asarray(loss_fn(x, everyone), dtype=float)
     losses = [[c] for c in cur.tolist()]
@@ -446,7 +420,7 @@ def _descend(x, loss_fn, grad_fn, norm, diverged, retract, step, config,
     status = [None] * size
     evals, iters, tries = (np.zeros(size, dtype=int) for _ in range(3))
     evals += 1
-    g, mult, d = np.empty(size), np.empty(size), None
+    g, mult, d = np.empty(size), np.empty(size), np.empty_like(x)
 
     def stop(members, rule, classified=False):
         for i in members.tolist():
@@ -454,10 +428,9 @@ def _descend(x, loss_fn, grad_fn, norm, diverged, retract, step, config,
 
     def arrive(members):
         """Start an iteration of each member; returns those that move."""
-        nonlocal d
         if not members.size:
             return members
-        xm = _take(x, members)
+        xm = x[members]
         v = grad_fn(xm, members)
         g[members] = gm = norm(xm, v)
         for i, gi in zip(members.tolist(), gm.tolist()):
@@ -471,29 +444,25 @@ def _descend(x, loss_fn, grad_fn, norm, diverged, retract, step, config,
         going = ~(done | out | spent)
         if not going.any():
             return members[going]
-        dm, ok = directions(_take(xm, going), members[going], _take(v, going),
-                            gm[going])
+        dm, ok = directions(xm[going], members[going], v[going], gm[going])
         stop(members[going][~ok], FitStatus.DEGENERATE_DATA, classified=True)
         moving = members[going][ok]
-        if moving.size:
-            if d is None:
-                d = _map(lambda c: np.empty((size,) + c.shape[1:]), dm)
-            _put(d, moving, _take(dm, ok))
-            mult[moving], tries[moving] = first, 0
+        d[moving] = dm[ok]
+        mult[moving], tries[moving] = first, 0
         return moving
 
     active = arrive(everyone)
     while active.size:
-        cand, out = retract(_take(x, active), _take(d, active), -mult[active])
+        cand, out = retract(x[active], d[active], -mult[active])
         taken = np.zeros(len(active), dtype=bool)
         tried = active[~out]
         if tried.size:
-            cand = _take(cand, ~out)
+            cand = cand[~out]
             loss = np.asarray(loss_fn(cand, tried), dtype=float)
             evals[tried] += 1
             taken[~out] = took = accept(cand, tried, loss, cur[tried], g[tried])
             moved = tried[took]
-            _put(x, moved, _take(cand, took))
+            x[moved] = cand[took]
             cur[moved] = loss[took]
             iters[moved] += 1
             for i, c in zip(moved.tolist(), loss[took].tolist()):
@@ -504,6 +473,5 @@ def _descend(x, loss_fn, grad_fn, norm, diverged, retract, step, config,
         spent = tries[refused] == trials
         stop(refused[spent], FitStatus.DEGENERATE_DATA, classified=True)
         active = np.sort(np.concatenate([refused[~spent], arrive(moved)]))
-    wall = time.perf_counter() - start
-    return x, [FitReport(status[i], int(iters[i]), losses[i], grads[i], wall,
+    return x, [FitReport(status[i], int(iters[i]), losses[i], grads[i],
                          loss_evals=int(evals[i])) for i in everyone]

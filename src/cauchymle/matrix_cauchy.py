@@ -65,7 +65,12 @@ def _check_frames(frames):
         raise ValueError("frames must have more rows than columns (n >= 1)")
     if not np.all(np.isfinite(F)):
         raise ValueError("data must be finite")
-    if np.any(np.all(F == 0.0, axis=1)):
+    # OR the p rows of the (N, m) columns: one pass each, not a reduction
+    # over the short middle axis
+    nonzero = F[:, 0, :] != 0.0
+    for k in range(1, F.shape[1]):
+        nonzero |= F[:, k, :] != 0.0
+    if not nonzero.all():
         raise ValueError("data contain a zero vector (a zero frame column)")
     return F
 

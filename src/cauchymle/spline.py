@@ -13,8 +13,9 @@ energy d^2 / D.  At a stationary point every junction balances forces:
     alpha (h'(t_i + 0) - h'(t_i - 0)) + v_i = 0,
 
 with v_i the sum of the unit forces pulling z_i toward its observations.
-The knots are held as arrays, scales a (k,) and centers b (k, 1), and
-the fit runs the shared descent loop of `descent`, as a batch of one,
+The knots are held as one array (k, 2), the scale a of each in column 0
+and its center b in column 1, as are their tangents (da, db).  The fit
+runs the shared descent loop of `descent`, as a batch of one (1, k, 2),
 with its damped Newton step (`descent.newton_step`) from the median and
 MAD of all finite observations (`fit`).  Its banded Newton solve is the
 package's one use of scipy (`solveh_banded`).
@@ -30,8 +31,8 @@ from scipy.linalg import solveh_banded
 from . import halfspace
 # Uncalled: bench/test_bench.py checks the tracer's by-name wrapping on it.
 from .cauchy import fit_univariate  # noqa: F401
-from .descent import (DescentConfig, FitReport, _descend, _lead, _one, _take,
-                      newton_step, off_scale, plateau_status)
+from .descent import (DescentConfig, FitReport, _descend, _one, newton_step,
+                      off_scale, plateau_status)
 from .halfspace import HPoint
 
 
@@ -112,17 +113,17 @@ class _Arrays:
 
 
 def _knots(problem, values):
-    """Knot values as arrays: scales a (k,) and centers b (k, 1)."""
+    """Knot values as one array (k, 2): scales a, then centers b."""
     if len(values) != problem.k:
         raise ValueError("one value per knot is required")
     b = np.array([z.b for z in values])
     if b.shape != (problem.k, 1):
         raise ValueError("knot values must be points of the half-plane")
-    return np.array([z.a for z in values]), b
+    return np.column_stack([[z.a for z in values], b])
 
 
 def _objective(data, x):
-    a, b = x
+    a, b = x[:, 0], x[:, 1:]
     d = halfspace.distance_kernel(a[:-1], b[:-1], a[1:], b[1:])
     at = data.knot
     return float(halfspace.busemann_kernel(a[at], b[at], data.x).sum()
@@ -136,8 +137,8 @@ def objective(problem, values):
 
 
 def _gradient(data, x):
-    """Objective gradient per knot, da (k,) and db (k, 1): data forces, energy pulls."""
-    a, b = x
+    """Objective gradient (da, db) per knot (k, 2): data forces, energy pulls."""
+    a, b = x[:, 0], x[:, 1:]
     fa, fb = halfspace.busemann_grad_kernel(a[data.knot], b[data.knot], data.x)
     ia, _ = halfspace.busemann_grad_kernel(a, b)  # at infinity: vertical, no db
     # each knot is pulled toward both neighbours with weight alpha / gap
@@ -145,20 +146,23 @@ def _gradient(data, x):
                                   a[data.head], b[data.head])
     w = data.pull
     into = functools.partial(np.bincount, data.terms, minlength=data.k)
-    return (into(np.concatenate([fa, -w * pa])) + data.n_inf * ia,
-            into(np.concatenate([fb[:, 0], -w * pb[:, 0]]))[:, None])
+    return np.column_stack([into(np.concatenate([fa, -w * pa]))
+                            + data.n_inf * ia,
+                            into(np.concatenate([fb[:, 0], -w * pb[:, 0]]))])
 
 
 def _total_norm(x, grad):
     """Root of the summed squared knot gradient norms, per member of a batch."""
-    return np.sqrt((halfspace.norm_kernel(x[0], *grad) ** 2).sum(axis=-1))
+    norms = halfspace.norm_kernel(x[..., 0], grad[..., 0], grad[..., 1:])
+    return np.sqrt((norms ** 2).sum(axis=-1))
 
 
 def _retract(x, tangent, t):
     """The knots of each member moved along tangent for time t; out of range
     when one of them is."""
-    at, bt, out = halfspace.exp_kernel_masked(*x, *tangent, t[:, None])
-    return (at, bt), out.any(axis=-1)
+    at, bt, out = halfspace.exp_kernel_masked(
+        x[..., 0], x[..., 1:], tangent[..., 0], tangent[..., 1:], t[:, None])
+    return np.concatenate([at[..., None], bt], axis=-1), out.any(axis=-1)
 
 
 def junction_residuals(problem, values):
@@ -169,13 +173,14 @@ def junction_residuals(problem, values):
     objective gradient; its norm vanishes at a stationary spline.
     """
     x = _knots(problem, values)
-    return halfspace.norm_kernel(x[0], *_gradient(_Arrays(problem), x)).tolist()
+    g = _gradient(_Arrays(problem), x)
+    return halfspace.norm_kernel(x[:, 0], g[:, 0], g[:, 1:]).tolist()
 
 
 def _initial_values(data):
     """Every knot at (a, b) = (MAD, median) of the finite observations."""
     med, mad = halfspace.median_mad(data.x)
-    return np.full(data.k, mad), np.tile(med, (data.k, 1))
+    return np.tile(np.append(mad, med), (data.k, 1))
 
 
 def _hessian(data, x, shift=0.0):
@@ -189,7 +194,7 @@ def _hessian(data, x, shift=0.0):
     degrees.  The knots are interleaved (s_0, b_0, s_1, b_1, ...), so the
     Hessian is block-tridiagonal: upper band form (4, 2k) of solveh_banded.
     """
-    a, b = x
+    a, b = x[:, 0], x[:, 1:]
     at, tail, k = data.knot, data.tail, data.k
     fa, fb = halfspace.busemann_grad_kernel(a[at], b[at], data.x)
     us, ub = fa / a[at], fb[:, 0] / a[at] ** 2
@@ -222,7 +227,8 @@ def _hessian(data, x, shift=0.0):
 
 
 def _newton(data, x, grad, g):
-    """Newton tangents (da, db) from (H + r G) p = chart gradient, or None.
+    """Newton tangents (k, 2) from (H + r G) p = chart gradient, and whether
+    the solve succeeded: a zero tangent where it failed.
 
     Damping keeps a flat valley of minimizers solvable, and it fades as the
     fit converges.  It is r = g / sqrt(k), the RMS knot gradient norm, not
@@ -232,14 +238,15 @@ def _newton(data, x, grad, g):
     would shrink each copy's step as the problem grows; by r it does not,
     and long problems take the steps of short ones.
     """
-    a = x[0]
-    rhs = np.column_stack([grad[0] / a, grad[1][:, 0] / a ** 2]).ravel()
+    a = x[:, 0]
+    rhs = np.column_stack([grad[:, 0] / a, grad[:, 1] / a ** 2]).ravel()
     try:
         p = solveh_banded(_hessian(data, x, g / np.sqrt(data.k)),
                           rhs).reshape(-1, 2)
     except np.linalg.LinAlgError:
-        return None
-    return a * p[:, 0], p[:, 1:]
+        return np.zeros_like(x), False
+    p[:, 0] *= a
+    return p, True
 
 
 def fit(problem, config=None):
@@ -268,17 +275,17 @@ def fit(problem, config=None):
     grad_fn = _one(functools.partial(_gradient, data))
 
     def solve(x, members, grad, g):
-        tangent = _newton(data, _take(x, 0), _take(grad, 0), g[0])
-        ok = np.array([tangent is not None])
-        return (_lead(tangent) if ok[0] else None), ok
+        tangent, ok = _newton(data, x[0], grad[0], g[0])
+        return tangent[None], np.array([ok])
 
     step = newton_step(solve, lambda x, members: _total_norm(x, grad_fn(x, members)))
-    (a, b), (report,) = _descend(
-        _lead(_initial_values(data)), _one(functools.partial(_objective, data)),
-        grad_fn, _total_norm, lambda x, members: off_scale(x[0]).any(axis=1),
+    x, (report,) = _descend(
+        _initial_values(data)[None], _one(functools.partial(_objective, data)),
+        grad_fn, _total_norm,
+        lambda x, members: off_scale(x[..., 0]).any(axis=1),
         _retract, step, config, classify=plateau_status)
     report.wall_time = time.perf_counter() - start
-    return SplineFit(problem.times, [HPoint(*z) for z in zip(a[0], b[0])], report)
+    return SplineFit(problem.times, [HPoint(z[0], z[1:]) for z in x[0]], report)
 
 
 def evaluate(solution, t):

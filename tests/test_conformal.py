@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, optimize
 
 from cauchymle import cauchy, conformal, halfspace
-from cauchymle.descent import DescentConfig, FitStatus, minimize_on_halfspace
+from cauchymle.descent import (DescentConfig, FitStatus, _frame_norm,
+                               minimize_on_halfspace,
+                               minimize_on_halfspace_batch)
 from cauchymle.gradcheck import random_hpoint, random_htangent
 from cauchymle.halfspace import INFINITY, HPoint, exp_map
 
@@ -21,10 +23,9 @@ def one_point(F, n_inf):
     one = np.arange(1)
 
     def at(fn):
-        return lambda x: fn((np.array([x[0]], dtype=float),
-                             np.asarray(x[1], dtype=float)[None]), one)[0]
+        return lambda x: fn(np.append(x[0], x[1])[None], one)[0]
 
-    return [at(fn) for fn in conformal._oracle(F.T[None], [n_inf])]
+    return [at(fn) for fn in conformal._oracle([F], [n_inf])]
 
 
 def test_loss_equals_univariate_cauchy_loss_at_n1(rng):
@@ -269,11 +270,11 @@ def test_fit_univariate_two_halves_converge_onto_the_geodesic(data):
         assert report.iterations <= 10
         assert math.hypot(u - 1.5, v) == pytest.approx(0.5, abs=1e-9)
         (v, u), report = minimize_on_halfspace(
-            (1.0, np.zeros(1)), *conformal._oracle(F.T[None], [0]), curvature=1,
+            np.array([1.0, 0.0]), *conformal._oracle([F], [0]), curvature=1,
             config=config)
         assert report.status is FitStatus.ILL_CONDITIONED
         assert 0 < report.iterations <= 10
-        assert math.hypot(u[0] - 1.5, v) == pytest.approx(0.5, abs=1e-9)
+        assert math.hypot(u - 1.5, v) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_fit_normal_samples_match_scalar_oracle():
@@ -445,6 +446,37 @@ def test_mixed_batch_holds_every_outcome():
         [conformal._split_data(d, 1) for d in datas], 1,
         DescentConfig(max_iters=1))[0]
     assert report.status is FitStatus.MAX_ITERS_EXCEEDED
+
+
+def test_singular_damped_system_ends_only_its_member():
+    # a Hessian of -g^2 I makes member 0's damped system H + g^2 I exactly
+    # zero: the stacked solve raises, each member is then solved alone, and
+    # member 0 ends degenerate at its start while member 1 takes the steps
+    # of its batch of one
+    rng = np.random.default_rng(5)
+    F = [rng.standard_cauchy((50, 2)) for _ in range(2)]
+    x0 = np.stack([conformal._start(X, 0, 2)[0] for X in F])
+    loss_fn, grad_fn, hess_fn = conformal._oracle(F, [0, 0])
+
+    def singular_first(x, members):
+        H = hess_fn(x, members)
+        g = _frame_norm(x, grad_fn(x, members))
+        first = members == 0
+        H[first] = -(g * g)[first, None, None] * np.eye(3)
+        return H
+
+    config = DescentConfig()
+    x, (stuck, moved) = minimize_on_halfspace_batch(
+        x0, loss_fn, grad_fn, singular_first, curvature=2, config=config)
+    assert stuck.status is FitStatus.DEGENERATE_DATA
+    assert stuck.iterations == 0 and stuck.loss_evals == 1
+    assert np.array_equal(x[0], x0[0])
+    x1, (alone,) = minimize_on_halfspace_batch(
+        x0[1:], *conformal._oracle(F[1:], [0]), curvature=2, config=config)
+    assert moved.status is alone.status
+    assert moved.iterations == alone.iterations > 0
+    assert moved.loss_evals == alone.loss_evals
+    assert np.array_equal(x[1], x1[0])
 
 
 def test_fit_holds_few_arrays_of_the_sample_size():

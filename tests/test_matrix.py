@@ -56,6 +56,19 @@ def test_loss_zero_observation():
     assert mc.loss(np.eye(4), F) == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_zero_frame_column_is_refused(rng, m):
+    # a zero column is a zero lifted vector: its log det is -inf at every T
+    n = 2
+    F = mc.lift(rng.standard_normal((30, n, m)))
+    F[7, :, m - 1] = 0.0
+    T = np.eye(n + m)
+    for call in (lambda: mc.fit(F, m, n), lambda: mc.loss(T, F),
+                 lambda: mc.grad(T, F)):
+        with pytest.raises(ValueError, match="zero frame column"):
+            call()
+
+
 def test_loss_matches_cholesky_oracle(rng):
     # independent evaluation path: log det via Cholesky per datum
     for _ in range(50):

@@ -77,14 +77,16 @@ def test_start_is_median_and_mad_of_finite_observations():
     prob = spline.SplineProblem.from_pairs(
         [0.0, 1.0, 1.0, 2.0, 3.0, 3.0], [0.0, 1.0, INFINITY, 3.0, 10.0, INFINITY],
         alpha=1.0)
-    a, b = spline._initial_values(spline._Arrays(prob))
+    x = spline._initial_values(spline._Arrays(prob))
+    a, b = x[:, 0], x[:, 1:]
     np.testing.assert_array_equal(a, np.full(4, 1.5))
     np.testing.assert_array_equal(b, np.full((4, 1), 2.0))
     # a vanishing MAD gives scale 1; no finite datum gives (1, 0)
     for xs, (a0, b0) in [([2.0, 2.0, 5.0], (1.0, 2.0)),
                          ([INFINITY, INFINITY], (1.0, 0.0))]:
         prob = spline.SplineProblem.from_pairs(range(len(xs)), xs, alpha=1.0)
-        a, b = spline._initial_values(spline._Arrays(prob))
+        x = spline._initial_values(spline._Arrays(prob))
+        a, b = x[:, 0], x[:, 1:]
         np.testing.assert_array_equal(a, np.full(len(xs), a0))
         np.testing.assert_array_equal(b, np.full((len(xs), 1), b0))
 
@@ -240,7 +242,8 @@ def test_gradient_matches_finite_differences_along_knot_geodesics(rng):
         data = spline._Arrays(prob)
         for _ in range(10):
             values = [random_hpoint(1, rng) for _ in range(prob.k)]
-            da, db = spline._gradient(data, spline._knots(prob, values))
+            g = spline._gradient(data, spline._knots(prob, values))
+            da, db = g[:, 0], g[:, 1:]
             for i, z in enumerate(values):
                 v = random_htangent(z, rng)
 
@@ -257,8 +260,8 @@ def test_gradient_matches_finite_differences_along_knot_geodesics(rng):
 def chart_gradient(data, a, b):
     """The differential of the objective in the chart (log a, b), knots
     interleaved as (s_0, b_0, s_1, b_1, ...)."""
-    da, db = spline._gradient(data, (a, b))
-    return np.column_stack([da / a, db[:, 0] / a**2]).ravel()
+    da, db = spline._gradient(data, np.column_stack([a, b])).T
+    return np.column_stack([da / a, db / a**2]).ravel()
 
 
 def dense_from_upper_band(ab):
@@ -279,10 +282,10 @@ def test_hessian_matches_finite_differences_of_gradient(rng):
     cases = [(spline._Arrays(prob), spline._knots(prob, [
                  random_hpoint(1, rng) for _ in range(prob.k)]))
              for prob in FD_PROBLEMS for _ in range(5)]
-    cases += [(pair, (np.array([1.3, 1.3]), np.array([[0.2], [0.2]]))),  # d = 0
-              (pair, (np.array([0.5, 2.0]), np.array([[0.2], [0.2]])))]  # vertical
-    for data, (a, b) in cases:
-        k = len(a)
+    cases += [(pair, np.array([[1.3, 0.2], [1.3, 0.2]])),  # d = 0
+              (pair, np.array([[0.5, 0.2], [2.0, 0.2]]))]  # vertical
+    for data, x in cases:
+        a, b, k = x[:, 0], x[:, 1:], len(x)
         fd = np.zeros((2 * k, 2 * k))
         for j in range(2 * k):
             step = np.zeros((k, 2))
@@ -295,11 +298,11 @@ def test_hessian_matches_finite_differences_of_gradient(rng):
         fd[si, bi] += fb
         fd[bi, si] += fb
         fd[bi, bi] -= fs / a**2
-        hess = dense_from_upper_band(spline._hessian(data, (a, b)))
+        hess = dense_from_upper_band(spline._hessian(data, x))
         assert np.abs(hess - fd).max() <= 1e-6 * np.abs(fd).max()
         # geodesic convexity: positive definite once damped by |g| G
-        g = spline._total_norm((a, b), spline._gradient(data, (a, b)))
-        damped = dense_from_upper_band(spline._hessian(data, (a, b), g))
+        g = spline._total_norm(x, spline._gradient(data, x))
+        damped = dense_from_upper_band(spline._hessian(data, x, g))
         metric = np.column_stack([np.ones(k), 1.0 / a**2]).ravel()
         np.testing.assert_allclose(damped - hess, g * np.diag(metric),
                                    atol=1e-12 * np.abs(damped).max())
