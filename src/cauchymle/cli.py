@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from . import cauchy, conformal, matrix_cauchy
+from . import cauchy, conformal, matrix_cauchy, spline
 from .datasets import DataFormatError, GeneratorSpec, generate, parse_dataset, \
     parse_univariate, write_dataset
 from .descent import STEP_POLICIES, DescentConfig, FitStatus
@@ -197,7 +197,6 @@ def _cmd_fit1d(args):
 
 
 def _cmd_regress(args):
-    from . import spline  # the only command that loads scipy
     # the spline takes the same Newton step under every policy, and no
     # fit reads --standardize, so regress reads only the stop rules
     config = DescentConfig(tol=args.tol, max_iters=args.max_iters)

@@ -17,8 +17,8 @@ The knots are held as one array (k, 2), the scale a of each in column 0
 and its center b in column 1, as are their tangents (da, db).  The fit
 runs the shared descent loop of `descent`, as a batch of one (1, k, 2),
 with its damped Newton step (`descent.newton_step`) from the median and
-MAD of all finite observations (`fit`).  Its banded Newton solve is the
-package's one use of scipy (`solveh_banded`).
+MAD of all finite observations (`fit`).  Its block-tridiagonal Newton
+system is solved in numpy (`_solve_banded`).
 """
 
 import functools
@@ -26,7 +26,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from . import halfspace
 # Uncalled: bench/test_bench.py checks the tracer's by-name wrapping on it.
@@ -192,7 +191,8 @@ def _hessian(data, x, shift=0.0):
     and -w (T_1 T_2^T + (d / sinh d) n_1 n_2^T) across, with T the lowered
     unit tangent of the edge geodesic at each end and n it turned by 90
     degrees.  The knots are interleaved (s_0, b_0, s_1, b_1, ...), so the
-    Hessian is block-tridiagonal: upper band form (4, 2k) of solveh_banded.
+    Hessian is block-tridiagonal: upper band form (4, 2k) of LAPACK's
+    banded routines, as `_solve_banded` reads it.
     """
     a, b = x[:, 0], x[:, 1:]
     at, tail, k = data.knot, data.tail, data.k
@@ -226,6 +226,127 @@ def _hessian(data, x, shift=0.0):
     return ab.reshape(4, 2 * k)
 
 
+# Up to BASE knots the Newton system is solved knot by knot on Python
+# floats, at about 1.2 us a knot (2-core x86 box).  Above, cyclic
+# reduction first halves it: a halving of n knots costs about 55 numpy
+# calls, some 60 us + 0.05 us * n, and spares the sequential pass the n / 2
+# knots it eliminates, 0.6 us * n.  So halving pays above n = 60 / 0.55,
+# about 110 knots, and the sequential pass is left 65 to 128 of them.
+BASE = 128
+_INDEFINITE = "the Newton system is not positive definite"
+
+
+def _fields(a0, a1, a2, a3, y):
+    """Each knot's row [D | y | E] from the band rows a0..a3 and the
+    right-hand side y, all padded by two zeros.
+
+    D is the knot's diagonal block, E the block that couples it to the next
+    knot (zero for the last), and y its part of the right-hand side; a
+    row lists D_00, D_01, y_0, E_00, E_01, then D_10, D_11, y_1, E_10, E_11.
+    """
+    return (a3[:-2:2], a2[1:-2:2], y[:-2:2], a1[2::2], a0[3::2],
+            a2[1:-2:2], a3[1:-2:2], y[1:-2:2], a2[2::2], a1[3::2])
+
+
+def _sequential(rows):
+    """Block LDL^T solve of the knot rows of `_fields`, as a flat list.
+
+    The pivot S_i = D_i - E_{i-1}^T S_{i-1}^-1 E_{i-1} of each knot must be
+    positive definite: s00 > 0 and det S_i > 0.
+    """
+    steps = []
+    # E^T S^-1 E and E^T S^-1 z of the knot before
+    c00 = c01 = c11 = c0 = c1 = 0.0
+    for d00, d01, y0, e00, e01, _, d11, y1, e10, e11 in rows:
+        s00, s01, s11 = d00 - c00, d01 - c01, d11 - c11
+        det = s00 * s11 - s01 * s01
+        if not (s00 > 0.0 and det > 0.0):
+            raise np.linalg.LinAlgError(_INDEFINITE)
+        r = 1.0 / det
+        i00, i01, i11 = s11 * r, -s01 * r, s00 * r
+        z0, z1 = y0 - c0, y1 - c1
+        w0, w1 = i00 * z0 + i01 * z1, i01 * z0 + i11 * z1
+        g00, g01 = i00 * e00 + i01 * e10, i00 * e01 + i01 * e11
+        g10, g11 = i01 * e00 + i11 * e10, i01 * e01 + i11 * e11
+        steps.append((w0, w1, g00, g01, g10, g11))
+        c00, c01, c11 = e00 * g00 + e10 * g10, e00 * g01 + e10 * g11, \
+            e01 * g01 + e11 * g11
+        c0, c1 = e00 * w0 + e10 * w1, e01 * w0 + e11 * w1
+    out = []
+    x0 = x1 = 0.0
+    for w0, w1, g00, g01, g10, g11 in reversed(steps):
+        x0, x1 = w0 - g00 * x0 - g01 * x1, w1 - g10 * x0 - g11 * x1
+        out += (x1, x0)
+    out.reverse()
+    return out
+
+
+def _reduce(knots):
+    """Solution (2, n) of the knot rows (2, 5, n) of `_fields`; n is even
+    when above BASE.
+
+    Cyclic reduction eliminates every odd knot through its pivot D, whose
+    inverse is formed from its determinant.  With L the block that couples
+    it to the even knot before and R to the one after, the knot before
+    loses L D^-1 [L^T | y | R] from its row and the knot after loses
+    R^T D^-1 [R | y] from its [D | y].  The even knots are left a system of
+    the same form and half the size, positive definite when the whole is.
+    """
+    n = knots.shape[-1]
+    if n <= BASE:
+        return np.reshape(_sequential(knots.reshape(10, n).T.tolist()),
+                          (n, 2)).T
+    even, odd = knots[..., 0::2], knots[..., 1::2]
+    d00, d01, d10, d11 = odd[0, 0], odd[0, 1], odd[1, 0], odd[1, 1]
+    det = d00 * d11 - d01 * d10
+    if not (d00.min() > 0.0 and det.min() > 0.0):
+        raise np.linalg.LinAlgError(_INDEFINITE)
+    inv = np.array([[d11, -d01], [-d10, d00]]) / det
+    left = even[:, 3:]
+    f = np.einsum("ijm,kjm->ikm", inv, left)  # F = D^-1 L^T
+    wg = np.einsum("ijm,jkm->ikm", inv, odd[:, 2:])  # [w | G] = D^-1 [y | R]
+    reduced = np.empty_like(even)
+    reduced[:, :2] = even[:, :2] - np.einsum("ijm,jkm->ikm", left, f)
+    reduced[:, 2:] = -np.einsum("ijm,jkm->ikm", left, wg)  # [-L w | -L G]
+    reduced[:, 2] += even[:, 2]
+    # each odd knot's [R^T w | R^T G] lands on the even knot after it
+    reduced[:, [2, 0, 1], 1:] -= np.einsum("jim,jkm->ikm", odd[:, 3:, :-1],
+                                           wg[..., :-1])
+    xe = _reduce(reduced)
+    # x_o = w - F x_before - G x_after, with [-1 | x_after] against [w | G]
+    after = np.zeros((3, n // 2))
+    after[0] = -1.0
+    after[1:, :-1] = xe[:, 1:]
+    x = np.empty((2, n))
+    x[:, 0::2] = xe
+    x[:, 1::2] = -(np.einsum("ijm,jm->im", f, xe)
+                   + np.einsum("ijm,jm->im", wg, after))
+    return x
+
+
+def _solve_banded(ab, rhs):
+    """Solve the symmetric block-tridiagonal system in the upper band form
+    (4, 2k) of `_hessian`, 2 x 2 blocks with the knots interleaved.
+
+    Raises np.linalg.LinAlgError when the matrix is not positive definite,
+    which in exact arithmetic is exactly when one of the pivot blocks of
+    the elimination is not.
+    """
+    k = rhs.size // 2
+    if k <= BASE:
+        rows = (row + [0.0, 0.0] for row in (*ab.tolist(), rhs.tolist()))
+        return np.array(_sequential(zip(*_fields(*rows))))
+    # identity knots pad k to n = 2^levels * m with m <= BASE: every halving
+    # then leaves an even count until the sequential pass takes the m
+    levels = int(np.ceil(np.log2(k / BASE)))
+    n = -(-k >> levels) << levels
+    rows = np.zeros((5, 2 * n + 2))
+    rows[:4, :2 * k] = ab
+    rows[4, :2 * k] = rhs
+    rows[3, 2 * k:2 * n] = 1.0
+    return _reduce(np.stack(_fields(*rows)).reshape(2, 5, n))[:, :k].T.ravel()
+
+
 def _newton(data, x, grad, g):
     """Newton tangents (k, 2) from (H + r G) p = chart gradient, and whether
     the solve succeeded: a zero tangent where it failed.
@@ -241,7 +362,7 @@ def _newton(data, x, grad, g):
     a = x[:, 0]
     rhs = np.column_stack([grad[:, 0] / a, grad[:, 1] / a ** 2]).ravel()
     try:
-        p = solveh_banded(_hessian(data, x, g / np.sqrt(data.k)),
+        p = _solve_banded(_hessian(data, x, g / np.sqrt(data.k)),
                           rhs).reshape(-1, 2)
     except np.linalg.LinAlgError:
         return np.zeros_like(x), False

@@ -1,9 +1,11 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError
+from hypothesis import assume, given, settings, strategies as st
+from numpy.linalg import LinAlgError
 
 from cauchymle import cauchy, conformal, descent, halfspace as hs, spline
 from cauchymle.descent import DescentConfig, FitStatus, plateau_status
@@ -309,6 +311,112 @@ def test_hessian_matches_finite_differences_of_gradient(rng):
         np.linalg.cholesky(damped)
 
 
+def band_from_dense(dense, u=3):
+    ab = np.zeros((u + 1, dense.shape[0]))
+    for off in range(u + 1):
+        ab[u - off, off:] = np.diagonal(dense, off)
+    return ab
+
+
+def dense_from_blocks(diag, off):
+    """The symmetric block-tridiagonal matrix with 2 x 2 diagonal blocks
+    diag (k, 2, 2) and blocks off (k - 1, 2, 2) above them."""
+    k = len(diag)
+    dense = np.zeros((2 * k, 2 * k))
+    for i in range(k):
+        dense[2 * i:2 * i + 2, 2 * i:2 * i + 2] = diag[i]
+    for i in range(k - 1):
+        dense[2 * i:2 * i + 2, 2 * i + 2:2 * i + 4] = off[i]
+        dense[2 * i + 2:2 * i + 4, 2 * i:2 * i + 2] = off[i].T
+    return dense
+
+
+def block_tridiagonal(k, rng):
+    """A random SPD block-tridiagonal matrix (2k, 2k), kept well
+    conditioned: each diagonal block's smallest eigenvalue exceeds the
+    norms of its two off-diagonal blocks by at least 0.5."""
+    off = rng.standard_normal((k - 1, 2, 2))
+    norms = np.linalg.norm(off, 2, axis=(1, 2))
+    margin = np.append(norms, 0.0) + np.append(0.0, norms) + 0.5
+    m = rng.standard_normal((k, 2, 2))
+    diag = m @ m.transpose(0, 2, 1) + margin[:, None, None] * np.eye(2)
+    return dense_from_blocks(diag, off)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 300), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+def test_solve_banded_matches_dense_solve(k, seed, cut):
+    # the shipped base and a base of 8, which runs up to six reduction
+    # levels at k = 300 (the shipped one at most two)
+    rng = np.random.default_rng(seed)
+    dense = block_tridiagonal(k, rng)
+    ab = band_from_dense(dense)
+    assert np.array_equal(dense_from_upper_band(ab), dense)
+    rhs = rng.standard_normal(2 * k)
+    ref = np.linalg.solve(dense, rhs)
+    # shifted past its j lowest eigenvalues, halfway to the next: indefinite
+    # for j >= 1, and at least half a gap from singular either way
+    lam = np.linalg.eigvalsh(dense)
+    j = min(int(cut * 2 * k), 2 * k - 1)
+    tau = lam[0] / 2 if j == 0 else (lam[j - 1] + lam[j]) / 2
+    assume(j == 0 or lam[j] - lam[j - 1] > 1e-6 * lam[-1])
+    shifted = ab.copy()
+    shifted[3] -= tau
+    try:
+        np.linalg.cholesky(dense - tau * np.eye(2 * k))
+        indefinite = False
+    except LinAlgError:
+        indefinite = True
+    assert indefinite == (j >= 1)
+    for base in (spline.BASE, 8):
+        with mock.patch.object(spline, "BASE", base):
+            x = spline._solve_banded(ab, rhs)
+            assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+            if indefinite:
+                with pytest.raises(LinAlgError):
+                    spline._solve_banded(shifted, rhs)
+            else:
+                spline._solve_banded(shifted, rhs)
+
+
+def test_solve_banded_refuses_negative_definite_pivots():
+    # -I on every odd knot: its determinant is positive, and the reduced
+    # system 3 I + L L^T + R^T R of the even knots is positive definite, so
+    # only the d00 > 0 test of the pivots sees it, at the shipped base in
+    # the sequential pass and at a base of 8 in the reduction
+    k = 16
+    diag = [np.eye(2) * (-1.0 if i % 2 else 3.0) for i in range(k)]
+    dense = dense_from_blocks(diag, np.random.default_rng(5).standard_normal(
+        (k - 1, 2, 2)))
+    with pytest.raises(LinAlgError):
+        np.linalg.cholesky(dense)
+    for base in (spline.BASE, 8):
+        with mock.patch.object(spline, "BASE", base):
+            with pytest.raises(LinAlgError):
+                spline._solve_banded(band_from_dense(dense), np.ones(2 * k))
+
+
+@pytest.mark.parametrize("k", [100, 1000, 10000])
+def test_solve_banded_matches_lapack_on_damped_hessians(k):
+    # the sin(t / 50) + 0.3 Cauchy problem of the damping test, at its
+    # start and at convergence, against LAPACK's banded Cholesky solve
+    from scipy.linalg import solveh_banded
+    t = np.arange(k, dtype=float)
+    xs = np.sin(t / 50) + 0.3 * np.random.default_rng(1).standard_cauchy(k)
+    prob = spline.SplineProblem.from_pairs(t, xs, 1.0)
+    data = spline._Arrays(prob)
+    sol = spline.fit(prob, DescentConfig(tol=1e-7))
+    for x in (spline._initial_values(data), spline._knots(prob, sol.values)):
+        grad = spline._gradient(data, x)
+        g = spline._total_norm(x, grad)
+        a = x[:, 0]
+        rhs = np.column_stack([grad[:, 0] / a, grad[:, 1] / a**2]).ravel()
+        ab = spline._hessian(data, x, g / np.sqrt(k))
+        ref = solveh_banded(ab, rhs)
+        got = spline._solve_banded(ab, rhs)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 def test_objective_non_increasing_along_descent():
     # Newton steps to convergence, under the default and the safe policy
     cases = [([0.0, 1.0, 2.0], [0.0, 2.0, -1.0], 0.8,
@@ -329,7 +437,7 @@ def test_objective_non_increasing_along_descent():
 def test_fit_stops_where_newton_fails(monkeypatch):
     # two Newton steps, then a factorization that fails: the fit stops
     # there, and the gradient-norm tail names the outcome
-    solve = spline.solveh_banded
+    solve = spline._solve_banded
     calls = []
 
     def fails_on_third_call(ab, rhs):
@@ -338,7 +446,7 @@ def test_fit_stops_where_newton_fails(monkeypatch):
             raise LinAlgError("not positive definite")
         return solve(ab, rhs)
 
-    monkeypatch.setattr(spline, "solveh_banded", fails_on_third_call)
+    monkeypatch.setattr(spline, "_solve_banded", fails_on_third_call)
     prob = spline.SplineProblem.from_pairs([0.0, 1.0, 2.0], [0.0, 2.0, -1.0],
                                            alpha=0.8)
     sol = spline.fit(prob, DescentConfig(tol=1e-12, max_iters=5000))
@@ -406,11 +514,12 @@ def test_evaluate_interpolation():
     assert d1 == pytest.approx(0.5 * full, abs=1e-8)
 
 
-def test_damping_does_not_grow_with_the_knot_count():
+@pytest.mark.parametrize("k", [1000, 10000])
+def test_damping_does_not_grow_with_the_knot_count(k):
     # sin(t / 50) + 0.3 Cauchy at 1000 knots: damping by the total gradient
     # norm, which grows like sqrt(k), shrank the steps to 82 iterations;
-    # damping by the RMS knot norm takes the 7-8 of a 100-knot problem
-    k = 1000
+    # damping by the RMS knot norm takes the 7-8 of a 100-knot problem.
+    # At 10000 knots every Newton solve runs seven levels of reduction.
     t = np.arange(k, dtype=float)
     x = np.sin(t / 50) + 0.3 * np.random.default_rng(1).standard_cauchy(k)
     sol = spline.fit(spline.SplineProblem.from_pairs(t, x, 1.0),
