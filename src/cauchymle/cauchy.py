@@ -33,7 +33,8 @@ import numpy as np
 from . import conformal, halfspace, matrix_cauchy, spd
 
 GENERAL_POSITION_EXACT_CAP = 20
-EXACT_CHUNK = 2**14
+# subsets, or rows, per chunk of the general-position check
+CHUNK = 2**14
 # normalized true scalar multiples agree to ~machine eps; genuinely distinct
 # observations in awkward scaling stay well above this
 PROJECTIVE_DUP_TOL = 1e-12
@@ -159,29 +160,28 @@ def has_atom(X, count):
     # rows within PROJECTIVE_DUP_TOL after normalising have keys this
     # close, as long as |a| + |b| is at least ATOM_KEY_FLOOR of its scale
     tol = 4 * p * PROJECTIVE_DUP_TOL / ATOM_KEY_FLOOR
-    # the (N,) arrays are formed in place, at most four at once, so the
-    # check can run beside the fit's copy of the data
+    # key and ill are built a chunk of rows at a time, so the check can run
+    # beside the fit's copy of the data
     R = _key_forms(p)
-    scale = np.abs(X) @ np.abs(R).sum(axis=1)  # bounds the forms' roundoff
-    scale *= ATOM_KEY_FLOOR
-    a, b = R.T @ X.T
-    key = np.copysign(a, b)
-    key += b
-    with np.errstate(invalid="ignore"):
-        np.divide(a, key, out=key)  # nan only where a = b = 0
-    np.abs(a, out=a)
-    a += np.abs(b, out=b)
-    ill = a > scale
-    del scale
-    np.logical_not(ill, out=ill)
-    ill |= np.abs(key, out=a) > 1.0 - 2.0 * tol
-    del a, b
+    key, ill = np.empty(N), np.empty(N, dtype=bool)
+    for i in range(0, N, CHUNK):
+        x = X[i:i + CHUNK]
+        a, b = R.T @ x.T
+        with np.errstate(invalid="ignore"):  # nan only where a = b = 0
+            k = np.divide(a, np.copysign(a, b) + b, out=key[i:i + CHUNK])
+        # the forms' roundoff is bounded by their scale
+        scale = ATOM_KEY_FLOOR * (np.abs(x) @ np.abs(R).sum(axis=1))
+        ill[i:i + CHUNK] = ~(np.abs(a) + np.abs(b) > scale) | (
+            np.abs(k) > 1.0 - 2.0 * tol)
     n_ill = int(np.count_nonzero(ill))
     if n_ill + 1 >= count:  # a lone key could reach count with them
         return _largest_group(X) >= count
     key[ill] = np.nan
     s = np.sort(key)[:N - n_ill]
-    first, last = _runs(np.flatnonzero(np.diff(s) <= tol))
+    # the i with s[i + 1] - s[i] <= tol, found a chunk at a time
+    first, last = _runs(np.concatenate(
+        [np.flatnonzero(np.diff(s[i:i + CHUNK + 1]) <= tol) + i
+         for i in range(0, s.size, CHUNK)] + [np.empty(0, dtype=int)]))
     reach = last - first + 2 + n_ill >= count
     if not reach.any():
         return False
@@ -214,11 +214,16 @@ def check_general_position(lifted, n):
     if N <= GENERAL_POSITION_EXACT_CAP:
         # one stacked rank per chunk of subsets keeps the memory bounded
         subsets = combinations(range(N), n + 1)
-        while chunk := list(islice(subsets, EXACT_CHUNK)):
+        while chunk := list(islice(subsets, CHUNK)):
             if np.any(np.linalg.matrix_rank(X[np.array(chunk)]) < n + 1):
                 return False
         return True
-    if np.linalg.matrix_rank(X) < n + 1:
+    # the R factors of the chunks, stacked, have the singular values of X;
+    # the rank is matrix_rank's, with its tolerance
+    s = np.linalg.svd(np.concatenate([np.linalg.qr(X[i:i + CHUNK], mode="r")
+                                      for i in range(0, N, CHUNK)]),
+                      compute_uv=False)
+    if not s[-1] > s[0] * N * np.finfo(float).eps:
         return False
     # an atom may hold fewer than N / (n+1) rows
     return not has_atom(X, -(-N // (n + 1)))

@@ -16,7 +16,6 @@ and input errors.
 """
 
 import argparse
-import io
 import json
 import math
 import sys
@@ -169,9 +168,10 @@ def _cmd_fit(args):
         doc["location"] = z.b.tolist()
         doc["scale"] = z.a
     else:
-        data = parse_dataset(args.input, "multivariate")
-        n = data.shape[1]
-        T, report = cauchy.fit(cauchy.lift(data), config)
+        # the parsed data are freed once lifted, before the fit copies them
+        T, report = cauchy.fit(
+            cauchy.lift(parse_dataset(args.input, "multivariate")), config)
+        n = T.shape[0] - 1
         params = cauchy.to_params(T)
         doc = _base_report("cauchy", report, n)
         doc["location"] = params.location.tolist()
@@ -219,9 +219,7 @@ def _cmd_simulate(args):
     data = generate(spec)
     mode = {"matrix_standard": "matrix",
             "gaussian_nd": "multivariate"}.get(spec.kind, "univariate")
-    text = write_dataset(args.out or io.StringIO(), data, mode)
-    if not args.out:
-        sys.stdout.write(text)
+    write_dataset(args.out or sys.stdout, data, mode)
     return 0
 
 

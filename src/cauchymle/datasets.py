@@ -132,57 +132,54 @@ def generate(spec, run_index=None):
     raise ValueError(f"unknown generator kind {spec.kind!r}")
 
 
-def _csv_text(arr):
-    """CSV text of a 2-d array, one line per row.
+def _write_rows(fh, arr):
+    """Write a 2-d array to the text file fh as CSV, one line per row.
 
-    repr of a Python float is its shortest exact round-trip text; tolist
-    makes the Python floats of WRITE_CHUNK rows in one call, and only one
-    chunk's floats and strings are alive at a time.
+    %r of a Python float is its shortest exact round-trip text ("inf" for
+    the point at infinity).  Each chunk of WRITE_CHUNK rows is written as
+    soon as one % formats it from one tuple of its Python floats, which
+    makes no string per value, so one chunk's floats and text are alive at
+    a time.
     """
-    if arr.ndim != 2:
-        raise ValueError(f"cannot write data of shape {arr.shape} as rows")
-    chunks = []
+    line = ",".join(["%r"] * arr.shape[1]) + "\n"
     for start in range(0, arr.shape[0], WRITE_CHUNK):
         rows = arr[start:start + WRITE_CHUNK]
-        if arr.shape[1] == 1:
-            lines = map(repr, rows[:, 0].tolist())
-        else:
-            lines = [",".join(map(repr, row)) for row in rows.tolist()]
-        chunks.append("\n".join(lines))
-    return "\n".join(chunks) + "\n"
+        fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def write_dataset(path, data, mode="multivariate"):
-    """Serialize a dataset as headerless CSV (floats round-trip exactly)."""
+    """Write a dataset as headerless CSV (floats round-trip exactly).
+
+    path is a file name or an open text file, such as sys.stdout.  The rows
+    are written a chunk at a time, so the text of the whole file is never
+    held in memory; returns None.
+    """
     if mode == "univariate":
         try:
-            values = np.asarray(data, dtype=float)
+            arr = np.asarray(data, dtype=float)
         except TypeError:  # INFINITY among the values
-            values = None
-        if values is not None and values.ndim == 1:
-            text = _csv_text(values[:, None])
-        else:
-            text = "\n".join(["inf" if is_infinity(x) else repr(float(x))
-                              for x in data]) + "\n"
+            arr = np.array([math.inf if is_infinity(x) else float(x)
+                            for x in data])
+        arr = arr.reshape(len(arr), 1)
     elif mode == "multivariate":
-        text = _csv_text(np.atleast_2d(np.asarray(data, dtype=float)))
+        arr = np.atleast_2d(np.asarray(data, dtype=float))
     elif mode == "matrix":
         arr = np.asarray(data, dtype=float)
-        text = _csv_text(arr.reshape(arr.shape[0], -1))
+        arr = arr.reshape(arr.shape[0], -1)
     elif mode == "regression":
         arr = np.asarray(data, dtype=float)
         if arr.shape[1:] != (2,):
             raise ValueError(f"regression rows of shape {arr.shape[1:]}, "
                              "expected (t, x) pairs")
-        text = _csv_text(arr)
     else:
         raise ValueError(f"unknown dataset mode {mode!r}")
+    if arr.ndim != 2:
+        raise ValueError(f"cannot write data of shape {arr.shape} as rows")
     if hasattr(path, "write"):
-        path.write(text)
+        _write_rows(path, arr)
     else:
         with open(path, "w") as fh:
-            fh.write(text)
-    return text
+            _write_rows(fh, arr)
 
 
 def _parse_float(tok, lineno):

@@ -12,7 +12,8 @@ The half-space engine fits a stack of datasets at once
 spline, is the batch of one.  Under the default policy
 the three take the same damped Newton step (`newton_step`); the `safe`
 policy takes one gradient step of a certified length.  Each oracle gives
-the gradient and the Riemannian Hessian in an orthonormal frame.  The SPD
+the gradient and the Riemannian Hessian in an orthonormal frame, from the
+one pass over the data that gave the loss at the point.  The SPD
 engine moves a frame R of the point T = R R^T: its gradient is seen from
 R, a symmetric trace-free p x p matrix whose Frobenius norm is the
 Riemannian norm, and its Hessian is in an orthonormal basis of such
@@ -137,36 +138,6 @@ def plateau_status(grad_norms, window=PLATEAU_WINDOW, rate=PLATEAU_RATE):
     if decay > rate:
         return FitStatus.ILL_CONDITIONED
     return FitStatus.MAX_ITERS_EXCEEDED
-
-
-def shared_oracle(forms, value, *derived):
-    """(loss_fn, *derived_fns) for a descent engine that share one O(N) pass.
-
-    forms(x) computes the per-datum quantities at x, value(x, f) the loss
-    and each of derived, say grad(x, f) and hess(x, f), a quantity from
-    them.  The engines take the gradient and the Hessian at the point of
-    their last loss evaluation, so the derived functions reuse the forms
-    that loss_fn computed at a point equal to theirs, and recompute them
-    at any other point.  Only the forms of the last loss evaluation are
-    kept, with a copy of its point, and they are dropped before the next
-    are computed.
-    """
-    last = [None, None]
-
-    def loss_fn(x):
-        last[:] = None, None
-        f = forms(x)
-        last[:] = np.array(x), f
-        return value(x, f)
-
-    def reusing(fn):
-        def derived_fn(x):
-            at, f = last
-            return fn(x, f if at is not None and np.array_equal(x, at)
-                      else forms(x))
-        return derived_fn
-
-    return (loss_fn, *map(reusing, derived))
 
 
 def minimize_on_spd(T0, loss_fn, grad_fn, hess_fn, config):

@@ -22,8 +22,9 @@ velocity W seen from R, one datum's second derivative is
     |W U|^2 - |U^T W U|^2 = |(I - P) W U|^2,    P = U U^T,
 
 at most |W|^2 / 2, so the Riemannian Hessian, the mean of these, is
-positive semidefinite.  The fit's one kernel computes them; `loss` and
-`grad` run it at the Cholesky frame of T, so `check-grad` tests it.  At
+positive semidefinite.  The fit's one kernel computes them, in one pass
+over chunks of the data that keeps only their sums; `loss` and `grad`
+run it at the Cholesky frame of T, so `check-grad` tests it.  At
 m = 1 everything reduces exactly to the multivariate Cauchy family, and
 `fit` is the fit of both families.
 """
@@ -33,12 +34,11 @@ import functools
 import numpy as np
 
 from . import cauchy, halfspace, spd
-from .descent import (DescentConfig, FitReport, FitStatus, minimize_on_spd,
-                      shared_oracle)
+from .descent import DescentConfig, FitReport, FitStatus, minimize_on_spd
 
-# data per block of the Hessian's pass: its (p(p+1)/2, block) arrays stay
-# in cache, and no (N, p^2) array is formed
-HESSIAN_CHUNK = 2**12
+# frame entries per chunk of the oracle's pass, m p per datum: a chunk's
+# temporaries stay in cache, and no (m, p, N) array is formed
+CHUNK = 2**14
 
 
 def lift(data):
@@ -121,12 +121,6 @@ def _frame_forms(R, Fc):
     return Q, logdet
 
 
-def _frame_grad(Q):
-    # mean of the projectors, less (m/p) I
-    return spd.trace_free(np.matmul(Q, np.swapaxes(Q, 1, 2)).sum(axis=0)
-                          / Q.shape[2])
-
-
 @functools.lru_cache(maxsize=None)
 def _upper_triangle(p):
     """Indices (ia, ib) of the upper-triangle entries of a p x p matrix,
@@ -139,28 +133,41 @@ def _upper_triangle(p):
     return ia, ib, at
 
 
-def _frame_hessian(Q):
+def _moments(R, Fc):
+    """Mean log det, and the first two moments w1, w2 of the projectors.
+
+    w holds the upper-triangle entries P[ia, ib] of each datum's projector
+    P = Q Q^T of `_frame_forms`: w1 is their mean, the entries of the mean
+    projector S, and w2 the mean of w w^T, the entries of the mean of
+    P kron P.  One pass over chunks of CHUNK frame entries adds them up,
+    so it holds O(p^4) numbers and no per-datum array.
+    """
+    m, p, N = Fc.shape
+    ia, ib, _ = _upper_triangle(p)
+    step = max(1, CHUNK // (m * p))
+    logdet = w1 = w2 = 0.0
+    for i in range(0, N, step):
+        Q, chunk_logdet = _frame_forms(R, Fc[:, :, i:i + step])
+        w = np.einsum("kai,kai->ai", Q[:, ia], Q[:, ib])
+        logdet += chunk_logdet.sum()
+        w1, w2 = w1 + w.sum(axis=1), w2 + w @ w.T
+    return logdet / N, w1 / N, w2 / N
+
+
+def _frame_hessian(w1, w2, p):
     """Riemannian Hessian seen from the frame, in the basis `spd.frame_basis`.
 
     H[k, l] = mean of tr(E_k E_l P) - tr(P E_k P E_l) over the projectors
-    P = Q Q^T, the symmetric part of vec(E_k)^T (vec(E_l S) - K vec(E_l))
-    with S the mean of P and K the mean of P kron P.  Both come from the
-    first two moments of the upper-triangle entries w of P, summed over
-    blocks of HESSIAN_CHUNK data, so the pass holds O(p^4) numbers and no
-    (N, p^2) array.
+    P, the symmetric part of vec(E_k)^T (vec(E_l S) - K vec(E_l)) with S
+    the mean of P and K the mean of P kron P, read from the moments w1 and
+    w2 of `_moments`.
     """
-    m, p, N = Q.shape
-    ia, ib, at = _upper_triangle(p)
-    w1 = w2 = 0.0
-    for i in range(0, N, HESSIAN_CHUNK):
-        block = slice(i, i + HESSIAN_CHUNK)
-        w = np.einsum("kai,kai->ai", Q[:, ia, block], Q[:, ib, block])
-        w1, w2 = w1 + w.sum(axis=1), w2 + w @ w.T
+    _, _, at = _upper_triangle(p)
     # K[(a, b), (c, d)] = mean of P[a, c] P[b, d]
     K = w2[at[:, None, :, None], at[None, :, None, :]].reshape(p * p, -1)
     E = spd.frame_basis(p)
     Ef = E.reshape(len(E), -1)
-    return spd.sym(Ef @ ((E @ w1[at]).reshape(Ef.shape).T - K @ Ef.T) / N)
+    return spd.sym(Ef @ ((E @ w1[at]).reshape(Ef.shape).T - K @ Ef.T))
 
 
 def _standardizing_map(F, n, m):
@@ -228,17 +235,26 @@ def fit(frames, m, n, config=None):
 def _oracle(Fc):
     """(loss_fn, grad_fn, hess_fn) of a frame R of T = R R^T, on valid frames.
 
-    Fc holds the frames column by column, Fc[k, :, i] = Xt_i[:, k], so that
-    the shared pass is m (p, p) by (p, N) products and a few O(m^2 p N)
-    array operations: the Gram-Schmidt of `_frame_forms`, which yields the
-    log determinants and the orthonormal frames Q of the per-datum
-    projectors seen from R.  grad_fn returns the gradient seen from R and
-    hess_fn the Hessian in `spd.frame_basis`.
+    Fc holds the frames column by column, Fc[k, :, i] = Xt_i[:, k].  One
+    chunked pass of `_moments` at a point gives all three: the loss, the
+    gradient seen from R, the mean projector less (m/p) I, and the Hessian
+    in `spd.frame_basis`.  Its sums are kept for the point of the last
+    pass, where the engines ask for the gradient and the Hessian, and
+    recomputed at any other point.
     """
-    return shared_oracle(lambda R: _frame_forms(R, Fc),
-                         lambda R, f: float(np.mean(f[1])),
-                         lambda R, f: _frame_grad(f[0]),
-                         lambda R, f: _frame_hessian(f[0]))
+    p = Fc.shape[1]
+    last = [None, None]  # the point of the last pass, and its sums
+
+    def sums(R):
+        if last[0] is None or not np.array_equal(R, last[0]):
+            last[:] = np.array(R), _moments(R, Fc)
+        return last[1]
+
+    def grad_fn(R):
+        return spd.trace_free(sums(R)[1][_upper_triangle(p)[2]])
+
+    return (lambda R: float(sums(R)[0]), grad_fn,
+            lambda R: _frame_hessian(*sums(R)[1:], p))
 
 
 def to_params(T, n, m):

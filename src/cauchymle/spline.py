@@ -21,6 +21,7 @@ MAD of all finite observations (`fit`).  Its block-tridiagonal Newton
 system is solved in numpy (`_solve_banded`).
 """
 
+import bisect
 import functools
 import time
 from dataclasses import dataclass
@@ -422,7 +423,7 @@ def evaluate(solution, t):
         return values[0]
     if t >= times[-1]:
         return values[-1]
-    i = int(np.searchsorted(times, t, side="right")) - 1
+    i = bisect.bisect_right(times, t) - 1
     if times[i] == t:
         return values[i]
     frac = (t - times[i]) / (times[i + 1] - times[i])

@@ -344,18 +344,42 @@ def test_atom_split_by_the_key_floor_is_counted_whole():
     assert cauchy.has_atom(np.vstack([X, np.eye(3)]), 41)
 
 
-def test_atom_check_holds_few_arrays_of_the_sample_size():
-    # the fit's copy of the data is alive while the check runs: the check's
-    # own (N,) temporaries are formed in place, fewer than five at once
-    N = 200000
-    X = cauchy.lift(np.random.default_rng(48).standard_normal(N))
+def _traced_peak(fn):
+    """fn's result, and the peak of the memory tracemalloc sees it take."""
     tracemalloc.start()
     try:
-        assert not cauchy.has_atom(X, N // 2)
-        peak = tracemalloc.get_traced_memory()[1]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5 * N * X.itemsize
+
+
+def test_atom_check_holds_few_arrays_of_the_sample_size():
+    # the fit's copy of the data is alive while the check runs.  The rank
+    # comes from the QR factors of chunks of rows, and has_atom builds the
+    # keys and their flags a chunk at a time: the check holds the keys,
+    # their sort and the flags, 2 1/8 arrays of N floats, and a few arrays
+    # of CHUNK floats at a time
+    N = 200000
+    X = cauchy.lift(np.random.default_rng(48).standard_normal(N))
+    bound = (2.125 * N + 8 * cauchy.CHUNK) * X.itemsize
+    atom, peak = _traced_peak(lambda: cauchy.has_atom(X, N // 2))
+    assert not atom and peak < bound
+    general, peak = _traced_peak(lambda: cauchy.check_general_position(X, 1))
+    assert general and peak < bound
+
+
+def test_fit_holds_few_arrays_of_the_sample_size():
+    # the twin of the conformal fit's test.  Beside the caller's lifted
+    # data, the fit holds its column copy of them (p = 2 arrays of N
+    # floats) and the precheck's 2 1/8; the oracle's pass keeps O(p^4)
+    # sums and no per-datum array, and every chunk's temporaries are a few
+    # arrays of CHUNK floats
+    N = 200000
+    X = cauchy.lift(np.random.default_rng(49).standard_cauchy(N))
+    (_, report), peak = _traced_peak(lambda: cauchy.fit(X))
+    assert report.status is FitStatus.CONVERGED
+    assert peak < (4.125 * N + 8 * cauchy.CHUNK) * X.itemsize
 
 
 def test_exact_branch_matches_subset_loop(rng):

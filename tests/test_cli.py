@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cauchymle import cauchy, montecarlo
+from cauchymle import cauchy, datasets, montecarlo
 from cauchymle.cli import main
 
 
@@ -236,6 +236,24 @@ def test_simulate_to_stdout(capsys):
                          "--seed", "1"], capsys)
     assert code == 0
     assert len(out.strip().split("\n")) == 5
+
+
+@pytest.mark.parametrize("args, spec", [
+    (["--kind", "cauchy1d", "--size", "40"],
+     datasets.GeneratorSpec("cauchy1d", 40, seed=4)),
+    (["--kind", "gaussian_nd", "--size", "30", "--mean-vector", "1,-2",
+      "--cov", "2,0.5;0.5,1"],
+     datasets.GeneratorSpec("gaussian_nd", 30, seed=4,
+                            mean_vector=np.array([1.0, -2.0]),
+                            covariance=np.array([[2.0, 0.5], [0.5, 1.0]])))])
+def test_simulate_prints_each_value_as_its_repr(capsys, args, spec):
+    # the writer streams to standard output the lines it writes to a file:
+    # repr of every value, comma-separated, one observation per line
+    code, out = run_cli(["simulate", "--seed", "4", *args], capsys)
+    assert code == 0
+    data = datasets.generate(spec)
+    assert out == "".join(",".join(map(repr, row)) + "\n"
+                          for row in data.reshape(len(data), -1).tolist())
 
 
 def test_mc_output_and_table(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,7 +68,9 @@ def test_parse_empty_dataset():
 
 def test_write_parse_round_trip_univariate(rng):
     data = list(rng.standard_normal(50)) + [INFINITY]
-    text = ds.write_dataset(io.StringIO(), data, "univariate")
+    buf = io.StringIO()
+    ds.write_dataset(buf, data, "univariate")
+    text = buf.getvalue()
     back = ds.parse_dataset(io.StringIO(text), "univariate")
     assert len(back) == len(data)
     for a, b in zip(data, back):
@@ -79,14 +82,18 @@ def test_write_parse_round_trip_univariate(rng):
 
 def test_write_parse_round_trip_multivariate(rng):
     data = rng.standard_normal((20, 3)) * 1e6
-    text = ds.write_dataset(io.StringIO(), data, "multivariate")
+    buf = io.StringIO()
+    ds.write_dataset(buf, data, "multivariate")
+    text = buf.getvalue()
     back = ds.parse_dataset(io.StringIO(text), "multivariate")
     assert np.array_equal(back, data)
 
 
 def test_write_parse_round_trip_matrix(rng):
     data = rng.standard_normal((5, 2, 3))
-    text = ds.write_dataset(io.StringIO(), data, "matrix")
+    buf = io.StringIO()
+    ds.write_dataset(buf, data, "matrix")
+    text = buf.getvalue()
     back = ds.parse_dataset(io.StringIO(text), "matrix", rows=2, cols=3)
     assert np.array_equal(back, data)
 
@@ -118,8 +125,39 @@ def test_write_dataset_matches_per_value_repr(mode, width, values, at_inf):
         data = data.reshape(rows, 2, 2)
     if mode == "univariate" and at_inf:
         data = list(data) + [INFINITY]
-    text = ds.write_dataset(io.StringIO(), data, mode)
+    buf = io.StringIO()
+    ds.write_dataset(buf, data, mode)
+    text = buf.getvalue()
     assert text == _write_reference(data, mode)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+@pytest.mark.parametrize("mode", ["univariate", "multivariate"])
+def test_chunked_writes_match_per_value_repr(rng, mode, extra):
+    # the writer formats and writes WRITE_CHUNK rows at a time: the rows
+    # around a chunk's end, and a point at infinity ending the first chunk
+    N = ds.WRITE_CHUNK + extra
+    if mode == "univariate":
+        data = rng.standard_cauchy(N).tolist()
+        data[min(N, ds.WRITE_CHUNK) - 1] = INFINITY
+    else:
+        data = rng.standard_normal((N, 3)) * 1e3
+    buf = io.StringIO()
+    ds.write_dataset(buf, data, mode)
+    assert buf.getvalue() == _write_reference(data, mode)
+
+
+def test_writer_holds_less_than_the_text(tmp_path):
+    # one chunk's floats and text are alive at a time, not the file's text
+    path = tmp_path / "d.csv"
+    data = np.random.default_rng(5).standard_normal((4 * ds.WRITE_CHUNK, 3))
+    tracemalloc.start()
+    try:
+        ds.write_dataset(str(path), data, "multivariate")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size
 
 
 def test_parse_univariate_hands_back_an_array(tmp_path):

@@ -189,14 +189,31 @@ def test_hessian_is_second_derivative_of_loss_along_geodesics(rng, m, n):
         assert second == pytest.approx(want, rel=1e-4, abs=1e-6)
 
 
-@pytest.mark.parametrize("m, n", [(1, 2), (2, 2)])
-def test_hessian_blocks_add_up_to_one_pass(rng, m, n, monkeypatch):
-    # the Hessian's pass sums its moments over blocks of HESSIAN_CHUNK data
-    F = mc.lift(rng.standard_normal((50, n, m)) * 2.0)
-    R = np.linalg.cholesky(random_spd_point(m + n, rng))
-    whole = _hessian_at(F, R)
-    monkeypatch.setattr(mc, "HESSIAN_CHUNK", 7)
-    assert np.abs(_hessian_at(F, R) - whole).max() < 1e-14
+@pytest.mark.parametrize("N", [13, 14, 15])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_chunked_oracle_matches_per_datum_sums(rng, m, N, monkeypatch):
+    # the oracle's one pass sums over chunks of CHUNK frame entries, here
+    # of 7 data, so that N straddles a chunk boundary.  The reference works
+    # datum by datum: log det(Xt^T T Xt), T M T - (m/p) T, and the Hessian
+    # of each datum's projector P = U U^T, U an orthonormal basis of
+    # R^T Xt from a QR factorization
+    n = 2
+    p = m + n
+    monkeypatch.setattr(mc, "CHUNK", 7 * m * p)
+    F = mc.lift(rng.standard_normal((N, n, m)) * 2.0)
+    R = np.linalg.cholesky(random_spd_point(p, rng))
+    T = R @ R.T
+    E = spd.frame_basis(p)
+    H = np.zeros((len(E), len(E)))
+    for frame in F:
+        U = np.linalg.qr(R.T @ frame)[0]
+        P = U @ U.T
+        H += (np.einsum("kab,lbc,ca->kl", E, E, P)
+              - np.einsum("ab,kbc,cd,lda->kl", P, E, P, E))
+    loss_fn, grad_fn, hess_fn = mc._oracle(F.transpose(2, 1, 0))
+    assert abs(loss_fn(R) - gram_loss(T, F)) < 1e-13
+    assert np.abs(spd.from_frame(R, grad_fn(R)) - gram_grad(T, F)).max() < 1e-13
+    assert np.abs(hess_fn(R) - H / N).max() < 1e-13
 
 
 def test_fit_at_twelve_dimensions_holds_little_memory(rng):

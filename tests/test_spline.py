@@ -514,6 +514,25 @@ def test_evaluate_interpolation():
     assert d1 == pytest.approx(0.5 * full, abs=1e-8)
 
 
+def test_evaluate_finds_the_knot_of_every_time():
+    # the segment of t is the knot of searchsorted's right side, before,
+    # at, between and after the knots; a knot time gives its value itself
+    prob = spline.SplineProblem.from_pairs([0.0, 1.0, 2.5, 4.0],
+                                           [-1.0, 1.0, 0.5, 3.0], alpha=1.0)
+    sol = spline.fit(prob, DescentConfig(tol=1e-9, max_iters=5000))
+    times, values = sol.times, sol.values
+    for t in (-1.0, 0.0, 1e-9, 0.5, 1.0, 2.0, 2.5, 4.0 - 1e-9, 4.0, 9.0):
+        i = int(np.searchsorted(np.array(times), t, side="right")) - 1
+        got = spline.evaluate(sol, t)
+        if i < 0 or i == len(times) - 1 or times[i] == t:
+            assert got is values[min(max(i, 0), len(times) - 1)]
+        else:
+            frac = (t - times[i]) / (times[i + 1] - times[i])
+            want = hs.exp_map(values[i], hs.log_map(values[i], values[i + 1]),
+                              frac)
+            assert (got.a, got.b.tolist()) == (want.a, want.b.tolist())
+
+
 @pytest.mark.parametrize("k", [1000, 10000])
 def test_damping_does_not_grow_with_the_knot_count(k):
     # sin(t / 50) + 0.3 Cauchy at 1000 knots: damping by the total gradient
