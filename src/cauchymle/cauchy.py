@@ -232,12 +232,12 @@ def check_general_position(lifted, n):
 def fit(lifted, config=None):
     """Maximum-likelihood fit by geodesic descent in the data's own frame.
 
-    Returns (T, FitReport).  This is `matrix_cauchy.fit` at m = 1, with
-    damped Newton steps under the default policy: datasets failing the
-    general-position check come back immediately with status
-    DEGENERATE_DATA; descent runs that drift to the manifold boundary (huge
-    condition number) are flagged the same way, and a flat likelihood at
-    the optimum (a small Hessian eigenvalue) is flagged ILL_CONDITIONED.
+    Returns (T, FitReport).  This is `matrix_cauchy.fit` at m = 1, which
+    copies the lifted vectors once; `matrix_cauchy.fit_observations` fits
+    (N, n) observations with no lifted copy.  Datasets failing the
+    general-position check come back at once with status DEGENERATE_DATA;
+    descents that drift to the manifold boundary are flagged the same way,
+    and a flat likelihood at the optimum is flagged ILL_CONDITIONED.
     """
     F = _frames(lifted)
     return matrix_cauchy.fit(F, 1, F.shape[1] - 1, config)

@@ -150,10 +150,9 @@ def _cmd_fit(args):
     if args.family == "matrix":
         if args.rows < 1 or args.cols < 1:
             raise _UsageError("matrix family requires --rows and --cols")
-        data = parse_dataset(args.input, "matrix", rows=args.rows,
-                             cols=args.cols)
-        frames = matrix_cauchy.lift(data)
-        T, report = matrix_cauchy.fit(frames, args.cols, args.rows, config)
+        # the parsed data are freed once the fit has its one copy of them
+        T, report = matrix_cauchy.fit_observations(parse_dataset(
+            args.input, "matrix", rows=args.rows, cols=args.cols), config)
         B, row_scatter, col_scatter = matrix_cauchy.to_params(
             T, args.rows, args.cols)
         doc = _base_report("matrix", report, args.rows, args.cols)
@@ -168,9 +167,8 @@ def _cmd_fit(args):
         doc["location"] = z.b.tolist()
         doc["scale"] = z.a
     else:
-        # the parsed data are freed once lifted, before the fit copies them
-        T, report = cauchy.fit(
-            cauchy.lift(parse_dataset(args.input, "multivariate")), config)
+        T, report = matrix_cauchy.fit_observations(
+            parse_dataset(args.input, "multivariate"), config)
         n = T.shape[0] - 1
         params = cauchy.to_params(T)
         doc = _base_report("cauchy", report, n)

@@ -153,13 +153,16 @@ def grad(z, data, n=None):
     return halfspace.HTangent(z, z.a * g[0], z.a * g[1:])
 
 
-def _largest_repeat(v):
-    """The largest number of equal entries of the 1-d array v."""
-    s = np.sort(v)
-    edges = np.flatnonzero(s[1:] != s[:-1])
-    if edges.size == v.size - 1:  # no entry repeats
-        return min(v.size, 1)
-    return int(np.diff(edges, prepend=-1, append=v.size - 1).max())
+def _largest_repeat(V):
+    """The largest number of equal entries in each row of V (B, N)."""
+    s = np.sort(V, axis=1)
+    new = np.ones(s.shape, dtype=bool)  # where a run of equal entries starts
+    np.not_equal(s[:, 1:], s[:, :-1], out=new[:, 1:])
+    if new.all():  # no entry repeats
+        return np.full(len(V), min(V.shape[1], 1))
+    first = np.flatnonzero(new)  # the rows end to end, each starting a run
+    rows = first.searchsorted(np.arange(0, V.size, V.shape[1]))
+    return np.maximum.reduceat(np.diff(first, append=V.size), rows)
 
 
 def has_dominant_point(F, n_inf):
@@ -172,27 +175,33 @@ def has_dominant_point(F, n_inf):
     geodesic between the two minimises.  Points are counted exactly.  No
     point repeats more often than its first coordinate, so one sort of that
     column settles all data but those with a value there held by half.
+    F may also be a stack (B, N, n) of datasets, with n_inf (B,): the
+    answers (B,) of all of them then come from one sort.
     """
-    N = F.shape[0] + n_inf
-    if 2 * max(n_inf, _largest_repeat(F[:, 0])) < N:
-        return False
-    counts = np.append(np.unique(F, axis=0, return_counts=True)[1], n_inf)
-    if 2 * counts.max() < N:
-        return False
-    return not np.array_equal(counts[counts > 0], [N // 2, N // 2])
+    stack = F if F.ndim == 3 else F[None]
+    n_inf = np.broadcast_to(n_inf, stack.shape[:1])
+    N = stack.shape[1] + n_inf
+    found = 2 * np.maximum(n_inf, _largest_repeat(stack[:, :, 0])) >= N
+    for i in np.flatnonzero(found):
+        counts = np.append(np.unique(stack[i], axis=0, return_counts=True)[1],
+                           n_inf[i])
+        found[i] = 2 * counts.max() >= N[i] and not np.array_equal(
+            counts[counts > 0], [N[i] // 2, N[i] // 2])
+    return found if F.ndim == 3 else bool(found[0])
 
 
-def _start(F, n_inf, n):
-    """The start (MAD, median) (n + 1,) of the finite data F, and the
-    refusal of data with a dominant point (see `has_dominant_point`), or
-    None."""
+def _starts(F, n_inf, n):
+    """The starts (MAD, median) (n + 1,) of a stack of finite data F
+    (B, N, n), with n_inf (B,) at infinity, each with the refusal of data
+    with a dominant point (see `has_dominant_point`), or None."""
     med, mad = halfspace.median_mad(F)
-    x = np.append(mad, med)
-    if not has_dominant_point(F, n_inf):
-        return x, None
-    loss = _evaluate(F, n_inf, x)[0]
-    return x, FitReport(FitStatus.DEGENERATE_DATA, 0, [loss], [], 0.0,
-                        loss_evals=1)
+    x = np.column_stack([mad, med])
+    starts = [(xi, None) for xi in x]
+    for i in np.flatnonzero(has_dominant_point(F, n_inf)):
+        loss = _evaluate(F[i], n_inf[i], x[i])[0]
+        starts[i] = x[i], FitReport(FitStatus.DEGENERATE_DATA, 0, [loss], [],
+                                    0.0, loss_evals=1)
+    return starts
 
 
 def fit(data, n, config=None):
@@ -211,7 +220,7 @@ def fit(data, n, config=None):
     batch of one: `fit_batch` gives each member this same answer.
     """
     F, n_inf = _split_data(data, n)
-    x, report = _start(F, n_inf, n)
+    (x, report), = _starts(F[None], [n_inf], n)
     if report is None:
         x, report = minimize_on_halfspace(
             x, *_oracle([F], [n_inf]), curvature=n,
@@ -227,7 +236,8 @@ def fit_batch(members, n, config=None):
     (HPoint, FitReport) per member, as `fit` gives it alone; every
     report's wall time is that of the whole batch.
     """
-    starts = [_start(F, n_inf, n) for F, n_inf in members]
+    starts = _starts(np.stack([F for F, _ in members]),
+                     [n_inf for _, n_inf in members], n)
     live = [i for i, (_, refused) in enumerate(starts) if refused is None]
     if live:
         oracle = _oracle([members[i][0] for i in live],

@@ -25,6 +25,8 @@ from .halfspace import INFINITY, is_infinity
 GENERATOR_KINDS = ("gaussian", "cauchy1d", "mixture", "gaussian_nd",
                    "matrix_standard")
 WRITE_CHUNK = 2**16
+# characters per block of the scan that decides how a named file is parsed
+SCAN_BLOCK = 2**16
 
 
 class DataFormatError(ValueError):
@@ -208,7 +210,9 @@ def parse_dataset(path, mode="multivariate", rows=None, cols=None):
 
     A file of finite numbers with the right arity is read in one vectorised
     pass; any other file goes through the line reader, which decides what
-    it holds and which line is wrong.  Both give bit-identical values.
+    it holds and which line is wrong.  Both give bit-identical values.  A
+    named file's text is held whole only by the line reader: the
+    vectorised pass scans it a block at a time and then reads it by name.
     """
     data = _read(path, mode, rows, cols)
     if mode == "univariate":
@@ -235,28 +239,42 @@ def parse_univariate(path):
 
 
 def _read(path, mode, rows, cols):
-    """The file as one (N, columns) float array, or the line reader's records."""
+    """The file as one (N, columns) float array, or the line reader's records.
+
+    A named file is scanned SCAN_BLOCK characters at a time, in text mode
+    as the line reader reads it, and np.loadtxt reads it by name, faster
+    than from a StringIO; its whole text is read only for the line reader.
+    """
     if hasattr(path, "read"):
         text = path.read()
-        source = io.StringIO(text)
+        arr = _parse_array([text], io.StringIO(text), mode, rows, cols)
     else:
         with open(path) as fh:
-            text = fh.read()
-        source = path  # np.loadtxt reads a named file faster than a StringIO
-    arr = _parse_array(text, source, mode, rows, cols)
+            blocks = iter(lambda: fh.read(SCAN_BLOCK), "")
+            arr = _parse_array(blocks, path, mode, rows, cols)
+            if arr is None:
+                fh.seek(0)
+                text = fh.read()
     return arr if arr is not None else _parse_lines(text, mode, rows, cols)
 
 
-def _parse_array(text, source, mode, rows, cols):
+def _parse_array(blocks, source, mode, rows, cols):
     """The file as one (N, columns) float array, or None when it needs the line reader.
 
-    text is the file's content and source what np.loadtxt reads it from.
+    blocks is the file's text in one or more pieces, and source what
+    np.loadtxt reads it from.
     """
     # columns per row; -1 matches no file, so the line reader names the error
     widths = {"univariate": 1, "multivariate": None, "regression": 2,
               "matrix": rows * cols if rows and cols else -1}
-    if (mode not in widths or not text or text.isspace()
-            or any(c in text for c in _OTHER_LINE_BREAKS)):
+    if mode not in widths:
+        return None
+    blank = True
+    for block in blocks:
+        if any(c in block for c in _OTHER_LINE_BREAKS):
+            return None
+        blank = blank and (not block or block.isspace())
+    if blank:
         return None
     try:
         arr = np.loadtxt(source, delimiter=",", comments=None, ndmin=2)

@@ -112,22 +112,29 @@ def _boundary_vector(x, n):
 
 
 def median_mad(F):
-    """Coordinate-wise median (n,) and pooled MAD of finite observations F (N, n).
+    """Coordinate-wise median (..., n) and pooled MAD (...) of finite
+    observations F (..., N, n): one dataset, or a stack of datasets of
+    equal size, each statistic of all of them from one partition.
 
     The MAD is 1 when it vanishes; with no observation the median is 0.
     """
-    if F.shape[0] == 0:
-        return np.zeros(F.shape[1]), 1.0
-    med = _median(F.copy())
-    mad = float(_median(np.abs(F - med).ravel()))
-    return med, mad if mad > 0 else 1.0
+    lead = F.shape[:-2]
+    if F.shape[-2] == 0:
+        return np.zeros(lead + F.shape[-1:]), np.ones(lead)[()]
+    x = F.copy()
+    med = _median(x, axis=-2)
+    # the deviations, in the partitioned copy: the MAD pools them, in any order
+    x -= med[..., None, :]
+    mad = _median(np.abs(x, out=x).reshape(lead + (-1,)), axis=-1)
+    return med, np.where(mad > 0, mad, 1.0)[()]
 
 
-def _median(x):
-    """np.median(x, axis=0) from one partition of x, in place.
+def _median(x, axis=0):
+    """np.median(x, axis) from one partition of x, in place.
 
     np.median partitions twice and imports numpy.ma on its first call.
     """
+    x = np.moveaxis(x, axis, 0)
     h = x.shape[0] // 2
     x.partition(h, axis=0)
     if x.shape[0] % 2:

@@ -148,7 +148,11 @@ def _moments(R, Fc):
     logdet = w1 = w2 = 0.0
     for i in range(0, N, step):
         Q, chunk_logdet = _frame_forms(R, Fc[:, :, i:i + step])
-        w = np.einsum("kai,kai->ai", Q[:, ia], Q[:, ib])
+        # a multiply-add over the m columns: einsum's buffered path costs
+        # several times more per datum once a chunk holds ~2000 data
+        w = Q[0, ia] * Q[0, ib]
+        for k in range(1, m):
+            w += Q[k, ia] * Q[k, ib]
         logdet += chunk_logdet.sum()
         w1, w2 = w1 + w.sum(axis=1), w2 + w @ w.T
     return logdet / N, w1 / N, w2 / N
@@ -170,30 +174,51 @@ def _frame_hessian(w1, w2, p):
     return spd.sym(Ef @ ((E @ w1[at]).reshape(Ef.shape).T - K @ Ef.T))
 
 
-def _standardizing_map(F, n, m):
-    """Block-affine lift transform from coordinate-wise median/MAD.
+def _standardize(Fc, n):
+    """Map the frames Fc (m, p, N) of `_fit` in place by the median/MAD
+    map A of their observations, and return A.
 
-    Only frames whose bottom block is the identity count, so points at
-    infinity are left out.  Each entry of the n x m observations is
-    shifted by its median, and each of the n rows scaled by the MAD of its
-    entries pooled over the m columns, all from one (n, m, N) copy.
+    Each entry of the n x m observations is shifted by its median, and
+    each of the n rows scaled by the MAD of its entries pooled over the m
+    columns, one row at a time; frames at infinity (their bottom block not
+    the identity) are left out.
     """
-    finite = np.ones(F.shape[0], dtype=bool)
+    m, p, N = Fc.shape
+    finite = np.ones(N, dtype=bool)
     for (j, k), e in np.ndenumerate(np.eye(m)):
-        finite &= F[:, n + j, k] == e
-    Y = np.compress(finite, F[:, :n, :].transpose(1, 2, 0), axis=2)
-    if Y.shape[2] == 0:
-        med, mad = np.zeros((n, m)), np.ones(n)
-    else:
-        med = halfspace._median(Y.T).T
-        Y -= med[:, :, None]
-        mad = halfspace._median(np.abs(Y, out=Y).reshape(n, -1).T)
-        mad[mad == 0] = 1.0
-    A = np.zeros((n + m, n + m))
+        finite &= Fc[k, n + j] == e
+    X = Fc[:, :n] if finite.all() else Fc[:, :n, finite]
+    med, mad = np.empty((n, m)), np.empty(n)
+    for j in range(n):
+        med[j], mad[j] = halfspace.median_mad(X[:, j].T)
+    del X
+    A = np.eye(p)
     A[:n, :n] = np.diag(1.0 / mad)
     A[:n, n:] = -med / mad[:, None]
-    A[n:, n:] = np.eye(m)
+    step = max(1, CHUNK // (m * p))
+    for i in range(0, N, step):
+        Fc[:, :n, i:i + step] = A[:n] @ Fc[:, :, i:i + step]
     return A
+
+
+def _fit(Fc, n, config):
+    """The fit of the frames laid out column by column, Fc (m, p, N) with
+    Fc[k, :, i] = Xt_i[:, k]: the one copy of the data that the fit holds,
+    which it standardizes in place."""
+    m, p, _ = Fc.shape
+    A = _standardize(Fc, n)
+    if m == 1 and not cauchy.check_general_position(Fc[0].T, n):
+        T = np.eye(p)
+        report = FitReport(FitStatus.DEGENERATE_DATA, 0, [_oracle(Fc)[0](T)],
+                           [], 0.0, loss_evals=1)
+    else:
+        T, report = minimize_on_spd(np.eye(p), *_oracle(Fc),
+                                    config or DescentConfig())
+    # log det(Xt^T T Xt) of the data exceeds that of A Xt by m log c, where
+    # c = det(A)^(-2/p) rescales A^T T A to determinant one
+    shift = -2.0 * m / p * float(np.sum(np.log(np.diag(A))))
+    report.loss_trace = [v + shift for v in report.loss_trace]
+    return spd.unit_det(A.T @ T @ A), report
 
 
 def fit(frames, m, n, config=None):
@@ -202,34 +227,41 @@ def fit(frames, m, n, config=None):
     The descent is `descent.minimize_on_spd`: damped Newton steps under
     the default policy, gradient steps under "safe", and the Hessian at the
     returned point tells a converged fit from an ill-conditioned one.
-    frames is the lifted (N, m+n, m) array.  Returns (T, FitReport).  The
-    descent runs from the identity on the frames A Xt, A the median/MAD
-    map of `_standardizing_map`, and returns A^T T A at determinant one:
-    the family is equivariant under such row-affine maps, so this is the
-    MLE, with the same Hessian, while the guards see the spread of the
-    data rather than their offset.  The loss trace is that of the frames
-    as given.  At m = 1 data failing `cauchy.check_general_position` come
-    back at once with status DEGENERATE_DATA; for m >= 2 degeneracy is
-    detected only through boundary divergence during descent.
+    frames is the lifted (N, m+n, m) array, copied once into the oracle's
+    column layout.  Returns (T, FitReport).  The descent runs from the
+    identity on the frames A Xt, A the median/MAD map of `_standardize`,
+    and returns A^T T A at determinant one: the family is equivariant
+    under such row-affine maps, so this is the MLE, with the same Hessian,
+    while the guards see the spread of the data rather than their offset.
+    The loss trace is that of the frames as given.  At m = 1 data failing
+    `cauchy.check_general_position` come back at once with status
+    DEGENERATE_DATA; for m >= 2 degeneracy is detected only through
+    boundary divergence during descent.
     """
     F = _check_frames(frames)
-    config = config or DescentConfig()
     if F.shape[1] != m + n or F.shape[2] != m:
         raise ValueError(f"frames of shape {F.shape} do not match m={m}, n={n}")
-    A = _standardizing_map(F, n, m)
-    # the one copy of the data: A Xt laid out column by column for the oracle
-    Fc = np.matmul(A, F.transpose(2, 1, 0))
-    if m == 1 and not cauchy.check_general_position(Fc[0].T, n):
-        T = np.eye(n + 1)
-        report = FitReport(FitStatus.DEGENERATE_DATA, 0, [_oracle(Fc)[0](T)],
-                           [], 0.0, loss_evals=1)
-    else:
-        T, report = minimize_on_spd(np.eye(m + n), *_oracle(Fc), config)
-    # log det(Xt^T T Xt) of the data exceeds that of A Xt by m log c, where
-    # c = det(A)^(-2/p) rescales A^T T A to determinant one
-    shift = -2.0 * m / (m + n) * float(np.sum(np.log(np.diag(A))))
-    report.loss_trace = [v + shift for v in report.loss_trace]
-    return spd.unit_det(A.T @ T @ A), report
+    return _fit(np.ascontiguousarray(F.transpose(2, 1, 0)), n, config)
+
+
+def fit_observations(data, config=None):
+    """`fit` of (N, n) vectors (m = 1) or (N, n, m) matrices, unlifted.
+
+    Their frames are written straight into the oracle's column layout, so
+    that copy is all the fit holds: a caller that keeps no reference to
+    data, as the CLI passes its parsed file, has it freed at once.
+    """
+    X = np.asarray(data, dtype=float)
+    X = X[:, :, None] if X.ndim == 2 else X
+    if X.ndim != 3 or 0 in X.shape or not np.isfinite(X).all():
+        raise ValueError("expected finite (N, n) or (N, n, m) observations, "
+                         f"got shape {X.shape}")
+    N, n, m = X.shape
+    Fc = np.empty((m, n + m, N))
+    Fc[:, :n] = X.transpose(2, 1, 0)
+    del data, X
+    Fc[:, n:] = np.eye(m)[:, :, None]
+    return _fit(Fc, n, config)
 
 
 def _oracle(Fc):

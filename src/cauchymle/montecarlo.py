@@ -83,12 +83,9 @@ def _estimate_columns(spec):
 
 def _prepare(spec, data):
     """One run's data as its family's fit takes them; raises on data it cannot fit."""
-    family = _family_for(spec)
-    if family == "cauchy1d":
+    if _family_for(spec) == "cauchy1d":
         return conformal._split_data(np.asarray(data), 1)
-    if family == "cauchy":
-        return cauchy.lift(np.asarray(data))
-    return matrix_cauchy.lift(data)
+    return data
 
 
 def _fit(spec, inputs, config):
@@ -98,21 +95,18 @@ def _fit(spec, inputs, config):
         return [({"u": float(z.b[0]), "v": float(z.a)}, report)
                 for z, report in conformal.fit_batch(inputs, 1, config)]
     fits = []
-    for lifted in inputs:
+    for data in inputs:
+        T, report = matrix_cauchy.fit_observations(data, config)
         if family == "cauchy":
-            T, report = cauchy.fit(lifted, config)
             params = cauchy.to_params(T)
-            n = params.location.size
-            est = {f"b{i + 1}": float(params.location[i]) for i in range(n)}
-            for i in range(n):
-                for j in range(i, n):
-                    est[f"S{i + 1}{j + 1}"] = float(params.scatter[i, j])
+            values = [*params.location,
+                      *params.scatter[np.triu_indices(len(params.location))]]
         else:
-            T, report = matrix_cauchy.fit(lifted, spec.cols, spec.rows, config)
             B, _, _ = matrix_cauchy.to_params(T, spec.rows, spec.cols)
-            est = {f"B{i + 1}{j + 1}": float(B[i, j])
-                   for i in range(spec.rows) for j in range(spec.cols)}
-        fits.append((est, report))
+            values = B.ravel()
+        # in the order of `_estimate_columns`
+        fits.append((dict(zip(_estimate_columns(spec), map(float, values))),
+                     report))
     return fits
 
 
@@ -133,7 +127,8 @@ def run_mc(spec, runs, config=None):
     every estimated quantity (plus iteration counts), and status counts.
     Univariate runs are fit in batches of about BATCH_DATA data, each one
     descent (`conformal.fit_batch`) with the answers of the runs' own fits;
-    the other families fit one run at a time.
+    the other families fit one run at a time, from its observations with
+    no lifted copy (`matrix_cauchy.fit_observations`).
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")

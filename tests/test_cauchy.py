@@ -382,6 +382,17 @@ def test_fit_holds_few_arrays_of_the_sample_size():
     assert peak < (4.125 * N + 8 * cauchy.CHUNK) * X.itemsize
 
 
+def test_fit_from_observations_holds_few_arrays_of_the_sample_size():
+    # the observations twin: the data, passed straight in, die once the
+    # fit's column copy of them exists (p = 2 arrays of N floats); the
+    # median/MAD scratch of N floats is freed before the precheck's 2 1/8
+    N = 200000
+    (_, report), peak = _traced_peak(lambda: matrix_cauchy.fit_observations(
+        np.random.default_rng(49).standard_cauchy((N, 1))))
+    assert report.status is FitStatus.CONVERGED
+    assert peak < (4.125 * N + 8 * cauchy.CHUNK) * 8
+
+
 def test_exact_branch_matches_subset_loop(rng):
     # reference: one matrix_rank per subset of n + 1 rows; half the sets
     # get a point on the affine hull of n others
@@ -607,9 +618,11 @@ def test_fit_oracle_agrees_with_public_functions_along_descent(rng, monkeypatch)
     # report counts what it saw.  Newton steps are seldom rejected, so the
     # engine is shown a non-finite loss at its first trial
     X = cauchy.lift(rng.standard_normal((400, 4)) @ rng.standard_normal((4, 4)))
-    # the engine sees the data in their median/MAD frame, A x
-    A = matrix_cauchy._standardizing_map(X[:, :, None], 4, 1)
-    Xs = X @ A.T
+    # the engine sees the data in their median/MAD frame, A x, which the
+    # fit's core maps its column copy of the data to
+    Fc = np.ascontiguousarray(X.T[None])
+    matrix_cauchy._standardize(Fc, 4)
+    Xs = Fc[0].T
     seen = {"loss": 0, "grad": 0}
     engine = matrix_cauchy.minimize_on_spd
     # an oracle whose loss_fn is never called recomputes the forms each time

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -206,6 +207,54 @@ def test_dominant_points_are_counted_exactly():
     assert not conformal.has_dominant_point(F, 0)
     F[:600, 1] = 0.0
     assert conformal.has_dominant_point(F, 0)
+
+
+def _dominant_reference(F, n_inf):
+    """has_dominant_point from counts of the rows as tuples."""
+    counts = [c for c in Counter(map(tuple, F.tolist())).values()] + [n_inf]
+    N, top = F.shape[0] + n_inf, max(counts)
+    return 2 * top > N or (2 * top == N and sorted(c for c in counts if c)
+                           != [N // 2, N // 2])
+
+
+@st.composite
+def stacked_members(draw):
+    """(F (B, N, n), n_inf (B,)): few distinct values, so ties, dominant
+    points and halves are common; N even or odd, counts at infinity."""
+    B, N, n = draw(st.integers(1, 5)), draw(st.integers(0, 9)), draw(
+        st.integers(1, 2))
+    value = st.sampled_from([-1.5, 0.0, 0.25, 2.0, 1e3])
+    F = np.array(draw(st.lists(value, min_size=B * N * n,
+                               max_size=B * N * n))).reshape(B, N, n)
+    n_inf = draw(st.lists(st.integers(0 if N else 1, N + 2), min_size=B,
+                          max_size=B))
+    return F, n_inf
+
+
+@settings(max_examples=300, deadline=None)
+@given(stacked_members())
+def test_stacked_starts_match_each_member(case):
+    # one partition and one sort over the stack give each member the start
+    # and the refusal that its own median_mad and has_dominant_point give
+    F, n_inf = case
+    n = F.shape[2]
+    dominant = conformal.has_dominant_point(F, n_inf)
+    for (x, refused), X, k, d in zip(conformal._starts(F, n_inf, n), F,
+                                     n_inf, dominant):
+        med, mad = halfspace.median_mad(X)
+        assert np.array_equal(x, np.append(mad, med))
+        if X.shape[0]:
+            want = np.median(X, axis=0)
+            assert np.array_equal(med, want)
+            dev = np.median(np.abs(X - want))
+            assert mad == (dev if dev > 0 else 1.0)
+        alone = conformal.has_dominant_point(X, k)
+        assert d == alone == _dominant_reference(X, k)
+        if alone:
+            assert refused.status is FitStatus.DEGENERATE_DATA
+            assert refused.loss_trace == [conformal._evaluate(X, k, x)[0]]
+        else:
+            assert refused is None
 
 
 def test_fit_accepts_offset_data():
@@ -455,7 +504,7 @@ def test_singular_damped_system_ends_only_its_member():
     # of its batch of one
     rng = np.random.default_rng(5)
     F = [rng.standard_cauchy((50, 2)) for _ in range(2)]
-    x0 = np.stack([conformal._start(X, 0, 2)[0] for X in F])
+    x0 = np.stack([x for x, _ in conformal._starts(np.stack(F), [0, 0], 2)])
     loss_fn, grad_fn, hess_fn = conformal._oracle(F, [0, 0])
 
     def singular_first(x, members):

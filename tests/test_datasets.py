@@ -160,6 +160,46 @@ def test_writer_holds_less_than_the_text(tmp_path):
     assert peak < path.stat().st_size
 
 
+def test_parse_holds_less_than_the_file(tmp_path):
+    # a named file is scanned a block at a time and then read by name, so
+    # its text is never held whole
+    rng = np.random.default_rng(6)
+    wide, narrow = tmp_path / "d.csv", tmp_path / "u.csv"
+    ds.write_dataset(str(wide), rng.standard_normal((4 * ds.WRITE_CHUNK, 3)))
+    ds.write_dataset(str(narrow), rng.standard_normal(4 * ds.WRITE_CHUNK),
+                     "univariate")
+    for path, parse in [(wide, lambda: ds.parse_dataset(str(wide))),
+                        (narrow, lambda: ds.parse_univariate(str(narrow)))]:
+        tracemalloc.start()
+        try:
+            arr = parse()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert arr.size == arr.shape[0] * (3 if path is wide else 1)
+        assert peak < path.stat().st_size
+
+
+@pytest.mark.parametrize("brk", list(ds._OTHER_LINE_BREAKS))
+@pytest.mark.parametrize("mode, line, last", [
+    ("univariate", "0.25\n", "1.5{}2.5\n"),       # two records
+    ("multivariate", "0.25,-4\n", "1.5,{}2.5\n"),  # an empty token
+    ("regression", "0.25,-4\n", "1.5{}2.5,3\n"),   # a line of one column
+])
+def test_break_in_the_last_scan_block_goes_to_the_line_reader(
+        tmp_path, brk, mode, line, last):
+    # the scan of a named file sees a break in its last block: the file
+    # gives the records or the error that its text gives through a StringIO
+    body = line * (3 * ds.SCAN_BLOCK // len(line) + 1)
+    text = body + last.format(brk)
+    assert len(body) >= 3 * ds.SCAN_BLOCK and len(text) < 4 * ds.SCAN_BLOCK
+    path = tmp_path / "d.csv"
+    path.write_text(text, newline="")
+    got = _outcome(lambda: ds.parse_dataset(str(path), mode))
+    assert got == _outcome(lambda: ds.parse_dataset(io.StringIO(text), mode))
+    assert got == _outcome(lambda: _line_reader(text, mode, None, None))
+
+
 def test_parse_univariate_hands_back_an_array(tmp_path):
     path = tmp_path / "u.csv"
     path.write_text("0.5\n-2\n\n1e300\n")

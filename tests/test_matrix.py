@@ -381,6 +381,27 @@ def test_loss_trace_is_the_loss_of_the_data(rng):
         assert report.status is FitStatus.DEGENERATE_DATA
 
 
+@pytest.mark.parametrize("n, m", [(1, 1), (3, 1), (2, 2), (2, 3)])
+def test_fit_observations_is_the_fit_of_the_lifted_frames(rng, n, m):
+    # both lay the same frames out for the one core; (N, n) vectors are
+    # the (N, n, 1) observations
+    X = rng.standard_cauchy((300, n, m)) + 5.0
+    T, report = mc.fit(mc.lift(X), m, n)
+    for data in [X] + ([X[:, :, 0]] if m == 1 else []):
+        T_obs, report_obs = mc.fit_observations(data)
+        assert np.array_equal(T_obs, T)
+        assert dataclasses.replace(report_obs, wall_time=0.0) == \
+            dataclasses.replace(report, wall_time=0.0)
+
+
+@pytest.mark.parametrize("bad", [np.empty((0, 2)), np.ones(5),
+                                 np.ones((4, 0)), np.ones((2, 2, 2, 2)),
+                                 np.array([[0.5, 1.0], [np.nan, 1.0]])])
+def test_fit_observations_rejects_malformed_data(bad):
+    with pytest.raises(ValueError):
+        mc.fit_observations(bad)
+
+
 def test_fit_rejects_mismatched_dims(rng):
     F = mc.lift(rng.standard_normal((5, 2, 2)))
     with pytest.raises(ValueError):
@@ -467,16 +488,23 @@ def test_parameter_is_read_through_its_symmetric_part(rng):
 def test_standardizing_map_is_the_median_mad_of_each_row(rng, n, m, N):
     # the reference takes each row's observations, pooled over the m
     # columns, through halfspace.median_mad; frames at infinity, a zero
-    # observation and ties are among the data, and the map is bit-identical
+    # observation and ties are among the data, and the map is bit-identical.
+    # The fit's one copy of the frames, in the oracle's column layout, is
+    # mapped in place
     F = mc.lift(np.round(rng.standard_cauchy((N, n, m)), 1))
     F[:N // 5, n:, :] = rng.standard_normal((N // 5, m, m))
     F[N // 5, :n, :] = 0.0
     finite = np.all(F[:, n:, :] == np.eye(m), axis=(1, 2))
-    A = mc._standardizing_map(F, n, m)
+    Fc = np.ascontiguousarray(F.transpose(2, 1, 0))
+    A = mc._standardize(Fc, n)
     for i in range(n):
         med, mad = halfspace.median_mad(F[finite, i, :])
         assert A[i, i] == 1.0 / mad
         assert np.array_equal(A[i, n:], -med / mad)
+    mapped = np.matmul(A, F.transpose(2, 1, 0))
+    assert np.abs(Fc - mapped).max() <= 1e-15 * np.abs(mapped).max()
     # with every frame at infinity the map is the identity
     F[:, n:, :] = 2.0 * np.eye(m)
-    assert np.array_equal(mc._standardizing_map(F, n, m), np.eye(n + m))
+    Fc = np.ascontiguousarray(F.transpose(2, 1, 0))
+    assert np.array_equal(mc._standardize(Fc, n), np.eye(n + m))
+    assert np.array_equal(Fc, F.transpose(2, 1, 0))

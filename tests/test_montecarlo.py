@@ -162,7 +162,9 @@ def test_run_raising_inside_the_batch_fails_alone(monkeypatch):
     check = conformal.has_dominant_point
 
     def raises_on_run_2(F, n_inf):
-        if np.array_equal(F[:, 0], bad):
+        # a batch checks its members' data as one stack (B, N, 1)
+        members = F.reshape(-1, *F.shape[-2:])
+        if any(np.array_equal(X[:, 0], bad) for X in members):
             raise RuntimeError("boom")
         return check(F, n_inf)
 
