@@ -201,13 +201,13 @@ def _cmd_regress(args):
     ts, xs = parse_dataset(args.input, "regression")
     problem = spline.SplineProblem.from_pairs(ts, xs, args.alpha)
     solution = spline.fit(problem, config)
-    residuals = spline.junction_residuals(problem, solution.values)
+    residuals = spline.junction_residuals(problem, solution.knots)
     doc = _base_report("spline", solution.report, 1)
     doc["alpha"] = args.alpha
-    doc["knots"] = [{"t": t, "u": float(z.b[0]), "v": z.a}
-                    for t, z in zip(solution.times, solution.values)]
+    doc["knots"] = [{"t": t, "u": u, "v": v} for t, (v, u) in
+                    zip(solution.times.tolist(), solution.knots.tolist())]
     doc["junction_residuals"] = residuals
-    doc["objective"] = spline.objective(problem, solution.values)
+    doc["objective"] = spline.objective(problem, solution.knots)
     _emit(doc, args.output)
     return _status_exit(solution.report.status)
 

@@ -13,15 +13,15 @@ energy d^2 / D.  At a stationary point every junction balances forces:
     alpha (h'(t_i + 0) - h'(t_i - 0)) + v_i = 0,
 
 with v_i the sum of the unit forces pulling z_i toward its observations.
-The knots are held as one array (k, 2), the scale a of each in column 0
-and its center b in column 1, as are their tangents (da, db).  The fit
-runs the shared descent loop of `descent`, as a batch of one (1, k, 2),
-with its damped Newton step (`descent.newton_step`) from the median and
-MAD of all finite observations (`fit`).  Its block-tridiagonal Newton
-system is solved in numpy (`_solve_banded`).
+A `SplineProblem` holds its data as arrays, and the knots are one array
+(k, 2) from the fit to its result, the scale a of each in column 0 and
+its center b in column 1, as are their tangents (da, db).  The fit runs
+the shared descent loop of `descent`, as a batch of one (1, k, 2), with
+its damped Newton step (`descent.newton_step`) from the median and MAD
+of all finite observations (`fit`).  Its block-tridiagonal Newton system
+is solved in numpy (`_solve_banded`).
 """
 
-import bisect
 import functools
 import time
 from dataclasses import dataclass
@@ -36,118 +36,120 @@ from .descent import (DescentConfig, FitReport, _descend, _one, newton_step,
 from .halfspace import HPoint
 
 
-@dataclass(frozen=True)
 class SplineProblem:
-    """Knot times (strictly increasing), grouped observations, and penalty.
-
-    Observations sharing a time are attached to one knot, so several unit
-    forces can act at a junction.
+    """Knot times (k,), strictly increasing, a group of observations per
+    knot, and the penalty alpha, held as arrays: the finite observations
+    x (m, 1) at knots knot (m,); n_inf (k,) counts those at infinity and
+    counts (k,) all of them.  Directed edges run tail -> head, each pair of
+    consecutive knots once in each direction, with weight alpha / time gap.
+    terms (m + 2k - 2,) names the knot of every data force and energy
+    pull, to sum them with bincount.
     """
 
-    times: tuple
-    observations: tuple  # tuple of tuples of boundary points, one per knot
-    alpha: float
-
-    def __post_init__(self):
-        if not self.times:
-            raise ValueError("at least one knot is required")
-        if not (np.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
-        if not (np.all(np.isfinite(self.times)) and np.all(np.diff(self.times) > 0)):
-            raise ValueError("knot times must be finite and strictly increasing")
-        if len(self.observations) != len(self.times):
+    def __init__(self, times, groups, alpha):
+        if len(groups) != len(times):
             raise ValueError("one observation group per knot is required")
+        self._build(np.asarray(times, dtype=float), [x for g in groups for x in g],
+                    np.repeat(np.arange(len(groups)), [len(g) for g in groups]),
+                    alpha)
 
     @classmethod
     def from_pairs(cls, times, values, alpha):
         """Build a problem from raw (t, x) pairs, merging duplicate times."""
-        pairs = sorted(zip([float(t) for t in times], values), key=lambda p: p[0])
-        knot_times, groups = [], []
-        for t, x in pairs:
-            if knot_times and t == knot_times[-1]:
-                groups[-1].append(x)
-            else:
-                knot_times.append(t)
-                groups.append([x])
-        return cls(tuple(knot_times), tuple(tuple(g) for g in groups), alpha)
+        if len(values) != len(times):
+            raise ValueError("one time per observation is required")
+        # return_index sorts stably: -0.0 and 0.0 share the knot of the first
+        times, _, knot = np.unique(np.asarray(times, dtype=float),
+                                   return_index=True, return_inverse=True)
+        problem = cls.__new__(cls)
+        problem._build(times, values, knot, alpha)
+        return problem
 
-    @property
-    def k(self):
-        return len(self.times)
-
-
-@dataclass
-class SplineFit:
-    """Fitted knot values (half-plane points) and the descent report."""
-
-    times: tuple
-    values: list
-    report: FitReport
-
-
-class _Arrays:
-    """A problem flattened once for the array kernels.
-
-    Finite observations x (m, 1) sit at knots knot (m,); n_inf (k,) counts
-    those at infinity and counts (k,) all of them.  Directed edges run
-    tail -> head, each pair of consecutive knots once in each direction,
-    with weight alpha / time gap.  terms (m + 2k - 2,) names the knot of
-    every data force and energy pull, to sum them with bincount.
-    """
-
-    def __init__(self, problem):
-        self.k = k = problem.k
-        finite = [(i, x) for i, group in enumerate(problem.observations)
-                  for x in group if not halfspace.is_infinity(x)]
-        self.knot = np.array([i for i, _ in finite], dtype=int)
-        self.x = np.reshape([halfspace._boundary_vector(x, 1) for _, x in finite],
-                            (-1, 1))
-        self.counts = np.array([len(g) for g in problem.observations], float)
-        self.n_inf = self.counts - np.bincount(self.knot, minlength=k)
-        self.weights = problem.alpha / np.diff(problem.times)
-        edges = np.arange(k - 1)
+    def _build(self, times, values, knot, alpha):
+        """Check and hold a problem whose observation j sits at knot[j]:
+        INFINITY, or a finite boundary point of dimension 1."""
+        if not len(times):
+            raise ValueError("at least one knot is required")
+        if not (np.isfinite(alpha) and alpha > 0):
+            raise ValueError(f"alpha must be finite and positive, got {alpha}")
+        if not (np.all(np.isfinite(times)) and np.all(np.diff(times) > 0)):
+            raise ValueError("knot times must be finite and strictly increasing")
+        try:
+            x, at_inf = np.asarray(values, dtype=float), np.zeros(len(values), bool)
+        except (TypeError, ValueError):  # INFINITY among the values?
+            at_inf = np.array([halfspace.is_infinity(v) for v in values], bool)
+            if not at_inf.any():
+                raise
+            x = np.asarray([v for v, i in zip(values, at_inf) if not i], float)
+        if x.shape[1:] not in ((), (1,)) or not np.all(np.isfinite(x)):
+            raise ValueError("finite boundary points must be finite and of "
+                             f"dimension 1, got shape {x.shape[1:]}")
+        self.times, self.alpha, self.k = times, alpha, len(times)
+        # the finite observations in knot order, each knot's in given order
+        finite = knot[~at_inf]
+        order = np.argsort(finite, kind="stable")
+        self.x, self.knot = x.reshape(-1, 1)[order], finite[order]
+        self.counts = np.bincount(knot, minlength=self.k).astype(float)
+        self.n_inf = np.bincount(knot[at_inf], minlength=self.k).astype(float)
+        self.weights = alpha / np.diff(times)
+        edges = np.arange(self.k - 1)
         self.tail = np.concatenate([edges, edges + 1])
         self.head = np.concatenate([edges + 1, edges])
         self.pull = np.tile(self.weights, 2)
         self.terms = np.concatenate([self.knot, self.tail])
 
 
+@dataclass
+class SplineFit:
+    """Fitted knots (k, 2), scales a then centers b, at times (k,)."""
+
+    times: np.ndarray
+    knots: np.ndarray
+    report: FitReport
+
+    @property
+    def values(self):
+        """The knots as half-plane points."""
+        return [HPoint(z[0], z[1:]) for z in self.knots]
+
+
 def _knots(problem, values):
-    """Knot values as one array (k, 2): scales a, then centers b."""
-    if len(values) != problem.k:
-        raise ValueError("one value per knot is required")
-    b = np.array([z.b for z in values])
-    if b.shape != (problem.k, 1):
-        raise ValueError("knot values must be points of the half-plane")
-    return np.column_stack([[z.a for z in values], b])
+    """Knots as one array (k, 2), scales a then centers b: that array
+    itself, or read from one point of the half-plane per knot."""
+    if not isinstance(values, np.ndarray):
+        values = np.array([(z.a, *z.b) for z in values])
+    if values.shape != (problem.k, 2):
+        raise ValueError(f"knots must be ({problem.k}, 2): one point of the "
+                         f"half-plane per knot, got shape {values.shape}")
+    return values
 
 
-def _objective(data, x):
+def _objective(problem, x):
     a, b = x[:, 0], x[:, 1:]
     d = halfspace.distance_kernel(a[:-1], b[:-1], a[1:], b[1:])
-    at = data.knot
-    return float(halfspace.busemann_kernel(a[at], b[at], data.x).sum()
-                 + data.n_inf @ halfspace.busemann_kernel(a, b)
-                 + 0.5 * (data.weights @ (d * d)))
+    at = problem.knot
+    return float(halfspace.busemann_kernel(a[at], b[at], problem.x).sum()
+                 + problem.n_inf @ halfspace.busemann_kernel(a, b)
+                 + 0.5 * (problem.weights @ (d * d)))
 
 
 def objective(problem, values):
     """Data Busemann terms plus the discrete path energy."""
-    return _objective(_Arrays(problem), _knots(problem, values))
+    return _objective(problem, _knots(problem, values))
 
 
-def _gradient(data, x):
+def _gradient(problem, x):
     """Objective gradient (da, db) per knot (k, 2): data forces, energy pulls."""
     a, b = x[:, 0], x[:, 1:]
-    fa, fb = halfspace.busemann_grad_kernel(a[data.knot], b[data.knot], data.x)
+    at, tail, head = problem.knot, problem.tail, problem.head
+    fa, fb = halfspace.busemann_grad_kernel(a[at], b[at], problem.x)
     ia, _ = halfspace.busemann_grad_kernel(a, b)  # at infinity: vertical, no db
     # each knot is pulled toward both neighbours with weight alpha / gap
-    pa, pb = halfspace.log_kernel(a[data.tail], b[data.tail],
-                                  a[data.head], b[data.head])
-    w = data.pull
-    into = functools.partial(np.bincount, data.terms, minlength=data.k)
+    pa, pb = halfspace.log_kernel(a[tail], b[tail], a[head], b[head])
+    w = problem.pull
+    into = functools.partial(np.bincount, problem.terms, minlength=problem.k)
     return np.column_stack([into(np.concatenate([fa, -w * pa]))
-                            + data.n_inf * ia,
+                            + problem.n_inf * ia,
                             into(np.concatenate([fb[:, 0], -w * pb[:, 0]]))])
 
 
@@ -173,17 +175,17 @@ def junction_residuals(problem, values):
     objective gradient; its norm vanishes at a stationary spline.
     """
     x = _knots(problem, values)
-    g = _gradient(_Arrays(problem), x)
+    g = _gradient(problem, x)
     return halfspace.norm_kernel(x[:, 0], g[:, 0], g[:, 1:]).tolist()
 
 
-def _initial_values(data):
+def _initial_values(problem):
     """Every knot at (a, b) = (MAD, median) of the finite observations."""
-    med, mad = halfspace.median_mad(data.x)
-    return np.tile(np.append(mad, med), (data.k, 1))
+    med, mad = halfspace.median_mad(problem.x)
+    return np.tile(np.append(mad, med), (problem.k, 1))
 
 
-def _hessian(data, x, shift=0.0):
+def _hessian(problem, x, shift=0.0):
     """Riemannian Hessian plus shift * G in the chart (log a, b), banded.
 
     The chart metric is G = diag(1, 1/a^2) per knot.  A Busemann term adds
@@ -196,30 +198,30 @@ def _hessian(data, x, shift=0.0):
     banded routines, as `_solve_banded` reads it.
     """
     a, b = x[:, 0], x[:, 1:]
-    at, tail, k = data.knot, data.tail, data.k
-    fa, fb = halfspace.busemann_grad_kernel(a[at], b[at], data.x)
+    at, tail, head, k = problem.knot, problem.tail, problem.head, problem.k
+    fa, fb = halfspace.busemann_grad_kernel(a[at], b[at], problem.x)
     us, ub = fa / a[at], fb[:, 0] / a[at] ** 2
     # (c, s): unit tangent from tail toward head in the orthonormal frame
     # (d/d log a, a d/db); between coincident knots any one will do
-    pa, pb = halfspace.log_kernel(a[tail], b[tail], a[data.head], b[data.head])
+    pa, pb = halfspace.log_kernel(a[tail], b[tail], a[head], b[head])
     r = np.hypot(pa, pb[:, 0])
     flat = r == 0.0
     r = np.where(flat, 1.0, r)
-    c, s, d = np.where(flat, data.head - tail, pa / r), pb[:, 0] / r, r / a[tail]
+    c, s, d = np.where(flat, head - tail, pa / r), pb[:, 0] / r, r / a[tail]
     with np.errstate(over="ignore"):
         coth = np.where(flat, 1.0, d / np.tanh(d))
         csch = np.where(flat, 1.0, d / np.sinh(d))[:k - 1]
-    into = functools.partial(np.bincount, data.terms, minlength=k)
+    into = functools.partial(np.bincount, problem.terms, minlength=k)
     ab = np.zeros((4, k, 2))
-    ab[3, :, 0] = data.counts - data.n_inf + shift + into(
-        np.concatenate([-us * us, data.pull * (c * c + coth * s * s)]))
+    ab[3, :, 0] = problem.counts - problem.n_inf + shift + into(
+        np.concatenate([-us * us, problem.pull * (c * c + coth * s * s)]))
     ab[2, :, 1] = into(np.concatenate(
-        [-us * ub, data.pull * c * s * (1 - coth) / a[tail]]))
-    ab[3, :, 1] = (data.counts + shift) / a ** 2 + into(np.concatenate(
-        [-ub * ub, data.pull * (s * s + coth * c * c) / a[tail] ** 2]))
+        [-us * ub, problem.pull * c * s * (1 - coth) / a[tail]]))
+    ab[3, :, 1] = (problem.counts + shift) / a ** 2 + into(np.concatenate(
+        [-ub * ub, problem.pull * (s * s + coth * c * c) / a[tail] ** 2]))
     # T_2 is minus the reverse edge's tangent, so the cross block's sign flips
     c1, s1, c2, s2 = c[:k - 1], s[:k - 1], c[k - 1:], s[k - 1:]
-    w, ai, aj = data.weights, a[:-1], a[1:]
+    w, ai, aj = problem.weights, a[:-1], a[1:]
     ab[1, 1:, 0] = w * (c1 * c2 + csch * s1 * s2)
     ab[0, 1:, 1] = w * (c1 * s2 - csch * s1 * c2) / aj
     ab[2, 1:, 0] = w * (s1 * c2 - csch * c1 * s2) / ai
@@ -348,7 +350,7 @@ def _solve_banded(ab, rhs):
     return _reduce(np.stack(_fields(*rows)).reshape(2, 5, n))[:, :k].T.ravel()
 
 
-def _newton(data, x, grad, g):
+def _newton(problem, x, grad, g):
     """Newton tangents (k, 2) from (H + r G) p = chart gradient, and whether
     the solve succeeded: a zero tangent where it failed.
 
@@ -363,7 +365,7 @@ def _newton(data, x, grad, g):
     a = x[:, 0]
     rhs = np.column_stack([grad[:, 0] / a, grad[:, 1] / a ** 2]).ravel()
     try:
-        p = _solve_banded(_hessian(data, x, g / np.sqrt(data.k)),
+        p = _solve_banded(_hessian(problem, x, g / np.sqrt(problem.k)),
                           rhs).reshape(-1, 2)
     except np.linalg.LinAlgError:
         return np.zeros_like(x), False
@@ -380,12 +382,12 @@ def fit(problem, config=None):
     (log a, b) of every knot: H is the closed-form block-tridiagonal
     Riemannian Hessian, positive semidefinite since the objective is
     geodesically convex, G the metric and |g| the total gradient norm
-    (see `_newton`).  The knots move along the
-    tangents (a p_s, p_b) by the line search of `descent.newton_step`,
-    which the two engines share.  When the budget runs out, or the
-    factorization or that search fails, the fit stops and the tail of the
-    gradient norms names the outcome.  The step is the same under both
-    step policies, and the loss trace never increases beyond roundoff.
+    (see `_newton`).  The knots move along the tangents (a p_s, p_b) by
+    the line search of `descent.newton_step`, which the two engines share.
+    When the budget runs out, or the factorization or that search fails,
+    the fit stops and the tail of the gradient norms names the outcome.
+    The step is the same under both step policies, and the loss trace
+    never increases beyond roundoff.
 
     Converged means the total gradient norm (root of summed squared knot
     gradients) fell below config.tol, which bounds every junction residual.
@@ -393,39 +395,36 @@ def fit(problem, config=None):
     """
     config = config or DescentConfig()
     start = time.perf_counter()
-    data = _Arrays(problem)
-    grad_fn = _one(functools.partial(_gradient, data))
+    grad_fn = _one(functools.partial(_gradient, problem))
 
     def solve(x, members, grad, g):
-        tangent, ok = _newton(data, x[0], grad[0], g[0])
+        tangent, ok = _newton(problem, x[0], grad[0], g[0])
         return tangent[None], np.array([ok])
 
     step = newton_step(solve, lambda x, members: _total_norm(x, grad_fn(x, members)))
     x, (report,) = _descend(
-        _initial_values(data)[None], _one(functools.partial(_objective, data)),
+        _initial_values(problem)[None], _one(functools.partial(_objective, problem)),
         grad_fn, _total_norm,
         lambda x, members: off_scale(x[..., 0]).any(axis=1),
         _retract, step, config, classify=plateau_status)
     report.wall_time = time.perf_counter() - start
-    return SplineFit(problem.times, [HPoint(z[0], z[1:]) for z in x[0]], report)
+    return SplineFit(problem.times, x[0], report)
 
 
 def evaluate(solution, t):
-    """Value of the fitted path at time t.
+    """Value of the fitted path at time t, not NaN.
 
     Constant before the first knot and after the last; constant-speed
     geodesic interpolation between consecutive knots.
     """
     t = float(t)
-    times = solution.times
-    values = solution.values
-    if t <= times[0]:
-        return values[0]
-    if t >= times[-1]:
-        return values[-1]
-    i = bisect.bisect_right(times, t) - 1
-    if times[i] == t:
-        return values[i]
+    if np.isnan(t):
+        raise ValueError("the time must not be NaN")
+    times, knots = solution.times, solution.knots
+    i = max(int(np.searchsorted(times, t, side="right")) - 1, 0)
+    z = HPoint(knots[i, 0], knots[i, 1:])
+    if i + 1 == len(times) or t <= times[i]:
+        return z
     frac = (t - times[i]) / (times[i + 1] - times[i])
-    v = halfspace.log_map(values[i], values[i + 1])
-    return halfspace.exp_map(values[i], v, frac)
+    v = halfspace.log_map(z, HPoint(knots[i + 1, 0], knots[i + 1, 1:]))
+    return halfspace.exp_map(z, v, frac)

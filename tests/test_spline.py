@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from numpy.linalg import LinAlgError
 
-from cauchymle import cauchy, conformal, descent, halfspace as hs, spline
+from cauchymle import cauchy, cli, conformal, descent, halfspace as hs, spline
 from cauchymle.descent import DescentConfig, FitStatus, plateau_status
 from cauchymle.gradcheck import random_hpoint, random_htangent
 from cauchymle.halfspace import INFINITY, HPoint
@@ -30,11 +30,17 @@ def mobius_boundary(coeffs, x):
     return (a * x + b) / (c * x + d)
 
 
+def knot_groups(prob):
+    """Each knot's finite observations, in order, and its count at infinity."""
+    return [(prob.x[prob.knot == i, 0].tolist(), int(prob.n_inf[i]))
+            for i in range(prob.k)]
+
+
 def test_problem_groups_duplicate_times():
     prob = spline.SplineProblem.from_pairs([1.0, 0.0, 1.0], [5.0, 1.0, 7.0],
                                            alpha=1.0)
-    assert prob.times == (0.0, 1.0)
-    assert prob.observations == ((1.0,), (5.0, 7.0))
+    assert prob.times.tolist() == [0.0, 1.0]
+    assert knot_groups(prob) == [([1.0], 0), ([5.0, 7.0], 0)]
 
 
 def test_problem_validation():
@@ -51,6 +57,92 @@ def test_problem_validation():
     for t in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             spline.SplineProblem.from_pairs([0.0, t], [0.0, 1.0], 1.0)
+    with pytest.raises(ValueError, match="one time per observation"):
+        spline.SplineProblem.from_pairs([0.0, 1.0], [0.0], 1.0)
+    # observations that are not finite 1-d boundary points are refused when
+    # the problem is built, by either constructor, INFINITY among them or not
+    for xs in ([0.0, math.nan], [0.0, math.inf], [INFINITY, -math.inf],
+               [[0.0, 1.0], [1.0, 2.0]], [INFINITY, np.array([1.0, 2.0])]):
+        with pytest.raises(ValueError, match="boundary point"):
+            spline.SplineProblem.from_pairs([0.0, 1.0], xs, 1.0)
+        with pytest.raises(ValueError, match="boundary point"):
+            spline.SplineProblem((0.0, 1.0), ([xs[0]], [xs[1]]), 1.0)
+
+
+def reference_groups(times, values):
+    """The grouping of (t, x) pairs, one pair at a time in stable time order:
+    the knot times, and each knot's finite values in order with its count
+    at infinity."""
+    pairs = sorted(zip([float(t) for t in times], values), key=lambda p: p[0])
+    knot_times, groups = [], []
+    for t, x in pairs:
+        if not (knot_times and t == knot_times[-1]):
+            knot_times.append(t)
+            groups.append(([], 0))
+        finite, n_inf = groups[-1]
+        if hs.is_infinity(x):
+            groups[-1] = (finite, n_inf + 1)
+        else:
+            finite.append(float(x))
+    return knot_times, groups
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(
+           st.sampled_from([-0.0, 0.0, 1.0, -2.5])
+           | st.floats(-5.0, 5.0, allow_subnormal=False),
+           st.just(INFINITY) | st.floats(-1e3, 1e3)), min_size=1, max_size=30),
+       st.booleans(), st.booleans())
+def test_from_pairs_groups_as_the_pairwise_loop(pairs, times_array,
+                                                values_array):
+    times, values = [t for t, _ in pairs], [x for _, x in pairs]
+    knot_times, groups = reference_groups(times, values)
+    if times_array:
+        times = np.array(times)
+    if values_array:
+        values = np.array(values, dtype=object if INFINITY in values else float)
+    prob = spline.SplineProblem.from_pairs(times, values, 1.0)
+    # bit for bit: a knot at -0.0 and 0.0 takes the first of them
+    assert prob.times.tobytes() == np.array(knot_times).tobytes()
+    assert knot_groups(prob) == groups
+    assert prob.counts.tolist() == [len(f) + n for f, n in groups]
+    assert np.all(np.diff(prob.knot) >= 0)  # the observations in knot order
+
+
+def test_objective_reads_a_knot_array_or_points(rng):
+    prob = FD_PROBLEMS[0]
+    values = [random_hpoint(1, rng) for _ in range(prob.k)]
+    x = np.array([[z.a, z.b[0]] for z in values])
+    assert spline.objective(prob, x) == spline.objective(prob, values)
+    assert (spline.junction_residuals(prob, x)
+            == spline.junction_residuals(prob, values))
+    for bad in (x[:-1], x[:, :1], x.T, x[None]):
+        with pytest.raises(ValueError, match="knots"):
+            spline.objective(prob, bad)
+        with pytest.raises(ValueError, match="knots"):
+            spline.junction_residuals(prob, bad)
+
+
+def test_fit_objective_and_regress_build_no_points(rng, tmp_path, monkeypatch):
+    # the knots stay one array from the problem to the JSON: with every
+    # HPoint refused, the fit, the objective of its knots and regress run
+    def refuse(self):
+        raise AssertionError("a half-plane point was built")
+
+    monkeypatch.setattr(HPoint, "__post_init__", refuse)
+    with pytest.raises(AssertionError):
+        HPoint(1.0, [0.0])
+    t = np.arange(300.0)
+    xs = np.sin(t / 50) + 0.3 * rng.standard_cauchy(300)
+    prob = spline.SplineProblem.from_pairs(t, xs, 1.0)
+    sol = spline.fit(prob)
+    assert sol.report.status is FitStatus.CONVERGED
+    assert spline.objective(prob, sol.knots) == sol.report.loss_trace[-1]
+    path, out = tmp_path / "r.csv", tmp_path / "r.json"
+    path.write_text("".join(f"{a!r},{b!r}\n"
+                            for a, b in zip(t.tolist(), xs.tolist())))
+    assert cli.main(["regress", "--input", str(path), "--alpha", "1.0",
+                     "--output", str(out)]) == 0
 
 
 def test_objective_single_knot_is_data_term():
@@ -79,7 +171,7 @@ def test_start_is_median_and_mad_of_finite_observations():
     prob = spline.SplineProblem.from_pairs(
         [0.0, 1.0, 1.0, 2.0, 3.0, 3.0], [0.0, 1.0, INFINITY, 3.0, 10.0, INFINITY],
         alpha=1.0)
-    x = spline._initial_values(spline._Arrays(prob))
+    x = spline._initial_values(prob)
     a, b = x[:, 0], x[:, 1:]
     np.testing.assert_array_equal(a, np.full(4, 1.5))
     np.testing.assert_array_equal(b, np.full((4, 1), 2.0))
@@ -87,7 +179,7 @@ def test_start_is_median_and_mad_of_finite_observations():
     for xs, (a0, b0) in [([2.0, 2.0, 5.0], (1.0, 2.0)),
                          ([INFINITY, INFINITY], (1.0, 0.0))]:
         prob = spline.SplineProblem.from_pairs(range(len(xs)), xs, alpha=1.0)
-        x = spline._initial_values(spline._Arrays(prob))
+        x = spline._initial_values(prob)
         a, b = x[:, 0], x[:, 1:]
         np.testing.assert_array_equal(a, np.full(len(xs), a0))
         np.testing.assert_array_equal(b, np.full((len(xs), 1), b0))
@@ -171,7 +263,7 @@ def summed_knot_residuals(prob, values):
     out = []
     for i, z in enumerate(values):
         da, db = 0.0, np.zeros(1)
-        for x in prob.observations[i]:
+        for x in [*prob.x[prob.knot == i], *[INFINITY] * int(prob.n_inf[i])]:
             g = hs.busemann_grad(x, z)
             da, db = da + g.da, db + g.db
         for j in (i - 1, i + 1):
@@ -241,10 +333,9 @@ FD_PROBLEMS = [
 def test_gradient_matches_finite_differences_along_knot_geodesics(rng):
     h = 1e-5
     for prob in FD_PROBLEMS:
-        data = spline._Arrays(prob)
         for _ in range(10):
             values = [random_hpoint(1, rng) for _ in range(prob.k)]
-            g = spline._gradient(data, spline._knots(prob, values))
+            g = spline._gradient(prob, spline._knots(prob, values))
             da, db = g[:, 0], g[:, 1:]
             for i, z in enumerate(values):
                 v = random_htangent(z, rng)
@@ -259,10 +350,10 @@ def test_gradient_matches_finite_differences_along_knot_geodesics(rng):
                 assert abs(analytic - fd) / max(abs(fd), 1e-3) < 1e-6
 
 
-def chart_gradient(data, a, b):
+def chart_gradient(prob, a, b):
     """The differential of the objective in the chart (log a, b), knots
     interleaved as (s_0, b_0, s_1, b_1, ...)."""
-    da, db = spline._gradient(data, np.column_stack([a, b])).T
+    da, db = spline._gradient(prob, np.column_stack([a, b])).T
     return np.column_stack([da / a, db / a**2]).ravel()
 
 
@@ -280,31 +371,31 @@ def test_hessian_matches_finite_differences_of_gradient(rng):
     # diag(1, 1/a^2): the Jacobian of the differential, corrected by the
     # Levi-Civita connection (H_sb += f_b, H_bb -= f_s / a^2)
     h = 1e-5
-    pair = spline._Arrays(FD_PROBLEMS[1])
-    cases = [(spline._Arrays(prob), spline._knots(prob, [
+    pair = FD_PROBLEMS[1]
+    cases = [(prob, spline._knots(prob, [
                  random_hpoint(1, rng) for _ in range(prob.k)]))
              for prob in FD_PROBLEMS for _ in range(5)]
     cases += [(pair, np.array([[1.3, 0.2], [1.3, 0.2]])),  # d = 0
               (pair, np.array([[0.5, 0.2], [2.0, 0.2]]))]  # vertical
-    for data, x in cases:
+    for prob, x in cases:
         a, b, k = x[:, 0], x[:, 1:], len(x)
         fd = np.zeros((2 * k, 2 * k))
         for j in range(2 * k):
             step = np.zeros((k, 2))
             step[j // 2, j % 2] = h
-            up = chart_gradient(data, a * np.exp(step[:, 0]), b + step[:, 1:])
-            down = chart_gradient(data, a * np.exp(-step[:, 0]), b - step[:, 1:])
+            up = chart_gradient(prob, a * np.exp(step[:, 0]), b + step[:, 1:])
+            down = chart_gradient(prob, a * np.exp(-step[:, 0]), b - step[:, 1:])
             fd[:, j] = (up - down) / (2 * h)
-        fs, fb = chart_gradient(data, a, b).reshape(k, 2).T
+        fs, fb = chart_gradient(prob, a, b).reshape(k, 2).T
         si, bi = 2 * np.arange(k), 2 * np.arange(k) + 1
         fd[si, bi] += fb
         fd[bi, si] += fb
         fd[bi, bi] -= fs / a**2
-        hess = dense_from_upper_band(spline._hessian(data, x))
+        hess = dense_from_upper_band(spline._hessian(prob, x))
         assert np.abs(hess - fd).max() <= 1e-6 * np.abs(fd).max()
         # geodesic convexity: positive definite once damped by |g| G
-        g = spline._total_norm(x, spline._gradient(data, x))
-        damped = dense_from_upper_band(spline._hessian(data, x, g))
+        g = spline._total_norm(x, spline._gradient(prob, x))
+        damped = dense_from_upper_band(spline._hessian(prob, x, g))
         metric = np.column_stack([np.ones(k), 1.0 / a**2]).ravel()
         np.testing.assert_allclose(damped - hess, g * np.diag(metric),
                                    atol=1e-12 * np.abs(damped).max())
@@ -404,14 +495,13 @@ def test_solve_banded_matches_lapack_on_damped_hessians(k):
     t = np.arange(k, dtype=float)
     xs = np.sin(t / 50) + 0.3 * np.random.default_rng(1).standard_cauchy(k)
     prob = spline.SplineProblem.from_pairs(t, xs, 1.0)
-    data = spline._Arrays(prob)
     sol = spline.fit(prob, DescentConfig(tol=1e-7))
-    for x in (spline._initial_values(data), spline._knots(prob, sol.values)):
-        grad = spline._gradient(data, x)
+    for x in (spline._initial_values(prob), sol.knots):
+        grad = spline._gradient(prob, x)
         g = spline._total_norm(x, grad)
         a = x[:, 0]
         rhs = np.column_stack([grad[:, 0] / a, grad[:, 1] / a**2]).ravel()
-        ab = spline._hessian(data, x, g / np.sqrt(k))
+        ab = spline._hessian(prob, x, g / np.sqrt(k))
         ref = solveh_banded(ab, rhs)
         got = spline._solve_banded(ab, rhs)
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -498,14 +588,19 @@ def test_fit_degenerates_with_negligible_penalty():
     assert sol.report.status is FitStatus.DEGENERATE_DATA
 
 
+def same_point(z, w):
+    """Whether two half-plane points are bit for bit the same."""
+    return (z.a, z.b.tolist()) == (w.a, w.b.tolist())
+
+
 def test_evaluate_interpolation():
     prob = spline.SplineProblem.from_pairs([0.0, 1.0], [-1.0, 1.0], alpha=1.0)
     sol = spline.fit(prob, DescentConfig(tol=1e-9, max_iters=5000))
     z1, z2 = sol.values
-    assert spline.evaluate(sol, 0.0) is z1
-    assert spline.evaluate(sol, 1.0) is z2
-    assert spline.evaluate(sol, -5.0) is z1
-    assert spline.evaluate(sol, 7.0) is z2
+    assert same_point(spline.evaluate(sol, 0.0), z1)
+    assert same_point(spline.evaluate(sol, 1.0), z2)
+    assert same_point(spline.evaluate(sol, -5.0), z1)
+    assert same_point(spline.evaluate(sol, 7.0), z2)
     mid = spline.evaluate(sol, 0.5)
     d1 = hs.distance(mid, z1)
     d2 = hs.distance(mid, z2)
@@ -516,7 +611,7 @@ def test_evaluate_interpolation():
 
 def test_evaluate_finds_the_knot_of_every_time():
     # the segment of t is the knot of searchsorted's right side, before,
-    # at, between and after the knots; a knot time gives its value itself
+    # at, between and after the knots; a knot time gives its value
     prob = spline.SplineProblem.from_pairs([0.0, 1.0, 2.5, 4.0],
                                            [-1.0, 1.0, 0.5, 3.0], alpha=1.0)
     sol = spline.fit(prob, DescentConfig(tol=1e-9, max_iters=5000))
@@ -525,12 +620,22 @@ def test_evaluate_finds_the_knot_of_every_time():
         i = int(np.searchsorted(np.array(times), t, side="right")) - 1
         got = spline.evaluate(sol, t)
         if i < 0 or i == len(times) - 1 or times[i] == t:
-            assert got is values[min(max(i, 0), len(times) - 1)]
+            assert same_point(got, values[min(max(i, 0), len(times) - 1)])
         else:
             frac = (t - times[i]) / (times[i + 1] - times[i])
             want = hs.exp_map(values[i], hs.log_map(values[i], values[i + 1]),
                               frac)
-            assert (got.a, got.b.tolist()) == (want.a, want.b.tolist())
+            assert same_point(got, want)
+
+
+def test_evaluate_refuses_nan_and_holds_the_end_knots_at_infinity():
+    prob = spline.SplineProblem.from_pairs([0.0, 1.0], [-1.0, 1.0], alpha=1.0)
+    sol = spline.fit(prob)
+    with pytest.raises(ValueError, match="NaN"):
+        spline.evaluate(sol, math.nan)
+    z1, z2 = sol.values
+    assert same_point(spline.evaluate(sol, -math.inf), z1)
+    assert same_point(spline.evaluate(sol, math.inf), z2)
 
 
 @pytest.mark.parametrize("k", [1000, 10000])
