@@ -29,8 +29,9 @@ from . import halfspace
 from .descent import (DescentConfig, FitReport, FitStatus,
                       minimize_on_halfspace, minimize_on_halfspace_batch)
 
-# a loss evaluation of a batch runs over chunks of members holding about
-# this many data, so that its temporaries stay in a core's cache
+# a loss evaluation of a batch runs over chunks holding about this many
+# data, whole members or slices of one, so that its temporaries stay in a
+# core's cache
 CHUNK_DATA = 2**14
 
 
@@ -82,10 +83,12 @@ def _oracle(F, n_inf):
     members (k,) and gives each one's loss, its gradient n mean u_i
     (k, n + 1) and its Hessian n (I - mean u_i u_i^T) (k, n + 1, n + 1) in
     the orthonormal frame (a d/da, a d/db), u = (-1, 0) at infinity.  One
-    pass over the data, in chunks of CHUNK_DATA, gives all three: a loss
-    evaluation keeps each member's gradient and Hessian, which the other
-    two functions read at the point of the member's last evaluation, and
-    recompute at any other point.
+    pass over the data gives all three: a loss evaluation keeps each
+    member's gradient and Hessian, which the other two functions read at
+    the point of the member's last evaluation, and recompute at any other
+    point.  The pass runs over chunks of about CHUNK_DATA data, whole
+    members while they fit and slices of a larger member, so that no
+    temporary grows with the sample size.
     """
     # each member's data as a contiguous (n, N) copy: at small n the
     # products and reductions over N run several times faster on columns
@@ -97,30 +100,45 @@ def _oracle(F, n_inf):
     at = np.full((B, n + 1), np.nan)  # where they were formed
 
     step = max(1, CHUNK_DATA // max(size, 1))
+    span = min(max(size, 1), CHUNK_DATA)
+    # each member's columns as views of span data, formed once
+    cols = [[X[:, j:j + span] for j in range(0, max(size, 1), span)]
+            for X in Ft]
 
     def loss_fn(x, members):
         return np.concatenate([
             evaluate(x[i:i + step], members[i:i + step])
             for i in range(0, len(members), step)])
 
-    def evaluate(x, members):
-        a, b = x[:, 0], x[:, 1:]
-        u = np.stack([Ft[i] for i in members])
+    def sums(a, b, members, c):
+        """Sum log q, the sums of the forces' scale (k,) and center
+        (k, n) parts, and of their products (k, n + 1, n + 1), over the
+        members' slice c of their data."""
+        u = np.stack([cols[i][c] for i in members])
         np.subtract(b[:, :, None], u, out=u)
         q, u0 = _unit_forces(a, u)
         rows = [u0, *u.transpose(1, 0, 2)]
         M = np.empty((len(members), n + 1, n + 1))
-        for i in range(n + 1):
-            for j in range(i, n + 1):
-                M[:, i, j] = M[:, j, i] = np.einsum("kj,kj->k", rows[i],
-                                                    rows[j])
+        for r in range(n + 1):
+            for c in range(r, n + 1):
+                M[:, r, c] = M[:, c, r] = np.einsum("kj,kj->k", rows[r],
+                                                    rows[c])
+        return [np.log(q, out=q).sum(axis=1), u0.sum(axis=1), u.sum(axis=2), M]
+
+    def evaluate(x, members):
+        a, b = x[:, 0], x[:, 1:]
+        total = sums(a, b, members, 0)
+        for c in range(1, len(cols[0])):
+            for t, more in zip(total, sums(a, b, members, c)):
+                t += more
+        logq, g0, g, M = total
         Nk = N[members]
         M[:, 0, 0] += n_inf[members]
         hessians[members] = n * (np.eye(n + 1) - M / Nk[:, None, None])
-        g = np.column_stack([u0.sum(axis=1) - n_inf[members], u.sum(axis=2)])
+        g = np.column_stack([g0 - n_inf[members], g])
         grads[members] = g * (n / Nk)[:, None]
         at[members] = x
-        return n * (np.log(q, out=q).sum(axis=1) - Nk * np.log(a)) / Nk
+        return n * (logq - Nk * np.log(a)) / Nk
 
     def reading(kept):
         def fn(x, members):

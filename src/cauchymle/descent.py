@@ -7,9 +7,10 @@ batch of fits in lockstep: the members' points are one float array with a
 leading member axis, their gradients and directions arrays of the same
 shape, and each member keeps its own traces, counts, status and
 line-search multiplier, so that it takes the steps of its fit alone.
-The half-space engine fits a stack of datasets at once
-(`minimize_on_halfspace_batch`); a single fit, of either engine or of the
-spline, is the batch of one.  Under the default policy
+Each engine fits a stack of datasets at once (`minimize_on_spd_batch`,
+`minimize_on_halfspace_batch`), and returns its members' reports as one
+BatchReport; a single fit, of either engine or of the spline, is the
+batch of one.  Under the default policy
 the three take the same damped Newton step (`newton_step`); the `safe`
 policy takes one gradient step of a certified length.  Each oracle gives
 the gradient and the Riemannian Hessian in an orthonormal frame, from the
@@ -17,8 +18,9 @@ one pass over the data that gave the loss at the point.  The SPD
 engine moves a frame R of the point T = R R^T: its gradient is seen from
 R, a symmetric trace-free p x p matrix whose Frobenius norm is the
 Riemannian norm, and its Hessian is in an orthonormal basis of such
-matrices (`spd.frame_basis`); a step is one symmetric eigendecomposition
-(`spd.factor_step`), with no factorization of T.  The half-space engine
+matrices (`spd.frame_basis`); a step is one stacked symmetric
+eigendecomposition (`spd.factor_step_masked`), with no factorization of
+T.  The half-space engine
 moves a point x = (a, b) of H^(n+1), held as one array (n + 1,) with the
 scale a in x[0] and the center b in x[1:], in the frame (a d/da, a d/db),
 along `halfspace.exp_kernel`.
@@ -129,6 +131,24 @@ class FitReport:
         return self.grad_norm_trace[-1] if self.grad_norm_trace else float("nan")
 
 
+class BatchReport(list):
+    """The FitReports of a batch fit in lockstep, one per member in order,
+    and the batch's totals: iterations, loss_evals and backtracks summed
+    over its members."""
+
+    @property
+    def iterations(self):
+        return sum(r.iterations for r in self)
+
+    @property
+    def loss_evals(self):
+        return sum(r.loss_evals for r in self)
+
+    @property
+    def backtracks(self):
+        return sum(r.backtracks for r in self)
+
+
 def plateau_status(grad_norms, window=PLATEAU_WINDOW, rate=PLATEAU_RATE):
     """Classify a timed-out descent from the tail of its gradient-norm trace."""
     w = min(window, len(grad_norms) - 1)
@@ -148,44 +168,67 @@ def minimize_on_spd(T0, loss_fn, grad_fn, hess_fn, config):
     gradient V seen from the frame, the trace-free R^-1 V R^-T, and
     hess_fn(R) the Riemannian Hessian as a d x d matrix in the basis
     `spd.frame_basis`, positive semidefinite for a geodesically convex
-    loss.  The "backtracking" policy takes damped Newton steps
-    (`newton_step`): it solves (H + g^2 I) d = W, g the gradient norm, and
-    moves along -d with `spd.factor_step`.  The "safe" policy takes the
-    gradient step of length 1 (the loss is assumed to have geodesic second
-    derivative at most ||gamma'||^2).  Both refuse frames past COND_CAP.  A
-    fit that converged or ran out of budget is ill-conditioned when the
-    smallest eigenvalue of the Hessian at the returned point, kept in
-    FitReport.hessian_min_eig, is below ILL_CONDITIONED_EIG.  The fit runs
-    the loop as a batch of one.  Returns (T, FitReport).
+    loss.  The fit is `minimize_on_spd_batch` of one, and returns
+    (T, FitReport).  A stack of starts T0 (B, p, p), with the functions of
+    a batch that `minimize_on_spd_batch` takes, is fit as that batch: it
+    returns (T (B, p, p), BatchReport).
     """
-    hess = _one(hess_fn)
-
-    def solve(x, members, W, g):
-        d, ok = _damped_solve(hess(x, members), spd.frame_coords(W[0])[None], g)
-        return spd.from_frame_coords(d[0])[None], ok
-
-    # no guard in the loop: the capped retraction keeps R inside COND_CAP
-    R, (report,) = _minimize(
-        np.linalg.cholesky(T0)[None], _one(loss_fn), _one(grad_fn), hess,
-        solve, _capped_factor_step,
-        lambda x, members: np.zeros(len(members), dtype=bool), 1.0,
-        ILL_CONDITIONED_EIG, config)
+    T0 = np.asarray(T0, dtype=float)
+    if T0.ndim == 3:
+        R, reports = minimize_on_spd_batch(np.linalg.cholesky(T0), loss_fn,
+                                           grad_fn, hess_fn, config)
+        return np.stack([spd.unit_det(spd.sym(Ri @ Ri.T)) for Ri in R]), reports
+    R, (report,) = minimize_on_spd_batch(
+        np.linalg.cholesky(T0)[None], _one(loss_fn), _one(grad_fn),
+        _one(hess_fn), config)
     return spd.unit_det(spd.sym(R[0] @ R[0].T)), report
 
 
-def _capped_factor_step(x, D, t):
-    """`spd.factor_step` of a batch of one, a frame R1 past COND_CAP out of range.
+def minimize_on_spd_batch(R0, loss_fn, grad_fn, hess_fn, config):
+    """Geodesic descent for a batch of losses on unit-determinant SPD matrices.
 
-    The SPD guard, cond(R1 R1^T) = (s_max / s_min)^2: a Newton trial that
-    overshoots toward an optimum just inside the cap is halved, and data
-    with no MLE end degenerate when no trial inside the cap is left.
+    Member i starts at the frame R0[i] (p, p) of its point T = R R^T.
+    loss_fn(x, members), grad_fn(x, members) and hess_fn(x, members) take
+    the frames x (k, p, p) of the members with the sorted indices members
+    (k,), and give each one's loss, its Riemannian gradient seen from the
+    frame (k, p, p) and its Riemannian Hessian (k, d, d) in the basis
+    `spd.frame_basis`, positive semidefinite for a geodesically convex
+    loss.  The loop asks for the gradient and the Hessian only at a
+    member's last loss evaluation.  The "backtracking" policy takes damped
+    Newton steps (`newton_step`): it solves (H + g^2 I) d = W, g the
+    gradient norm, all members in one stacked solve, and moves along -d
+    with `spd.factor_step_masked`.  The "safe" policy takes the gradient
+    step of length 1 (the loss is assumed to have geodesic second
+    derivative at most ||gamma'||^2).  Both refuse frames past COND_CAP.
+    A fit that converged or ran out of budget is ill-conditioned when the
+    smallest eigenvalue of the Hessian at the returned point, kept in
+    FitReport.hessian_min_eig, is below ILL_CONDITIONED_EIG.  Returns the
+    frames R (B, p, p) and a BatchReport.
     """
-    try:
-        R1 = spd.factor_step(x[0], D[0], t[0])
-    except spd.NumericRangeError:
-        return x, np.ones(1, dtype=bool)
-    s = np.linalg.svd(R1, compute_uv=False)
-    return R1[None], np.array([not s[0] ** 2 <= COND_CAP * s[-1] ** 2])
+    def solve(x, members, W, g):
+        d, ok = _damped_solve(hess_fn(x, members), spd.frame_coords(W), g)
+        return spd.from_frame_coords(d), ok
+
+    # no guard in the loop: the capped retraction keeps R inside COND_CAP
+    return _minimize(np.asarray(R0, dtype=float), loss_fn, grad_fn, hess_fn,
+                     solve, _capped_factor_step,
+                     lambda x, members: np.zeros(len(members), dtype=bool),
+                     1.0, ILL_CONDITIONED_EIG, config)
+
+
+def _capped_factor_step(x, D, t):
+    """`spd.factor_step_masked` of frames x (k, p, p), frames R1 past
+    COND_CAP out of range too.
+
+    The SPD guard, cond(R1 R1^T) = (s_max / s_min)^2, from one stacked
+    singular-value call: a Newton trial that overshoots toward an optimum
+    just inside the cap is halved, and data with no MLE end degenerate
+    when no trial inside the cap is left.
+    """
+    R1, out = spd.factor_step_masked(x, D, t)
+    s = np.linalg.svd(R1[~out], compute_uv=False)
+    out[~out] = ~(s[:, 0] ** 2 <= COND_CAP * s[:, -1] ** 2)
+    return R1, out
 
 
 def minimize_on_halfspace(x0, loss_fn, grad_fn, hess_fn, curvature, config):
@@ -222,7 +265,7 @@ def minimize_on_halfspace_batch(x0, loss_fn, grad_fn, hess_fn, curvature,
     FitReport.hessian_min_eig, is below (1 - PLATEAU_RATE) * curvature.
     Scales leaving SCALE_CAP around the member's start end its fit
     degenerate, so that the guard commutes with the similarities of
-    H^(n+1) as the steps do.  Returns (x (B, n + 1), [FitReport]).
+    H^(n+1) as the steps do.  Returns (x (B, n + 1), BatchReport).
     """
     a0 = np.array(x0, dtype=float)[:, 0]
 
@@ -280,7 +323,7 @@ def _minimize(x, loss_fn, grad_fn, hess_fn, solve, retract, diverged,
     wall = time.perf_counter() - start
     for report in reports:
         report.wall_time = wall
-    return x, reports
+    return x, BatchReport(reports)
 
 
 def _frame_norm(x, v):

@@ -39,6 +39,7 @@ from .descent import DescentConfig, FitReport, FitStatus, minimize_on_spd
 # frame entries per chunk of the oracle's pass, m p per datum: a chunk's
 # temporaries stay in cache, and no (m, p, N) array is formed
 CHUNK = 2**14
+_ONE = np.zeros(1, dtype=int)  # the member indices of a batch of one
 
 
 def lift(data):
@@ -76,21 +77,22 @@ def _check_frames(frames):
 
 
 def _at_cholesky(T, frames):
-    """L = chol(sym(T)), a LinAlgError unless T is SPD, and the fit's oracle."""
-    Fc = _check_frames(frames).transpose(2, 1, 0)
-    return np.linalg.cholesky(spd.sym(T)), _oracle(Fc)
+    """L = chol(sym(T)) as a batch of one (1, p, p), a LinAlgError unless T
+    is SPD, and the fit's oracle of the frames."""
+    Fc = _check_frames(frames).transpose(2, 1, 0)[None]
+    return np.linalg.cholesky(spd.sym(T))[None], _oracle(Fc)
 
 
 def loss(T, frames):
     """Averaged negative log likelihood up to a data-independent constant."""
     L, (loss_fn, _, _) = _at_cholesky(T, frames)
-    return loss_fn(L)
+    return float(loss_fn(L, _ONE)[0])
 
 
 def grad(T, frames):
     """Riemannian gradient L W L^T at T, W the frame gradient at L = chol(T)."""
     L, (_, grad_fn, _) = _at_cholesky(T, frames)
-    return spd.from_frame(L, grad_fn(L))
+    return spd.from_frame(L[0], grad_fn(L, _ONE)[0])
 
 
 def datum_grad(T, frame):
@@ -159,66 +161,90 @@ def _moments(R, Fc):
 
 
 def _frame_hessian(w1, w2, p):
-    """Riemannian Hessian seen from the frame, in the basis `spd.frame_basis`.
+    """Riemannian Hessians seen from the frames, in the basis `spd.frame_basis`.
 
     H[k, l] = mean of tr(E_k E_l P) - tr(P E_k P E_l) over the projectors
     P, the symmetric part of vec(E_k)^T (vec(E_l S) - K vec(E_l)) with S
-    the mean of P and K the mean of P kron P, read from the moments w1 and
-    w2 of `_moments`.
+    the mean of P and K the mean of P kron P, read from the moments w1
+    (B, t) and w2 (B, t, t) of `_moments` of B members: (B, d, d), each
+    member's as it would be alone.
     """
     _, _, at = _upper_triangle(p)
     # K[(a, b), (c, d)] = mean of P[a, c] P[b, d]
-    K = w2[at[:, None, :, None], at[None, :, None, :]].reshape(p * p, -1)
+    K = w2[:, at[:, None, :, None], at[None, :, None, :]].reshape(
+        len(w2), p * p, -1)
     E = spd.frame_basis(p)
     Ef = E.reshape(len(E), -1)
-    return spd.sym(Ef @ ((E @ w1[at]).reshape(Ef.shape).T - K @ Ef.T))
+    ES = (E @ w1[:, None, at]).reshape(len(w1), len(E), -1)
+    H = Ef @ (ES.transpose(0, 2, 1) - K @ Ef.T)
+    return spd.sym(H)
 
 
 def _standardize(Fc, n):
-    """Map the frames Fc (m, p, N) of `_fit` in place by the median/MAD
-    map A of their observations, and return A.
+    """Map each member's frames Fc[i] (m, p, N) of `_fit` in place by the
+    median/MAD map A of its observations, and return the maps (B, p, p).
 
     Each entry of the n x m observations is shifted by its median, and
     each of the n rows scaled by the MAD of its entries pooled over the m
     columns, one row at a time; frames at infinity (their bottom block not
-    the identity) are left out.
+    the identity) are left out.  When no member has such frames, one
+    partition of each row serves every member.
     """
-    m, p, N = Fc.shape
-    finite = np.ones(N, dtype=bool)
+    B, m, p, N = Fc.shape
+    finite = np.ones((B, N), dtype=bool)
     for (j, k), e in np.ndenumerate(np.eye(m)):
-        finite &= Fc[k, n + j] == e
-    X = Fc[:, :n] if finite.all() else Fc[:, :n, finite]
-    med, mad = np.empty((n, m)), np.empty(n)
+        finite &= Fc[:, k, n + j] == e
+    med, mad = np.empty((B, n, m)), np.empty((B, n))
     for j in range(n):
-        med[j], mad[j] = halfspace.median_mad(X[:, j].T)
-    del X
-    A = np.eye(p)
-    A[:n, :n] = np.diag(1.0 / mad)
-    A[:n, n:] = -med / mad[:, None]
+        if finite.all():
+            med[:, j], mad[:, j] = halfspace.median_mad(
+                Fc[:, :, j].transpose(0, 2, 1))
+            continue
+        for i in range(B):
+            med[i, j], mad[i, j] = halfspace.median_mad(
+                Fc[i, :, j][:, finite[i]].T)
+    A = np.tile(np.eye(p), (B, 1, 1))
+    A[:, :n, :n] = np.eye(n) / mad[:, None, :]
+    A[:, :n, n:] = -med / mad[:, :, None]
     step = max(1, CHUNK // (m * p))
-    for i in range(0, N, step):
-        Fc[:, :n, i:i + step] = A[:n] @ Fc[:, :, i:i + step]
+    for F, Ai in zip(Fc, A):
+        for i in range(0, N, step):
+            F[:, :n, i:i + step] = Ai[:n] @ F[:, :, i:i + step]
     return A
 
 
 def _fit(Fc, n, config):
-    """The fit of the frames laid out column by column, Fc (m, p, N) with
-    Fc[k, :, i] = Xt_i[:, k]: the one copy of the data that the fit holds,
-    which it standardizes in place."""
-    m, p, _ = Fc.shape
-    A = _standardize(Fc, n)
-    if m == 1 and not cauchy.check_general_position(Fc[0].T, n):
-        T = np.eye(p)
-        report = FitReport(FitStatus.DEGENERATE_DATA, 0, [_oracle(Fc)[0](T)],
-                           [], 0.0, loss_evals=1)
-    else:
-        T, report = minimize_on_spd(np.eye(p), *_oracle(Fc),
-                                    config or DescentConfig())
-    # log det(Xt^T T Xt) of the data exceeds that of A Xt by m log c, where
-    # c = det(A)^(-2/p) rescales A^T T A to determinant one
-    shift = -2.0 * m / p * float(np.sum(np.log(np.diag(A))))
-    report.loss_trace = [v + shift for v in report.loss_trace]
-    return spd.unit_det(A.T @ T @ A), report
+    """The fits of a batch of frames laid out column by column, Fc
+    (B, m, p, N) with Fc[i, k, :, j] = Xt_j[:, k] for the data Xt_j of
+    member i: the one copy of the data that the fits hold, which they
+    standardize in place.  At m = 1 a member failing
+    `cauchy.check_general_position` is refused and takes no part in the
+    descent; the others run in one.  Returns one (T, FitReport) per
+    member, as its fit alone gives them.
+    """
+    B, m, p, _ = Fc.shape
+    maps = _standardize(Fc, n)
+    fits = [None] * B
+    for i, F in enumerate(Fc):
+        if m == 1 and not cauchy.check_general_position(F[0].T, n):
+            loss = float(_moments(np.eye(p), F)[0])
+            fits[i] = np.eye(p), FitReport(FitStatus.DEGENERATE_DATA, 0,
+                                           [loss], [], 0.0, loss_evals=1)
+    live = [i for i, fit in enumerate(fits) if fit is None]
+    if live:
+        T, reports = minimize_on_spd(
+            np.broadcast_to(np.eye(p), (len(live), p, p)),
+            *_oracle([Fc[i] for i in live]), config or DescentConfig())
+        for i, Ti, report in zip(live, T, reports):
+            fits[i] = Ti, report
+    out = []
+    for A, (T, report) in zip(maps, fits):
+        # log det(Xt^T T Xt) of the data exceeds that of A Xt by m log c,
+        # where c = det(A)^(-2/p) rescales A^T T A to determinant one
+        shift = -2.0 * m / p * float(np.sum(np.log(np.diag(A))))
+        report.loss_trace = [v + shift for v in report.loss_trace]
+        out.append((spd.unit_det(A.T @ T @ A), report))
+    return out
 
 
 def fit(frames, m, n, config=None):
@@ -236,12 +262,31 @@ def fit(frames, m, n, config=None):
     The loss trace is that of the frames as given.  At m = 1 data failing
     `cauchy.check_general_position` come back at once with status
     DEGENERATE_DATA; for m >= 2 degeneracy is detected only through
-    boundary divergence during descent.
+    boundary divergence during descent.  The fit is a batch of one:
+    `fit_observations_batch` gives each member this same answer.
     """
     F = _check_frames(frames)
     if F.shape[1] != m + n or F.shape[2] != m:
         raise ValueError(f"frames of shape {F.shape} do not match m={m}, n={n}")
-    return _fit(np.ascontiguousarray(F.transpose(2, 1, 0)), n, config)
+    return _fit(np.ascontiguousarray(F.transpose(2, 1, 0))[None], n, config)[0]
+
+
+def _observations(data):
+    """Finite (N, n) vectors (m = 1) or (N, n, m) matrices as (N, n, m)."""
+    X = np.asarray(data, dtype=float)
+    X = X[:, :, None] if X.ndim == 2 else X
+    if X.ndim != 3 or 0 in X.shape or not np.isfinite(X).all():
+        raise ValueError("expected finite (N, n) or (N, n, m) observations, "
+                         f"got shape {X.shape}")
+    return X
+
+
+def _write_frames(X, Fc):
+    """Write the frames of the observations X (N, n, m) into the column
+    layout Fc (m, n + m, N) of `_fit`."""
+    n, m = X.shape[1:]
+    Fc[:, :n] = X.transpose(2, 1, 0)
+    Fc[:, n:] = np.eye(m)[:, :, None]
 
 
 def fit_observations(data, config=None):
@@ -251,42 +296,75 @@ def fit_observations(data, config=None):
     that copy is all the fit holds: a caller that keeps no reference to
     data, as the CLI passes its parsed file, has it freed at once.
     """
-    X = np.asarray(data, dtype=float)
-    X = X[:, :, None] if X.ndim == 2 else X
-    if X.ndim != 3 or 0 in X.shape or not np.isfinite(X).all():
-        raise ValueError("expected finite (N, n) or (N, n, m) observations, "
-                         f"got shape {X.shape}")
+    X = _observations(data)
     N, n, m = X.shape
-    Fc = np.empty((m, n + m, N))
-    Fc[:, :n] = X.transpose(2, 1, 0)
+    Fc = np.empty((1, m, n + m, N))
+    _write_frames(X, Fc[0])
     del data, X
-    Fc[:, n:] = np.eye(m)[:, :, None]
+    return _fit(Fc, n, config)[0]
+
+
+def fit_observations_batch(datasets, config=None):
+    """`fit_observations` of many datasets of one shape, in one descent.
+
+    Their frames are written, one dataset at a time, into one column
+    layout (B, m, n + m, N), and the members run in lockstep.  Returns one
+    (T, FitReport) per dataset, as `fit_observations` gives it alone;
+    every report's wall time is that of the whole batch.
+    """
+    Fc = None
+    for i, data in enumerate(datasets):
+        X = _observations(data)
+        if Fc is None:
+            N, n, m = X.shape
+            Fc = np.empty((len(datasets), m, n + m, N))
+        elif X.shape != (N, n, m):
+            raise ValueError(f"dataset of shape {X.shape} in a batch of "
+                             f"shape {(N, n, m)}")
+        _write_frames(X, Fc[i])
+    if Fc is None:
+        raise ValueError("no dataset")
     return _fit(Fc, n, config)
 
 
 def _oracle(Fc):
-    """(loss_fn, grad_fn, hess_fn) of a frame R of T = R R^T, on valid frames.
+    """(loss_fn, grad_fn, hess_fn) of a batch of valid frames.
 
-    Fc holds the frames column by column, Fc[k, :, i] = Xt_i[:, k].  One
-    chunked pass of `_moments` at a point gives all three: the loss, the
-    gradient seen from R, the mean projector less (m/p) I, and the Hessian
-    in `spd.frame_basis`.  Its sums are kept for the point of the last
-    pass, where the engines ask for the gradient and the Hessian, and
-    recomputed at any other point.
+    Fc holds each member's frames column by column, Fc[i][k, :, j] =
+    Xt_j[:, k]: a (B, m, p, N) array, or B arrays (m, p, N) of one shape.
+    Each function takes the frames x (k, p, p) of the members with the
+    sorted indices members (k,), and gives each one's loss, its gradient
+    seen from the frame, the mean projector less (m/p) I (k, p, p), and
+    its Hessian (k, d, d) in `spd.frame_basis`.  A loss evaluation runs
+    one chunked pass of `_moments` per member, which gives all three: it
+    keeps each member's sums, which the other two functions read at the
+    point of the member's last evaluation, and recompute at any other
+    point.
     """
-    p = Fc.shape[1]
-    last = [None, None]  # the point of the last pass, and its sums
+    B, p = len(Fc), Fc[0].shape[1]
+    size = p * (p + 1) // 2
+    losses, w1, w2 = np.empty(B), np.empty((B, size)), np.empty((B, size, size))
+    at = np.full((B, p, p), np.nan)  # where they were formed
 
-    def sums(R):
-        if last[0] is None or not np.array_equal(R, last[0]):
-            last[:] = np.array(R), _moments(R, Fc)
-        return last[1]
+    def loss_fn(x, members):
+        for R, i in zip(x, members.tolist()):
+            losses[i], w1[i], w2[i] = _moments(R, Fc[i])
+        at[members] = x
+        return losses[members]
 
-    def grad_fn(R):
-        return spd.trace_free(sums(R)[1][_upper_triangle(p)[2]])
+    def sums(x, members):
+        stale = (at[members] != x).any(axis=(1, 2))
+        if stale.any():
+            loss_fn(x[stale], members[stale])
+        return w1[members], w2[members]
 
-    return (lambda R: float(sums(R)[0]), grad_fn,
-            lambda R: _frame_hessian(*sums(R)[1:], p))
+    def grad_fn(x, members):
+        return spd.trace_free(sums(x, members)[0][:, _upper_triangle(p)[2]])
+
+    def hess_fn(x, members):
+        return _frame_hessian(*sums(x, members), p)
+
+    return loss_fn, grad_fn, hess_fn
 
 
 def to_params(T, n, m):

@@ -6,7 +6,11 @@ per-run estimate table and the aggregate statistics depend only on the
 master seed and the configuration, never on scheduling, and failures of
 individual runs are recorded as statuses, with the exception type and
 message in the run's "error" field (and in the summary's "errors"),
-rather than aborting the batch.
+rather than aborting the batch.  The runs are fit in batches of about
+BATCH_DATA data, each batch in one lockstep descent that gives every run
+the answer of its own fit: `conformal.fit_batch` for the univariate
+kinds, and `matrix_cauchy`'s batch for the `gaussian_nd` and matrix
+kinds, whose runs are written into one column copy as they are drawn.
 """
 
 from dataclasses import dataclass, field
@@ -17,9 +21,9 @@ from . import cauchy, conformal, matrix_cauchy
 from .datasets import generate
 from .descent import DescentConfig
 
-# the univariate runs fit together hold about this many data, all at once:
-# on 100 runs at N = 1000, batches of 32 took 32 ms against 25 ms for one
-# batch of 100, and raised the process's peak memory 0.6 MiB less
+# the runs fit together hold about this many data, all at once: on 100
+# univariate runs at N = 1000, batches of 32 took 32 ms against 25 ms for
+# one batch of 100, and raised the process's peak memory 0.6 MiB less
 BATCH_DATA = 2**15
 
 
@@ -85,18 +89,47 @@ def _prepare(spec, data):
     """One run's data as its family's fit takes them; raises on data it cannot fit."""
     if _family_for(spec) == "cauchy1d":
         return conformal._split_data(np.asarray(data), 1)
-    return data
+    return matrix_cauchy._observations(data)
+
+
+def _draw(spec, rows):
+    """The runs of rows, drawn one at a time and prepared for their fit.
+
+    Returns the rows of the runs that can be fit and their inputs: the
+    univariate runs' (F, n_inf) pairs, or the frames (k, m, p, N) of the
+    other runs in `matrix_cauchy._fit`'s column layout, each written there
+    as it is drawn.  A run whose data cannot be fit gets its error in its
+    row.
+    """
+    univariate = _family_for(spec) == "cauchy1d"
+    kept, inputs = [], []
+    for row in rows:
+        data = generate(spec, run_index=row["run"])
+        try:
+            X = _prepare(spec, data)
+            if univariate:
+                inputs.append(X)
+            else:
+                if not kept:
+                    N, n, m = X.shape
+                    inputs = np.empty((len(rows), m, n + m, N))
+                matrix_cauchy._write_frames(X, inputs[len(kept)])
+        except Exception as exc:
+            row["error"] = f"{type(exc).__name__}: {exc}"
+            continue
+        kept.append(row)
+    return kept, inputs[:len(kept)]
 
 
 def _fit(spec, inputs, config):
-    """(estimates, report) of each prepared run: the univariate ones in one batch."""
+    """(estimates, report) of each prepared run, all of them in one batch."""
     family = _family_for(spec)
     if family == "cauchy1d":
         return [({"u": float(z.b[0]), "v": float(z.a)}, report)
                 for z, report in conformal.fit_batch(inputs, 1, config)]
+    n = inputs.shape[2] - inputs.shape[1]
     fits = []
-    for data in inputs:
-        T, report = matrix_cauchy.fit_observations(data, config)
+    for T, report in matrix_cauchy._fit(inputs, n, config):
         if family == "cauchy":
             params = cauchy.to_params(T)
             values = [*params.location,
@@ -110,14 +143,28 @@ def _fit(spec, inputs, config):
     return fits
 
 
-def _fit_isolated(spec, inputs, config):
-    """`_fit`, or the exception raised by each run that raises alone."""
+def _fit_isolated(spec, rows, config):
+    """Draw the runs of rows and fit them in one batch, each run's outcome
+    in its row.  Should the batch raise, each run is drawn again and fit
+    alone, so that only a run at fault has the exception as its error: a
+    batch that raised may have left its copy of the data half
+    standardized, so the runs are not fit again from it.
+    """
+    kept, inputs = _draw(spec, rows)
     try:
-        return _fit(spec, inputs, config)
+        fits = _fit(spec, inputs, config) if kept else []
     except Exception as exc:
-        if len(inputs) == 1:
-            return [exc]
-        return [fit for m in inputs for fit in _fit_isolated(spec, [m], config)]
+        if len(kept) == 1:
+            kept[0]["error"] = f"{type(exc).__name__}: {exc}"
+        else:
+            for row in kept:
+                _fit_isolated(spec, [row], config)
+        return
+    for row, (est, report) in zip(kept, fits):
+        row.update(est)
+        row["status"] = report.status.value
+        row["iterations"] = report.iterations
+        row["grad_norm"] = report.final_grad_norm
 
 
 def run_mc(spec, runs, config=None):
@@ -125,39 +172,23 @@ def run_mc(spec, runs, config=None):
 
     Returns an McSummary with one table row per run, aggregate mean/std of
     every estimated quantity (plus iteration counts), and status counts.
-    Univariate runs are fit in batches of about BATCH_DATA data, each one
-    descent (`conformal.fit_batch`) with the answers of the runs' own fits;
-    the other families fit one run at a time, from its observations with
-    no lifted copy (`matrix_cauchy.fit_observations`).
+    The runs are fit in batches of about BATCH_DATA data, each one descent
+    with the answers of the runs' own fits: `conformal.fit_batch` for the
+    univariate runs, `matrix_cauchy`'s batch for the others, from their
+    observations with no lifted copy.
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
     config = config or DescentConfig()
     summary = McSummary(family=_family_for(spec), runs=runs, seed=spec.seed,
                         columns=_estimate_columns(spec))
-    size = (max(1, BATCH_DATA // spec.sample_size)
-            if summary.family == "cauchy1d" else 1)
+    size = max(1, BATCH_DATA // spec.sample_size)
     for first in range(0, runs, size):
-        rows, inputs = [], []
-        for r in range(first, min(first + size, runs)):
-            data = generate(spec, run_index=r)
-            row = {"run": r, "status": "error", "iterations": 0,
-                   "grad_norm": float("nan")}
-            summary.rows.append(row)
-            try:
-                inputs.append(_prepare(spec, data))
-                rows.append(row)
-            except Exception as exc:
-                row["error"] = f"{type(exc).__name__}: {exc}"
-        for row, fit in zip(rows, _fit_isolated(spec, inputs, config) if inputs else []):
-            if isinstance(fit, Exception):
-                row["error"] = f"{type(fit).__name__}: {fit}"
-                continue
-            est, report = fit
-            row.update(est)
-            row["status"] = report.status.value
-            row["iterations"] = report.iterations
-            row["grad_norm"] = report.final_grad_norm
+        rows = [{"run": r, "status": "error", "iterations": 0,
+                 "grad_norm": float("nan")}
+                for r in range(first, min(first + size, runs))]
+        summary.rows += rows
+        _fit_isolated(spec, rows, config)
     for row in summary.rows:
         summary.status_counts[row["status"]] = (
             summary.status_counts.get(row["status"], 0) + 1)

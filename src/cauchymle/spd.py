@@ -42,9 +42,9 @@ class NumericRangeError(FloatingPointError):
 
 
 def sym(M):
-    """Symmetric part (M + M^T)/2."""
+    """Symmetric part (M + M^T)/2 of square matrices (..., p, p)."""
     M = np.asarray(M, dtype=float)
-    return 0.5 * (M + M.T)
+    return 0.5 * (M + np.swapaxes(M, -1, -2))
 
 
 def _require_square(T, name="matrix"):
@@ -147,23 +147,39 @@ def factor_step(R, W, t):
     R1 R1^T gains over R R^T, or an entry of R1 R1^T leaves the
     floating-point range.
     """
-    lam, Q = np.linalg.eigh(W)
-    x = t * (lam - lam.sum() / lam.size)
-    if not np.abs(x).max() < EXP_CAP:
-        raise NumericRangeError("matrix exponential overflow")
-    R1 = (R @ Q) * np.exp(0.5 * x)
-    # tr(R1 R1^T) bounds every entry of the SPD point R1 R1^T
-    with np.errstate(over="ignore"):
-        trace = np.sum(R1 * R1)
-    if not np.isfinite(trace):
-        raise NumericRangeError("geodesic step overflow")
+    R1, out = factor_step_masked(R, W, t)
+    if out.any():
+        raise NumericRangeError("geodesic step left the floating-point range")
     return R1
 
 
+def factor_step_masked(R, W, t):
+    """`factor_step` of stacks, reporting, not raising: (R1, out of range).
+
+    R and W are (..., p, p) and t (...); one stacked eigh moves them all.
+    The mask is True where the step left the floating-point range; the
+    other frames are exact as `factor_step` gives them, each as it would
+    be alone.
+    """
+    lam, Q = np.linalg.eigh(W)
+    x = np.asarray(t)[..., None] * (lam - lam.sum(axis=-1, keepdims=True)
+                                    / lam.shape[-1])
+    out = ~(np.abs(x).max(axis=-1) < EXP_CAP)
+    x[out] = 0.0
+    R1 = (R @ Q) * np.exp(0.5 * x)[..., None, :]
+    # tr(R1 R1^T) bounds every entry of the SPD point R1 R1^T
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = (R1 * R1).sum(axis=(-2, -1))
+    return R1, out | ~np.isfinite(trace)
+
+
 def trace_free(M):
-    """Trace-free part of the symmetric part of a square matrix."""
-    W = sym(M)
-    W.flat[::W.shape[0] + 1] -= np.trace(W) / W.shape[0]
+    """Trace-free part of the symmetric part of square matrices (..., p, p),
+    laid out in C order."""
+    W = np.ascontiguousarray(sym(M))
+    i = np.arange(W.shape[-1])
+    d = W[..., i, i]
+    W[..., i, i] = d - d.sum(axis=-1, keepdims=True) / d.shape[-1]
     return W
 
 
@@ -186,15 +202,18 @@ def frame_basis(p):
 
 
 def frame_coords(W):
-    """Coordinates (d,) of a symmetric trace-free W in `frame_basis`."""
-    E = frame_basis(W.shape[0])
-    return E.reshape(len(E), -1) @ W.ravel()
+    """Coordinates (..., d) of symmetric trace-free W (..., p, p) in
+    `frame_basis`, each matrix's as it would be alone."""
+    E = frame_basis(W.shape[-1])
+    return (E.reshape(len(E), -1) @ W.reshape(W.shape[:-2] + (-1, 1)))[..., 0]
 
 
 def from_frame_coords(w):
-    """The symmetric trace-free matrix with coordinates w in `frame_basis`."""
-    p = int(round(np.sqrt(2 * len(w) + 2.25) - 0.5))
-    return np.tensordot(w, frame_basis(p), 1)
+    """The symmetric trace-free matrices (..., p, p) with coordinates
+    w (..., d) in `frame_basis`, each as it would be alone."""
+    p = int(round(np.sqrt(2 * w.shape[-1] + 2.25) - 0.5))
+    M = w[..., None, :] @ frame_basis(p).reshape(w.shape[-1], -1)
+    return M.reshape(w.shape[:-1] + (p, p))
 
 
 def from_frame(R, W):

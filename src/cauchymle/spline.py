@@ -74,6 +74,11 @@ class SplineProblem:
             raise ValueError(f"alpha must be finite and positive, got {alpha}")
         if not (np.all(np.isfinite(times)) and np.all(np.diff(times) > 0)):
             raise ValueError("knot times must be finite and strictly increasing")
+        with np.errstate(over="ignore"):
+            weights = alpha / np.diff(times)
+        if not np.all(np.isfinite(weights)):
+            raise ValueError("a knot time gap is so small that the energy "
+                             "weight alpha / gap overflows")
         try:
             x, at_inf = np.asarray(values, dtype=float), np.zeros(len(values), bool)
         except (TypeError, ValueError):  # INFINITY among the values?
@@ -91,7 +96,7 @@ class SplineProblem:
         self.x, self.knot = x.reshape(-1, 1)[order], finite[order]
         self.counts = np.bincount(knot, minlength=self.k).astype(float)
         self.n_inf = np.bincount(knot[at_inf], minlength=self.k).astype(float)
-        self.weights = alpha / np.diff(times)
+        self.weights = weights
         edges = np.arange(self.k - 1)
         self.tail = np.concatenate([edges, edges + 1])
         self.head = np.concatenate([edges + 1, edges])

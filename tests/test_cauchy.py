@@ -12,7 +12,7 @@ from cauchymle.descent import DescentConfig, FitStatus
 from cauchymle.gradcheck import random_spd_point, random_tangent
 from cauchymle.halfspace import INFINITY
 
-from test_matrix import gram_grad, gram_loss
+from test_matrix import gram_grad, gram_loss, one_frame
 
 SQ3_2 = math.sqrt(3.0) / 2.0
 
@@ -591,7 +591,7 @@ def test_fused_oracle_matches_public_functions(rng):
     # at T.  Both are held to the Gram closed forms of T
     X = cauchy.lift(rng.standard_normal((300, 2)) * 3.0 + 1.0)
     F = X[:, :, None]
-    loss_fn, grad_fn, _ = matrix_cauchy._oracle(X.T[None])
+    loss_fn, grad_fn, _ = one_frame(X.T[None])
 
     def gap(R):
         return _rel_gap(spd.from_frame(R, grad_fn(R)), gram_grad(R @ R.T, F))
@@ -620,34 +620,41 @@ def test_fit_oracle_agrees_with_public_functions_along_descent(rng, monkeypatch)
     X = cauchy.lift(rng.standard_normal((400, 4)) @ rng.standard_normal((4, 4)))
     # the engine sees the data in their median/MAD frame, A x, which the
     # fit's core maps its column copy of the data to
-    Fc = np.ascontiguousarray(X.T[None])
+    Fc = np.ascontiguousarray(X.T[None, None])
     matrix_cauchy._standardize(Fc, 4)
-    Xs = Fc[0].T
+    Xs = Fc[0, 0].T
     seen = {"loss": 0, "grad": 0}
     engine = matrix_cauchy.minimize_on_spd
     # an oracle whose loss_fn is never called recomputes the forms each time
-    _, fresh_grad, fresh_hess = matrix_cauchy._oracle(Xs.T[None])
+    _, fresh_grad, fresh_hess = one_frame(Xs.T[None])
 
+    # the fit is a batch of one: the functions take the frames x (1, p, p)
+    # of the members [0]
     def checked(T0, loss_fn, grad_fn, hess_fn, config):
-        def loss_chk(R):
-            seen["loss"] += 1
-            val = loss_fn(R)
-            assert val == pytest.approx(gram_loss(R @ R.T, Xs[:, :, None]),
-                                        rel=1e-12)
-            return np.inf if seen["loss"] == 2 else val
+        assert T0.shape == (1, 5, 5)
 
-        def grad_chk(R):
+        def loss_chk(x, members):
+            seen["loss"] += 1
+            val = loss_fn(x, members)
+            R = x[0]
+            assert val[0] == pytest.approx(
+                gram_loss(R @ R.T, Xs[:, :, None]), rel=1e-12)
+            return np.full(1, np.inf) if seen["loss"] == 2 else val
+
+        def grad_chk(x, members):
             seen["grad"] += 1
-            W = grad_fn(R)
+            W = grad_fn(x, members)
+            R = x[0]
             # the forms grad_fn reuses are those at R: the same kernel in
             # the same frame, so the gap is relative to the gradient itself
-            assert _rel_gap(W, fresh_grad(R)) < 1e-12
-            assert _frame_gap(R, W, gram_grad(R @ R.T, Xs[:, :, None])) < 1e-12
+            assert _rel_gap(W[0], fresh_grad(R)) < 1e-12
+            assert _frame_gap(R, W[0],
+                              gram_grad(R @ R.T, Xs[:, :, None])) < 1e-12
             return W
 
-        def hess_chk(R):
-            H = hess_fn(R)
-            assert _rel_gap(H, fresh_hess(R)) < 1e-12
+        def hess_chk(x, members):
+            H = hess_fn(x, members)
+            assert _rel_gap(H[0], fresh_hess(x[0])) < 1e-12
             return H
 
         return engine(T0, loss_chk, grad_chk, hess_chk, config)

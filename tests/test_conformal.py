@@ -543,3 +543,32 @@ def test_fit_holds_few_arrays_of_the_sample_size():
         tracemalloc.stop()
     assert report.status is FitStatus.CONVERGED
     assert peak < 3.5 * N * x.itemsize
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_loss_evaluation_holds_no_array_of_the_sample_size(n):
+    # a member larger than CHUNK_DATA is summed in slices of CHUNK_DATA
+    # data: besides the oracle's column copy of the data, one loss
+    # evaluation holds a few arrays of CHUNK_DATA (n + 1) floats, whatever N
+    N = 1000000 // n
+    F = np.random.default_rng(50).standard_cauchy((N, n))
+    loss_fn, grad_fn, hess_fn = conformal._oracle([F], [0])
+    x, one = np.append(1.0, np.zeros(n))[None], np.zeros(1, dtype=int)
+    tracemalloc.start()
+    try:
+        loss = loss_fn(x, one)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * conformal.CHUNK_DATA * (n + 1) * F.itemsize
+    # the sums of the slices are those of one pass over the data
+    u = np.empty((N, n + 1))
+    q = 1.0 + np.sum(F * F, axis=1)
+    u[:, 0] = 2.0 / q - 1.0
+    u[:, 1:] = -2.0 * F / q[:, None]
+    assert loss[0] == pytest.approx(n * np.mean(np.log(q)), rel=1e-12)
+    assert np.allclose(grad_fn(x, one)[0], n * u.mean(axis=0), rtol=1e-10,
+                       atol=1e-12)
+    assert np.allclose(hess_fn(x, one)[0],
+                       n * (np.eye(n + 1) - u.T @ u / N), rtol=1e-10,
+                       atol=1e-12)

@@ -1,13 +1,15 @@
 import dataclasses
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cauchymle import cauchy, halfspace, matrix_cauchy as mc, spd
+from cauchymle import cauchy, descent, halfspace, matrix_cauchy as mc, spd
 from cauchymle.datasets import GeneratorSpec, generate
-from cauchymle.descent import DescentConfig, FitStatus
+from cauchymle.descent import STEP_POLICIES, DescentConfig, FitStatus
 from cauchymle.gradcheck import check_gradients, random_spd_point, random_tangent
 
 
@@ -25,6 +27,21 @@ def gram_grad(T, F):
     Ft = np.swapaxes(F, 1, 2)
     M = np.mean(F @ np.linalg.inv(Ft @ T @ F) @ Ft, axis=0)
     return spd.sym(T @ M @ T - (m / p) * T)
+
+
+def one_frame(Fc):
+    """The oracle of the frames Fc (m, p, N), laid out column by column, as
+    functions of one frame R.
+
+    `matrix_cauchy._oracle` serves a batch: its functions take the frames
+    of the members they name; these are its batch of one.
+    """
+    one = np.zeros(1, dtype=int)
+
+    def at(fn):
+        return lambda R: fn(np.asarray(R, dtype=float)[None], one)[0]
+
+    return [at(fn) for fn in mc._oracle(np.asarray(Fc)[None])]
 
 
 def test_lift_appends_identity():
@@ -144,7 +161,7 @@ def test_fit_agrees_with_vector_fit_at_m1(rng):
 
 
 def _hessian_at(F, R):
-    return mc._oracle(F.transpose(2, 1, 0))[2](R)
+    return one_frame(F.transpose(2, 1, 0))[2](R)
 
 
 @pytest.mark.parametrize("m, n", [(1, 1), (1, 3), (2, 1), (2, 2)])
@@ -153,7 +170,7 @@ def test_hessian_matches_finite_differences_of_gradient(rng, m, n):
     # a parallel-transported tangent has the coordinates Q^T W Q: so the
     # covariant derivative of the gradient along V is d/dt Q g(t) Q^T
     F = mc.lift(rng.standard_normal((60, n, m)) * 2.0 + 0.3)
-    _, grad_fn, hess_fn = mc._oracle(F.transpose(2, 1, 0))
+    _, grad_fn, hess_fn = one_frame(F.transpose(2, 1, 0))
     h = 1e-5
     for _ in range(10):
         O, _ = np.linalg.qr(rng.standard_normal((m + n, m + n)))
@@ -210,7 +227,7 @@ def test_chunked_oracle_matches_per_datum_sums(rng, m, N, monkeypatch):
         P = U @ U.T
         H += (np.einsum("kab,lbc,ca->kl", E, E, P)
               - np.einsum("ab,kbc,cd,lda->kl", P, E, P, E))
-    loss_fn, grad_fn, hess_fn = mc._oracle(F.transpose(2, 1, 0))
+    loss_fn, grad_fn, hess_fn = one_frame(F.transpose(2, 1, 0))
     assert abs(loss_fn(R) - gram_loss(T, F)) < 1e-13
     assert np.abs(spd.from_frame(R, grad_fn(R)) - gram_grad(T, F)).max() < 1e-13
     assert np.abs(hess_fn(R) - H / N).max() < 1e-13
@@ -394,6 +411,95 @@ def test_fit_observations_is_the_fit_of_the_lifted_frames(rng, n, m):
             dataclasses.replace(report, wall_time=0.0)
 
 
+SPD_KINDS = ("cauchy", "normal", "refused", "cap")
+
+
+def spd_batch(seed, m, kinds, N=30, n=2):
+    """Datasets (N, n, m) of one shape, one of each kind: Cauchy data at a
+    drawn scale and offset; normal data, which take other iterations; an
+    atom holding half the data, which m = 1 refuses before the descent;
+    and data with no MLE, whose trials run into COND_CAP (70% of the
+    points on a line at m = 1, a zero row at m = 2)."""
+    rng = np.random.default_rng(seed)
+    datas = []
+    for kind in kinds:
+        X = (rng.standard_cauchy((N, n, m)) * rng.uniform(0.1, 10.0)
+             + rng.uniform(-5.0, 5.0))
+        if kind == "normal":
+            X = rng.standard_normal((N, n, m))
+        elif kind == "refused":
+            X[:N // 2] = X[0]
+        elif kind == "cap" and m == 1:
+            X[:int(0.7 * N), 1, 0] = 2.0
+        elif kind == "cap":
+            X[:, 0, :] = 0.0
+        datas.append(X)
+    return datas
+
+
+def same_fit(a, b):
+    """Bit for bit the same (T, FitReport), but for the wall time."""
+    (Ta, ra), (Tb, rb) = a, b
+    return np.array_equal(Ta, Tb) and dataclasses.replace(
+        ra, wall_time=0.0) == dataclasses.replace(rb, wall_time=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([1, 2]),
+       kinds=st.lists(st.sampled_from(SPD_KINDS), min_size=1, max_size=5),
+       policy=st.sampled_from(STEP_POLICIES), max_iters=st.sampled_from([3, 200]))
+def test_spd_batch_members_are_their_fits_alone(seed, m, kinds, policy,
+                                                max_iters):
+    # one descent runs the members in lockstep, yet each takes the steps,
+    # the loss evaluations and the verdict of its own fit: its estimate,
+    # status, counts, traces and Hessian eigenvalue are those of its batch
+    # of one, bit for bit
+    datas = spd_batch(seed, m, kinds)
+    config = DescentConfig(step_policy=policy, max_iters=max_iters)
+    batch = mc.fit_observations_batch(datas, config)
+    assert len(batch) == len(datas)
+    for kind, data, fit in zip(kinds, datas, batch):
+        assert same_fit(fit, mc.fit_observations(data, config))
+        if kind == "refused" and m == 1:
+            assert fit[1].status is FitStatus.DEGENERATE_DATA
+            assert fit[1].loss_evals == 1 and fit[1].iterations == 0
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_mixed_spd_batch_holds_every_outcome(m):
+    # the batches of the test above end each way they are built to end:
+    # members converge at different iterations, a member is refused at
+    # m = 1, and the trials of a member with no MLE cross COND_CAP
+    kinds = ["cauchy", "normal", "refused", "cap"]
+    crossed = []
+    step = descent._capped_factor_step
+
+    def watched(x, D, t):
+        R1, out = step(x, D, t)
+        crossed.append(out.any())
+        return R1, out
+
+    with mock.patch.object(descent, "_capped_factor_step", watched):
+        (_, cap), = mc.fit_observations_batch(spd_batch(0, m, kinds[3:]))
+    assert any(crossed)
+    assert cap.status is FitStatus.DEGENERATE_DATA and cap.iterations > 0
+    reports = [r for _, r in mc.fit_observations_batch(spd_batch(0, m, kinds))]
+    assert [r.status for r in reports[:2]] == [FitStatus.CONVERGED] * 2
+    assert len({r.iterations for r in reports}) >= 3
+    # m >= 2 has no precheck: the Hessian verdict flags the atom
+    assert reports[2].status is (FitStatus.DEGENERATE_DATA if m == 1
+                                 else FitStatus.ILL_CONDITIONED)
+    assert reports[3].status is FitStatus.DEGENERATE_DATA
+
+
+def test_fit_observations_batch_refuses_datasets_of_other_shapes(rng):
+    with pytest.raises(ValueError, match="shape"):
+        mc.fit_observations_batch([rng.standard_normal((30, 2)),
+                                   rng.standard_normal((31, 2))])
+    with pytest.raises(ValueError):
+        mc.fit_observations_batch([])
+
+
 @pytest.mark.parametrize("bad", [np.empty((0, 2)), np.ones(5),
                                  np.ones((4, 0)), np.ones((2, 2, 2, 2)),
                                  np.array([[0.5, 1.0], [np.nan, 1.0]])])
@@ -417,7 +523,7 @@ def test_fused_oracle_matches_public_functions(rng):
     vectors = mc.lift(rng.standard_normal((300, 3, 1)) * 3.0 + 1.0)
     vectors[7, :, 0] = [0.5, -2.0, 1.5, 0.0]   # a datum at infinity
     for F in (frames, vectors):
-        loss_fn, grad_fn, _ = mc._oracle(F.transpose(2, 1, 0))
+        loss_fn, grad_fn, _ = one_frame(F.transpose(2, 1, 0))
 
         def gap(R):
             want = gram_grad(R @ R.T, F)
@@ -495,16 +601,35 @@ def test_standardizing_map_is_the_median_mad_of_each_row(rng, n, m, N):
     F[:N // 5, n:, :] = rng.standard_normal((N // 5, m, m))
     F[N // 5, :n, :] = 0.0
     finite = np.all(F[:, n:, :] == np.eye(m), axis=(1, 2))
-    Fc = np.ascontiguousarray(F.transpose(2, 1, 0))
-    A = mc._standardize(Fc, n)
+    Fc = np.ascontiguousarray(F.transpose(2, 1, 0))[None]
+    (A,) = mc._standardize(Fc, n)
     for i in range(n):
         med, mad = halfspace.median_mad(F[finite, i, :])
         assert A[i, i] == 1.0 / mad
         assert np.array_equal(A[i, n:], -med / mad)
     mapped = np.matmul(A, F.transpose(2, 1, 0))
-    assert np.abs(Fc - mapped).max() <= 1e-15 * np.abs(mapped).max()
+    assert np.abs(Fc[0] - mapped).max() <= 1e-15 * np.abs(mapped).max()
     # with every frame at infinity the map is the identity
     F[:, n:, :] = 2.0 * np.eye(m)
-    Fc = np.ascontiguousarray(F.transpose(2, 1, 0))
-    assert np.array_equal(mc._standardize(Fc, n), np.eye(n + m))
-    assert np.array_equal(Fc, F.transpose(2, 1, 0))
+    Fc = np.ascontiguousarray(F.transpose(2, 1, 0))[None]
+    assert np.array_equal(mc._standardize(Fc, n)[0], np.eye(n + m))
+    assert np.array_equal(Fc[0], F.transpose(2, 1, 0))
+
+
+@pytest.mark.parametrize("at_infinity", [False, True])
+@pytest.mark.parametrize("n, m", [(2, 1), (2, 2), (1, 3)])
+def test_standardizing_a_batch_maps_each_member_as_alone(rng, n, m,
+                                                         at_infinity):
+    # one partition of each row serves a batch with no frame at infinity;
+    # with one, each member is mapped alone.  Either way every member's
+    # map and frames are bit-identical to its batch of one's
+    F = np.stack([mc.lift(np.round(rng.standard_cauchy((101, n, m)), 1))
+                  for _ in range(4)])
+    if at_infinity:
+        F[2, :7, n:, :] = 0.5 * np.eye(m)
+    Fc = np.ascontiguousarray(F.transpose(0, 3, 2, 1))
+    alone = [np.array(member[None]) for member in Fc]
+    A = mc._standardize(Fc, n)
+    for i, one in enumerate(alone):
+        assert np.array_equal(A[i], mc._standardize(one, n)[0])
+        assert np.array_equal(Fc[i], one[0])

@@ -1,7 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from cauchymle import conformal, montecarlo
+from cauchymle import cauchy, conformal, descent, matrix_cauchy, montecarlo
 from cauchymle.datasets import GeneratorSpec
 from cauchymle.descent import DescentConfig
 from cauchymle.montecarlo import run_mc
@@ -169,6 +171,90 @@ def test_run_raising_inside_the_batch_fails_alone(monkeypatch):
         return check(F, n_inf)
 
     monkeypatch.setattr(conformal, "has_dominant_point", raises_on_run_2)
+    s = run_mc(spec, runs=4)
+    assert s.rows[2]["error"] == "RuntimeError: boom"
+    assert s.status_counts == {"converged": 3, "error": 1}
+    assert [s.rows[r] for r in (0, 1, 3)] == [clean.rows[r] for r in (0, 1, 3)]
+
+
+def spd_estimates(spec, T):
+    """A run's estimates from its fit alone, in the order of its columns."""
+    if spec.kind == "gaussian_nd":
+        params = cauchy.to_params(T)
+        n = len(params.location)
+        return [*params.location, *params.scatter[np.triu_indices(n)]]
+    return matrix_cauchy.to_params(T, spec.rows, spec.cols)[0].ravel()
+
+
+@pytest.mark.parametrize("spec", [
+    GeneratorSpec(kind="gaussian_nd", sample_size=300, seed=11,
+                  mean_vector=np.array([1.0, -1.0, 0.5]),
+                  covariance=np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2],
+                                       [0.0, 0.2, 0.5]])),
+    GeneratorSpec(kind="matrix_standard", sample_size=300, seed=12, rows=3,
+                  cols=2),
+])
+def test_spd_batch_rows_are_the_runs_fit_alone(spec):
+    # the runs of a batch fit in one descent; the table and the summary are
+    # those of the runs fit one at a time from their observations
+    runs = 6
+    s = run_mc(spec, runs=runs)
+    want = []
+    for r in range(runs):
+        T, report = matrix_cauchy.fit_observations(
+            montecarlo.generate(spec, run_index=r))
+        want.append((report, spd_estimates(spec, T)))
+    lines = s.table_csv().strip().split("\n")
+    assert lines[0].split(",")[4:] == s.columns
+    for line, (report, values) in zip(lines[1:], want):
+        cells = line.split(",")
+        assert cells[1:3] == [report.status.value, str(report.iterations)]
+        got = np.array([float(c) for c in cells[3:]])
+        assert np.allclose(got, [report.final_grad_norm, *values],
+                           rtol=1e-12, atol=0.0)
+    summary = s.to_dict()
+    assert summary["status_counts"] == dict(
+        Counter(report.status.value for report, _ in want))
+    for j, col in enumerate(s.columns):
+        vals = [values[j] for _, values in want]
+        assert summary["aggregates"][col]["mean"] == pytest.approx(
+            np.mean(vals), rel=1e-12)
+        assert summary["aggregates"][col]["std"] == pytest.approx(
+            np.std(vals), rel=1e-12)
+
+
+def test_matrix_batch_runs_one_descent(monkeypatch):
+    calls = []
+    descend = descent._descend
+    monkeypatch.setattr(descent, "_descend", lambda *args, **kwargs:
+                        calls.append(1) or descend(*args, **kwargs))
+    spec = GeneratorSpec(kind="matrix_standard", sample_size=1000, seed=3,
+                         rows=2, cols=2)
+    s = run_mc(spec, runs=10)
+    assert len(calls) == 1
+    assert s.status_counts == {"converged": 10}
+
+
+def test_run_raising_inside_the_spd_batch_fails_alone(monkeypatch):
+    # run 2 raises in its precheck, after the batch has standardized the
+    # frames of runs 0 and 1 in place: the runs are drawn again and fit one
+    # by one, so that only the run at fault becomes an error row
+    spec = GeneratorSpec(kind="gaussian_nd", sample_size=200, seed=4,
+                         mean_vector=np.zeros(2), covariance=np.eye(2))
+    clean = run_mc(spec, runs=4)
+    X = matrix_cauchy._observations(montecarlo.generate(spec, run_index=2))
+    Fc = np.empty((1, 1, 3, len(X)))
+    matrix_cauchy._write_frames(X, Fc[0])
+    matrix_cauchy._standardize(Fc, 2)
+    bad = Fc[0, 0].T
+    check = cauchy.check_general_position
+
+    def raises_on_run_2(lifted, n):
+        if np.array_equal(lifted, bad):
+            raise RuntimeError("boom")
+        return check(lifted, n)
+
+    monkeypatch.setattr(cauchy, "check_general_position", raises_on_run_2)
     s = run_mc(spec, runs=4)
     assert s.rows[2]["error"] == "RuntimeError: boom"
     assert s.status_counts == {"converged": 3, "error": 1}

@@ -135,6 +135,21 @@ def test_factor_step_overflow_reports_range_error(R, t):
         spd.factor_step(R, np.diag([1.0, -1.0]), t)
 
 
+def test_masked_factor_step_of_a_stack_is_each_step_alone(rng):
+    # the overflowing steps above are marked, not raised, among in-range
+    # steps, each of which is factor_step's bit for bit
+    bad = [(np.eye(2), 2e3), (np.eye(2), 8e2), (np.diag([1e150, 1e-150]), 20.0)]
+    good = [(np.linalg.cholesky(random_spd_point(2, rng)), t)
+            for t in rng.uniform(-2.0, 2.0, 3)]
+    R = np.stack([r for r, _ in good + bad])
+    t = np.array([t for _, t in good + bad])
+    W = np.diag([1.0, -1.0]) + 0.3 * np.array([[0.0, 1.0], [1.0, 0.0]])
+    R1, out = spd.factor_step_masked(R, np.broadcast_to(W, R.shape), t)
+    assert out.tolist() == [False] * 3 + [True] * 3
+    for i, (r, ti) in enumerate(good):
+        assert np.array_equal(R1[i], spd.factor_step(r, W, ti))
+
+
 def test_geodesic_speed(rng):
     for _ in range(100):
         T = random_spd_point(3, rng)

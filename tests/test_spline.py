@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -59,6 +60,14 @@ def test_problem_validation():
             spline.SplineProblem.from_pairs([0.0, t], [0.0, 1.0], 1.0)
     with pytest.raises(ValueError, match="one time per observation"):
         spline.SplineProblem.from_pairs([0.0, 1.0], [0.0], 1.0)
+    # a time gap so small that the energy weight alpha / gap overflows: a
+    # subnormal gap, or a large alpha over a small one
+    for times, alpha in (([0.0, 5e-324, 1.0], 1.0), ([0.0, 1e-10], 1e300)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="gap"):
+                spline.SplineProblem.from_pairs(times, [0.0] * len(times),
+                                                alpha)
     # observations that are not finite 1-d boundary points are refused when
     # the problem is built, by either constructor, INFINITY among them or not
     for xs in ([0.0, math.nan], [0.0, math.inf], [INFINITY, -math.inf],
