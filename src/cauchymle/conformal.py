@@ -110,11 +110,11 @@ def _oracle(F, n_inf):
             evaluate(x[i:i + step], members[i:i + step])
             for i in range(0, len(members), step)])
 
-    def sums(a, b, members, c):
+    def sums(a, b, members, s):
         """Sum log q, the sums of the forces' scale (k,) and center
         (k, n) parts, and of their products (k, n + 1, n + 1), over the
-        members' slice c of their data."""
-        u = np.stack([cols[i][c] for i in members])
+        members' slice s of their data."""
+        u = np.stack([cols[i][s] for i in members])
         np.subtract(b[:, :, None], u, out=u)
         q, u0 = _unit_forces(a, u)
         rows = [u0, *u.transpose(1, 0, 2)]
@@ -128,8 +128,8 @@ def _oracle(F, n_inf):
     def evaluate(x, members):
         a, b = x[:, 0], x[:, 1:]
         total = sums(a, b, members, 0)
-        for c in range(1, len(cols[0])):
-            for t, more in zip(total, sums(a, b, members, c)):
+        for s in range(1, len(cols[0])):
+            for t, more in zip(total, sums(a, b, members, s)):
                 t += more
         logq, g0, g, M = total
         Nk = N[members]

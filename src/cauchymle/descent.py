@@ -7,7 +7,7 @@ batch of fits in lockstep: the members' points are one float array with a
 leading member axis, their gradients and directions arrays of the same
 shape, and each member keeps its own traces, counts, status and
 line-search multiplier, so that it takes the steps of its fit alone.
-Each engine fits a stack of datasets at once (`minimize_on_spd_batch`,
+Each engine fits a stack of datasets at once (`minimize_on_spd`,
 `minimize_on_halfspace_batch`), and returns its members' reports as one
 BatchReport; a single fit, of either engine or of the spline, is the
 batch of one.  Under the default policy
@@ -161,59 +161,39 @@ def plateau_status(grad_norms, window=PLATEAU_WINDOW, rate=PLATEAU_RATE):
 
 
 def minimize_on_spd(T0, loss_fn, grad_fn, hess_fn, config):
-    """Geodesic descent for a loss on unit-determinant SPD matrices.
-
-    The descent moves a frame R of T = R R^T, starting from the Cholesky
-    factor of T0.  loss_fn(R) is the loss at T, grad_fn(R) the Riemannian
-    gradient V seen from the frame, the trace-free R^-1 V R^-T, and
-    hess_fn(R) the Riemannian Hessian as a d x d matrix in the basis
-    `spd.frame_basis`, positive semidefinite for a geodesically convex
-    loss.  The fit is `minimize_on_spd_batch` of one, and returns
-    (T, FitReport).  A stack of starts T0 (B, p, p), with the functions of
-    a batch that `minimize_on_spd_batch` takes, is fit as that batch: it
-    returns (T (B, p, p), BatchReport).
-    """
-    T0 = np.asarray(T0, dtype=float)
-    if T0.ndim == 3:
-        R, reports = minimize_on_spd_batch(np.linalg.cholesky(T0), loss_fn,
-                                           grad_fn, hess_fn, config)
-        return np.stack([spd.unit_det(spd.sym(Ri @ Ri.T)) for Ri in R]), reports
-    R, (report,) = minimize_on_spd_batch(
-        np.linalg.cholesky(T0)[None], _one(loss_fn), _one(grad_fn),
-        _one(hess_fn), config)
-    return spd.unit_det(spd.sym(R[0] @ R[0].T)), report
-
-
-def minimize_on_spd_batch(R0, loss_fn, grad_fn, hess_fn, config):
     """Geodesic descent for a batch of losses on unit-determinant SPD matrices.
 
-    Member i starts at the frame R0[i] (p, p) of its point T = R R^T.
+    Member i starts at T0[i] (p, p), and the descent moves a frame R of
+    its point T = R R^T, from the Cholesky factor of T0[i].
     loss_fn(x, members), grad_fn(x, members) and hess_fn(x, members) take
     the frames x (k, p, p) of the members with the sorted indices members
-    (k,), and give each one's loss, its Riemannian gradient seen from the
-    frame (k, p, p) and its Riemannian Hessian (k, d, d) in the basis
-    `spd.frame_basis`, positive semidefinite for a geodesically convex
-    loss.  The loop asks for the gradient and the Hessian only at a
-    member's last loss evaluation.  The "backtracking" policy takes damped
-    Newton steps (`newton_step`): it solves (H + g^2 I) d = W, g the
-    gradient norm, all members in one stacked solve, and moves along -d
-    with `spd.factor_step_masked`.  The "safe" policy takes the gradient
-    step of length 1 (the loss is assumed to have geodesic second
-    derivative at most ||gamma'||^2).  Both refuse frames past COND_CAP.
-    A fit that converged or ran out of budget is ill-conditioned when the
-    smallest eigenvalue of the Hessian at the returned point, kept in
-    FitReport.hessian_min_eig, is below ILL_CONDITIONED_EIG.  Returns the
-    frames R (B, p, p) and a BatchReport.
+    (k,), and give each one's loss, its Riemannian gradient V seen from
+    the frame, the trace-free R^-1 V R^-T (k, p, p), and its Riemannian
+    Hessian (k, d, d) in the basis `spd.frame_basis`, positive
+    semidefinite for a geodesically convex loss.  The loop asks for the
+    gradient and the Hessian only at a member's last loss evaluation.  The
+    "backtracking" policy takes damped Newton steps (`newton_step`): it
+    solves (H + g^2 I) d = W, g the gradient norm, all members in one
+    stacked solve, and moves along -d with `spd.factor_step_masked`.  The
+    "safe" policy takes the gradient step of length 1 (the loss is assumed
+    to have geodesic second derivative at most ||gamma'||^2).  Both refuse
+    frames past COND_CAP.  A fit that converged or ran out of budget is
+    ill-conditioned when the smallest eigenvalue of the Hessian at the
+    returned point, kept in FitReport.hessian_min_eig, is below
+    ILL_CONDITIONED_EIG.  Returns the points T (B, p, p) and a
+    BatchReport; a single fit is the batch of one.
     """
     def solve(x, members, W, g):
         d, ok = _damped_solve(hess_fn(x, members), spd.frame_coords(W), g)
         return spd.from_frame_coords(d), ok
 
     # no guard in the loop: the capped retraction keeps R inside COND_CAP
-    return _minimize(np.asarray(R0, dtype=float), loss_fn, grad_fn, hess_fn,
-                     solve, _capped_factor_step,
-                     lambda x, members: np.zeros(len(members), dtype=bool),
-                     1.0, ILL_CONDITIONED_EIG, config)
+    R, reports = _minimize(np.linalg.cholesky(np.asarray(T0, dtype=float)),
+                           loss_fn, grad_fn, hess_fn, solve,
+                           _capped_factor_step,
+                           lambda x, members: np.zeros(len(members), dtype=bool),
+                           1.0, ILL_CONDITIONED_EIG, config)
+    return np.stack([spd.unit_det(spd.sym(Ri @ Ri.T)) for Ri in R]), reports
 
 
 def _capped_factor_step(x, D, t):
@@ -396,12 +376,6 @@ def _safe_step(length):
         return v, everyone(x, members)
 
     return direction, length, 1, everyone
-
-
-def _one(fn):
-    """fn of one point, and more arguments, as a function of a batch of one."""
-    return lambda x, members, *args: np.asarray(
-        fn(x[0], *[y[0] for y in args]))[None]
 
 
 def _descend(x, loss_fn, grad_fn, norm, diverged, retract, step, config,

@@ -304,27 +304,51 @@ def fit_observations(data, config=None):
     return _fit(Fc, n, config)[0]
 
 
+def _write_batch(datasets, size):
+    """Write at most size datasets of one shape, one at a time as they
+    come, into one column layout of `_fit`.
+
+    Returns the layout (k, m, n + m, N) of the k datasets written, None if
+    none was, and for each dataset in order None or the exception that
+    kept it out: data that `_observations` refuses, or a shape other than
+    the first written one's.  Only the layout holds the data: a caller
+    that passes a generator has each dataset freed once it is written.
+    """
+    Fc, errors, k = None, [], 0
+    for data in datasets:
+        try:
+            X = _observations(data)
+            if Fc is None:
+                N, n, m = X.shape
+                Fc = np.empty((size, m, n + m, N))
+            elif X.shape != (N, n, m):
+                raise ValueError(f"dataset of shape {X.shape} in a batch of "
+                                 f"shape {(N, n, m)}")
+            _write_frames(X, Fc[k])
+        except Exception as exc:
+            errors.append(exc)
+            continue
+        errors.append(None)
+        k += 1
+    return (None if Fc is None else Fc[:k]), errors
+
+
 def fit_observations_batch(datasets, config=None):
     """`fit_observations` of many datasets of one shape, in one descent.
 
-    Their frames are written, one dataset at a time, into one column
-    layout (B, m, n + m, N), and the members run in lockstep.  Returns one
-    (T, FitReport) per dataset, as `fit_observations` gives it alone;
-    every report's wall time is that of the whole batch.
+    Their frames are written by `_write_batch` into one column layout, and
+    the members run in lockstep.  Returns one (T, FitReport) per dataset,
+    as `fit_observations` gives it alone; every report's wall time is
+    that of the whole batch.  Raises the error of the first dataset it
+    could not write.
     """
-    Fc = None
-    for i, data in enumerate(datasets):
-        X = _observations(data)
-        if Fc is None:
-            N, n, m = X.shape
-            Fc = np.empty((len(datasets), m, n + m, N))
-        elif X.shape != (N, n, m):
-            raise ValueError(f"dataset of shape {X.shape} in a batch of "
-                             f"shape {(N, n, m)}")
-        _write_frames(X, Fc[i])
+    Fc, errors = _write_batch(datasets, len(datasets))
+    for exc in errors:
+        if exc is not None:
+            raise exc
     if Fc is None:
         raise ValueError("no dataset")
-    return _fit(Fc, n, config)
+    return _fit(Fc, Fc.shape[2] - Fc.shape[1], config)
 
 
 def _oracle(Fc):

@@ -86,10 +86,9 @@ def _estimate_columns(spec):
 
 
 def _prepare(spec, data):
-    """One run's data as its family's fit takes them; raises on data it cannot fit."""
-    if _family_for(spec) == "cauchy1d":
-        return conformal._split_data(np.asarray(data), 1)
-    return matrix_cauchy._observations(data)
+    """One univariate run's data as `conformal.fit_batch` takes them;
+    raises on data it cannot fit."""
+    return conformal._split_data(np.asarray(data), 1)
 
 
 def _draw(spec, rows):
@@ -98,27 +97,28 @@ def _draw(spec, rows):
     Returns the rows of the runs that can be fit and their inputs: the
     univariate runs' (F, n_inf) pairs, or the frames (k, m, p, N) of the
     other runs in `matrix_cauchy._fit`'s column layout, each written there
-    as it is drawn.  A run whose data cannot be fit gets its error in its
-    row.
+    by `matrix_cauchy._write_batch` as it is drawn.  A run whose data
+    cannot be fit gets its error in its row.
     """
-    univariate = _family_for(spec) == "cauchy1d"
-    kept, inputs = [], []
-    for row in rows:
-        data = generate(spec, run_index=row["run"])
-        try:
-            X = _prepare(spec, data)
-            if univariate:
-                inputs.append(X)
-            else:
-                if not kept:
-                    N, n, m = X.shape
-                    inputs = np.empty((len(rows), m, n + m, N))
-                matrix_cauchy._write_frames(X, inputs[len(kept)])
-        except Exception as exc:
+    drawn = (generate(spec, run_index=row["run"]) for row in rows)
+    if _family_for(spec) == "cauchy1d":
+        inputs, errors = [], []
+        for data in drawn:
+            try:
+                inputs.append(_prepare(spec, data))
+            except Exception as exc:
+                errors.append(exc)
+                continue
+            errors.append(None)
+    else:
+        inputs, errors = matrix_cauchy._write_batch(drawn, len(rows))
+    kept = []
+    for row, exc in zip(rows, errors):
+        if exc is None:
+            kept.append(row)
+        else:
             row["error"] = f"{type(exc).__name__}: {exc}"
-            continue
-        kept.append(row)
-    return kept, inputs[:len(kept)]
+    return kept, inputs
 
 
 def _fit(spec, inputs, config):

@@ -31,7 +31,7 @@ import numpy as np
 from . import halfspace
 # Uncalled: bench/test_bench.py checks the tracer's by-name wrapping on it.
 from .cauchy import fit_univariate  # noqa: F401
-from .descent import (DescentConfig, FitReport, _descend, _one, newton_step,
+from .descent import (DescentConfig, FitReport, _descend, newton_step,
                       off_scale, plateau_status)
 from .halfspace import HPoint
 
@@ -376,6 +376,12 @@ def _newton(problem, x, grad, g):
         return np.zeros_like(x), False
     p[:, 0] *= a
     return p, True
+
+
+def _one(fn):
+    """fn of one point, and more arguments, as a function of a batch of one."""
+    return lambda x, members, *args: np.asarray(
+        fn(x[0], *[y[0] for y in args]))[None]
 
 
 def fit(problem, config=None):

@@ -38,22 +38,23 @@ def test_overflowing_floor_step_ends_degenerate(size):
     # T = R R^T; at 1e3 that of R alone would not overflow.  The Newton
     # step, damped by the squared gradient norm, is short and does not
     # overflow, but no trial lowers the flat loss or shrinks the gradient.
-    # Either way the fit ends degenerate where it started.
-    def loss_fn(R):
-        return 0.0
+    # Either way the fit ends degenerate where it started.  The fit is a
+    # batch of one: the functions take the frames x (1, 2, 2) of members [0]
+    def loss_fn(x, members):
+        return np.zeros(1)
 
-    def grad_fn(R):
-        return np.diag([size, -size])
+    def grad_fn(x, members):
+        return np.diag([size, -size])[None]
 
-    def hess_fn(R):
-        return np.zeros((2, 2))
+    def hess_fn(x, members):
+        return np.zeros((1, 2, 2))
 
     for policy, evals in (("safe", 1), ("backtracking", 1 + NEWTON_HALVINGS)):
-        T, report = minimize_on_spd(np.eye(2), loss_fn, grad_fn, hess_fn,
-                                    DescentConfig(step_policy=policy))
+        T, (report,) = minimize_on_spd(np.eye(2)[None], loss_fn, grad_fn,
+                                       hess_fn, DescentConfig(step_policy=policy))
         assert report.status is FitStatus.DEGENERATE_DATA
         assert report.iterations == 0 and report.loss_evals == evals
-        assert np.array_equal(T, np.eye(2))
+        assert np.array_equal(T[0], np.eye(2))
 
 
 def test_newton_trials_out_of_range_are_skipped():
@@ -68,13 +69,14 @@ def test_newton_trials_out_of_range_are_skipped():
         spd.factor_step(np.eye(2), direction, -1.0)
     trials = []
 
-    def loss_fn(R):
-        trials.append(R)
-        return 0.0
+    def loss_fn(x, members):
+        trials.append(x[0])
+        return np.zeros(1)
 
-    T, report = minimize_on_spd(np.eye(2), loss_fn, lambda R: W,
-                                lambda R: (2.0 ** -20 - g2) * np.eye(2),
-                                DescentConfig())
+    T, (report,) = minimize_on_spd(
+        np.eye(2)[None], loss_fn, lambda x, members: W[None],
+        lambda x, members: (2.0 ** -20 - g2) * np.eye(2)[None],
+        DescentConfig())
     skipped = sum(2.0 ** 21 * s > np.log(COND_CAP)
                   for s in 0.5 ** np.arange(NEWTON_HALVINGS))
     assert report.status is FitStatus.DEGENERATE_DATA
@@ -82,7 +84,7 @@ def test_newton_trials_out_of_range_are_skipped():
     assert report.loss_evals == 1 + NEWTON_HALVINGS - skipped
     assert 0 < skipped < NEWTON_HALVINGS
     assert all(np.linalg.cond(R @ R.T) <= COND_CAP for R in trials)
-    assert np.array_equal(T, np.eye(2))
+    assert np.array_equal(T[0], np.eye(2))
 
 
 def test_safe_step_past_the_cap_ends_degenerate_inside_it():
@@ -91,13 +93,15 @@ def test_safe_step_past_the_cap_ends_degenerate_inside_it():
     # e^32 = 7.9e13 are taken and the 33rd, past COND_CAP, ends the fit
     # degenerate at the last frame inside the cap, with no loss evaluation
     W = np.diag([-0.5, 0.5])
-    T, report = minimize_on_spd(
-        np.eye(2), lambda R: -np.log(abs(R[0, 0] / R[1, 1])), lambda R: W,
-        lambda R: np.zeros((2, 2)), DescentConfig(step_policy="safe"))
+    T, (report,) = minimize_on_spd(
+        np.eye(2)[None],
+        lambda x, members: -np.log(abs(x[:, 0, 0] / x[:, 1, 1])),
+        lambda x, members: W[None], lambda x, members: np.zeros((1, 2, 2)),
+        DescentConfig(step_policy="safe"))
     steps = int(np.log(COND_CAP))
     assert report.status is FitStatus.DEGENERATE_DATA
     assert report.iterations == steps and report.loss_evals == 1 + steps
-    assert np.linalg.cond(T) == pytest.approx(np.exp(steps), rel=1e-9)
+    assert np.linalg.cond(T[0]) == pytest.approx(np.exp(steps), rel=1e-9)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -235,6 +235,35 @@ def test_matrix_batch_runs_one_descent(monkeypatch):
     assert s.status_counts == {"converged": 10}
 
 
+def test_spd_run_with_non_finite_data_is_an_error_row_of_its_batch(
+        monkeypatch):
+    # the run is refused as it is written into the batch's copy; the other
+    # runs fit in one batch, each as it fits without it
+    spec = GeneratorSpec(kind="gaussian_nd", sample_size=200, seed=4,
+                         mean_vector=np.zeros(2), covariance=np.eye(2))
+    clean = run_mc(spec, runs=4)
+    draw = montecarlo.generate
+
+    def nan_in_run_1(spec, run_index=None):
+        data = draw(spec, run_index=run_index)
+        if run_index == 1:
+            data[5, 0] = np.nan
+        return data
+
+    batches = []
+    fit = matrix_cauchy._fit
+    monkeypatch.setattr(montecarlo, "generate", nan_in_run_1)
+    monkeypatch.setattr(matrix_cauchy, "_fit", lambda Fc, *args:
+                        batches.append(len(Fc)) or fit(Fc, *args))
+    s = run_mc(spec, runs=4)
+    assert batches == [3]
+    assert s.rows[1]["error"] == (
+        "ValueError: expected finite (N, n) or (N, n, m) observations, "
+        "got shape (200, 2, 1)")
+    assert s.status_counts == {"converged": 3, "error": 1}
+    assert [s.rows[r] for r in (0, 2, 3)] == [clean.rows[r] for r in (0, 2, 3)]
+
+
 def test_run_raising_inside_the_spd_batch_fails_alone(monkeypatch):
     # run 2 raises in its precheck, after the batch has standardized the
     # frames of runs 0 and 1 in place: the runs are drawn again and fit one
