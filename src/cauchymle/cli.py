@@ -114,8 +114,24 @@ def _spec_from(args):
     return GeneratorSpec(**kwargs)
 
 
-def _emit(doc, path=None):
-    text = json.dumps(doc, indent=2, sort_keys=True)
+def _emit(doc, path=None, rows=()):
+    """Print doc as JSON indented by 2, or write it to path.
+
+    The lists under the keys rows, of numbers or of objects of numbers,
+    are written an item a line, each from one call of the C encoder: with
+    an indent json runs in Python, which took 0.6 s of the 1.8 s of a
+    regress of 1e5 knots.  In such a list an item ends where "}, {" or,
+    between numbers, ", " parts it from the next.
+    """
+    shell = {key: [] if key in rows else value for key, value in doc.items()}
+    text = json.dumps(shell, indent=2, sort_keys=True)
+    for key in rows:
+        items = json.dumps(doc[key], sort_keys=True)[1:-1]
+        if items:
+            gap = "}, {" if items[0] == "{" else ", "
+            items = items.replace(gap, gap.replace(" ", "\n    "))
+            text = text.replace(f'"{key}": []',
+                                f'"{key}": [\n    {items}\n  ]', 1)
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
@@ -207,8 +223,9 @@ def _cmd_regress(args):
     doc["knots"] = [{"t": t, "u": u, "v": v} for t, (v, u) in
                     zip(solution.times.tolist(), solution.knots.tolist())]
     doc["junction_residuals"] = residuals
-    doc["objective"] = spline.objective(problem, solution.knots)
-    _emit(doc, args.output)
+    # the loss of the fit's last pass, at these knots: spline.objective
+    doc["objective"] = solution.report.loss_trace[-1]
+    _emit(doc, args.output, rows=("junction_residuals", "knots"))
     return _status_exit(solution.report.status)
 
 

@@ -14,7 +14,11 @@ batch of one.  Under the default policy
 the three take the same damped Newton step (`newton_step`); the `safe`
 policy takes one gradient step of a certified length.  Each oracle gives
 the gradient and the Riemannian Hessian in an orthonormal frame, from the
-one pass over the data that gave the loss at the point.  The SPD
+one pass over the data that gave the loss at the point: it keeps them at
+each member's last loss evaluation, which is where the loop asks for
+them, and forms them again if asked anywhere else.  The spline's pass
+(`spline._pass`) gives its banded Hessian so, over the data terms and
+the energy edges.  The SPD
 engine moves a frame R of the point T = R R^T: its gradient is seen from
 R, a symmetric trace-free p x p matrix whose Frobenius norm is the
 Riemannian norm, and its Hessian is in an orthonormal basis of such
@@ -357,6 +361,8 @@ def newton_step(solve, grad_norm):
     def accept(x, members, loss, cur, g):
         finite = np.isfinite(loss)
         take = finite & (loss < cur)
+        if take.all():
+            return take
         flat = finite & ~take & (
             loss <= cur + FLAT_SLACK * np.maximum(1.0, np.abs(cur)))
         if flat.any():
@@ -418,34 +424,39 @@ def _descend(x, loss_fn, grad_fn, norm, diverged, retract, step, config,
         """Start an iteration of each member; returns those that move."""
         if not members.size:
             return members
-        xm = x[members]
+        xm = x.take(members, axis=0)
         v = grad_fn(xm, members)
         g[members] = gm = norm(xm, v)
         for i, gi in zip(members.tolist(), gm.tolist()):
             grads[i].append(gi)
         done = gm < config.tol
         out = ~done & diverged(xm, members)
-        spent = ~done & ~out & (iters[members] == config.max_iters)
-        stop(members[done], FitStatus.CONVERGED)
-        stop(members[out], FitStatus.DEGENERATE_DATA)
-        stop(members[spent], FitStatus.MAX_ITERS_EXCEEDED, classified=True)
-        going = ~(done | out | spent)
-        if not going.any():
-            return members[going]
-        dm, ok = directions(xm[going], members[going], v[going], gm[going])
-        stop(members[going][~ok], FitStatus.DEGENERATE_DATA, classified=True)
-        moving = members[going][ok]
-        d[moving] = dm[ok]
-        mult[moving], tries[moving] = first, 0
-        return moving
+        ended = done | out
+        spent = ~ended & (iters[members] == config.max_iters)
+        going = ~(ended | spent)
+        if not going.all():
+            stop(members[done], FitStatus.CONVERGED)
+            stop(members[out], FitStatus.DEGENERATE_DATA)
+            stop(members[spent], FitStatus.MAX_ITERS_EXCEEDED, classified=True)
+            xm, members, v, gm = xm[going], members[going], v[going], gm[going]
+            if not members.size:
+                return members
+        dm, ok = directions(xm, members, v, gm)
+        if not ok.all():
+            stop(members[~ok], FitStatus.DEGENERATE_DATA, classified=True)
+            members, dm = members[ok], dm[ok]
+        d[members] = dm
+        mult[members], tries[members] = first, 0
+        return members
 
     active = arrive(everyone)
     while active.size:
-        cand, out = retract(x[active], d[active], -mult[active])
-        taken = np.zeros(len(active), dtype=bool)
-        tried = active[~out]
+        cand, out = retract(x.take(active, axis=0), d.take(active, axis=0),
+                            -mult[active])
+        tried, taken = active, np.zeros(len(active), dtype=bool)
+        if out.any():
+            tried, cand = active[~out], cand[~out]
         if tried.size:
-            cand = cand[~out]
             loss = np.asarray(loss_fn(cand, tried), dtype=float)
             evals[tried] += 1
             taken[~out] = took = accept(cand, tried, loss, cur[tried], g[tried])
@@ -455,11 +466,16 @@ def _descend(x, loss_fn, grad_fn, norm, diverged, retract, step, config,
             iters[moved] += 1
             for i, c in zip(moved.tolist(), loss[took].tolist()):
                 losses[i].append(c)
+        if taken.all():
+            active = arrive(active)
+            continue
         moved, refused = active[taken], active[~taken]
         mult[refused] *= 0.5
         tries[refused] += 1
         spent = tries[refused] == trials
         stop(refused[spent], FitStatus.DEGENERATE_DATA, classified=True)
-        active = np.sort(np.concatenate([refused[~spent], arrive(moved)]))
+        active = refused[~spent]
+        if moved.size:
+            active = np.sort(np.concatenate([active, arrive(moved)]))
     return x, [FitReport(status[i], int(iters[i]), losses[i], grads[i],
                          loss_evals=int(evals[i])) for i in everyone]

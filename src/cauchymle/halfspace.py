@@ -146,26 +146,37 @@ def busemann_kernel(a, b, x=None):
     """Busemann values at (a, b) of finite boundary points x, or of infinity (None)."""
     if x is None:
         return -np.log(a)
-    diff = b - x
-    with np.errstate(over="ignore", invalid="ignore"):
-        q = (a * a + (diff * diff).sum(axis=-1)) / a
-    if not ((q > 0.0) & (q < math.inf)).all():
-        raise NumericRangeError("Busemann evaluation left the numeric range")
-    return np.log(q)
+    return busemann_frame_kernel(a, b, x)[0]
 
 
 def busemann_grad_kernel(a, b, x=None):
     """Riemannian gradients (da, db) of the Busemann functions of x at (a, b).
 
-    Each is the unit tangent to the geodesic from x through the point,
-    pointing away from x: the Euclidean gradient times a^2.
+    They are a times the unit tangents of `busemann_frame_kernel`, and
+    (-a, 0) for infinity.
     """
     if x is None:
         return -a, np.zeros_like(b)
+    _, ua, ub = busemann_frame_kernel(a, b, x)
+    return a * ua, np.asarray(a)[..., None] * ub
+
+
+def busemann_frame_kernel(a, b, x):
+    """Busemann values at (a, b) of finite boundary points x, and their
+    Riemannian gradients (ua, ub) in the orthonormal frame (a d/da, a d/db).
+
+    Each gradient is the unit tangent to the geodesic from x through the
+    point, pointing away from x.
+    """
     diff = b - x
     r2 = (diff * diff).sum(axis=-1)
-    q = a * a + r2
-    return a * (a * a - r2) / q, (2.0 * a * a / q)[..., None] * diff
+    aa = a * a
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        q = aa + r2
+        value = np.log(q / a)
+    if not np.isfinite(value).all():
+        raise NumericRangeError("Busemann evaluation left the numeric range")
+    return value, (aa - r2) / q, (2.0 * a / q)[..., None] * diff
 
 
 def norm_kernel(a, da, db):
@@ -175,12 +186,17 @@ def norm_kernel(a, da, db):
 
 def distance_kernel(a, b, a2, b2):
     """Distances (a, b) to (a2, b2): 2 asinh(|gap| / (2 sqrt(a a2)))."""
+    diff = b2 - b
+    return _distance(a, a2, (diff * diff).sum(axis=-1))
+
+
+def _distance(a, a2, s2):
+    """`distance_kernel` of points whose centers are s2 apart, squared."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        prod = a * a2
-        ratio = (((b - b2) ** 2).sum(axis=-1) + (a - a2) ** 2) / prod
-    if ((prod == 0.0) | (ratio == math.inf)).any():
+        d = 2.0 * np.arcsinh(0.5 * np.sqrt((s2 + (a - a2) ** 2) / (a * a2)))
+    if not np.isfinite(d).all():
         raise NumericRangeError("distance evaluation left the numeric range")
-    return 2.0 * np.arcsinh(0.5 * np.sqrt(ratio))
+    return d
 
 
 def exp_kernel(a, b, da, db, t=1.0):
@@ -208,13 +224,17 @@ def exp_kernel_masked(a, b, da, db, t=1.0):
         w = np.where(vertical, 1.0, vx)
         # Semicircle with center c on the boundary; stable forms avoid atanh
         # of arguments near +-1 when the circle is nearly a vertical line
-        # (huge c).  A vertical ray scales a by exp(t da / a).
+        # (huge c).
         c = a * da / w
         rho = np.hypot(c, a)
         td = np.tanh(ds)
         den = 1.0 + (-c / rho) * td  # strictly positive in exact arithmetic
         xt = td * a * a / (rho * den)
-        at = np.where(vertical, a * np.exp(t * da / a), a / (np.cosh(ds) * den))
+        at = np.asarray(a / (np.cosh(ds) * den))
+        # only where vertical: a ray scales a by exp(t da / a)
+        if vertical.any():
+            av, dav, tv, up = np.broadcast_arrays(a, da, t, vertical)
+            at[up] = av[up] * np.exp(tv[up] * dav[up] / av[up])
         shift = np.where(vertical | still, 0.0, xt)[..., None] * (db / w[..., None])
     # |ds| > 700 overflows cosh: the point degenerates to the boundary
     bad = ~((at > 0.0) & (at < math.inf))
@@ -224,16 +244,29 @@ def exp_kernel_masked(a, b, da, db, t=1.0):
 
 def log_kernel(a, b, a2, b2):
     """Tangents (da, db) at (a, b) pointing to (a2, b2), of norm the distance."""
-    d = distance_kernel(a, b, a2, b2)
+    d, ua, ub = log_frame_kernel(a, b, a2, b2)
+    ad = a * d
+    return ad * ua, np.asarray(ad)[..., None] * ub
+
+
+def log_frame_kernel(a, b, a2, b2):
+    """Distances d from (a, b) to (a2, b2), and the unit tangents (ua, ub)
+    at (a, b) toward them in the orthonormal frame (a d/da, a d/db): the
+    log vector is a d (ua, ub).  Between equal points the tangent is 0.
+
+    With z = b + i a and w = b2 + i a2 in the plane of the geodesic, the
+    tangent points along i (w - z) conj(w - conj z), which gives
+    (|b2 - b|^2 + a2^2 - a^2, 2 a (b2 - b)) with no case for vertical
+    geodesics.
+    """
     diff = b2 - b
-    s = np.sqrt((diff * diff).sum(axis=-1))
-    vertical = s == 0.0
-    w = np.where(vertical, 1.0, s)
-    c = (s * s + a2 * a2 - a * a) / (2.0 * w)
-    rho = np.hypot(c, a)
-    # Euclidean unit direction (a / rho, c / rho) along the semicircle
-    da = np.where(vertical, a * np.log(a2 / a), d * a * (c / rho))
-    return da, (d * a * (a / rho))[..., None] * (diff / w[..., None])
+    s2 = (diff * diff).sum(axis=-1)
+    d = _distance(a, a2, s2)
+    up = s2 + (a2 - a) * (a2 + a)
+    twice = 2.0 * a
+    norm = np.hypot(up, twice * np.sqrt(s2))
+    inv = 1.0 / (norm + (norm == 0.0))  # up and diff vanish where norm does
+    return d, up * inv, (twice * inv)[..., None] * diff
 
 
 def busemann(x, z):

@@ -15,14 +15,19 @@ energy d^2 / D.  At a stationary point every junction balances forces:
 with v_i the sum of the unit forces pulling z_i toward its observations.
 A `SplineProblem` holds its data as arrays, and the knots are one array
 (k, 2) from the fit to its result, the scale a of each in column 0 and
-its center b in column 1, as are their tangents (da, db).  The fit runs
-the shared descent loop of `descent`, as a batch of one (1, k, 2), with
-its damped Newton step (`descent.newton_step`) from the median and MAD
-of all finite observations (`fit`).  Its block-tridiagonal Newton system
-is solved in numpy (`_solve_banded`).
+its center b in column 1, as are their tangents (da, db).  One pass
+over the data terms and the energy edges (`_pass`) gives the objective,
+its gradient and the banded Riemannian Hessian together, from each
+edge's length and unit tangent and each datum's Busemann value and unit
+force, formed once.  The fit runs the shared descent loop of `descent`,
+as a batch of one (1, k, 2), with its damped Newton step
+(`descent.newton_step`) from the median and MAD of all finite
+observations (`fit`); each loss evaluation is one pass, whose gradient
+and Hessian the loop reads there (`_oracle`).  The block-tridiagonal
+Newton system is solved in numpy (`_solve_banded`).
 """
 
-import functools
+import math
 import time
 from dataclasses import dataclass
 
@@ -42,8 +47,7 @@ class SplineProblem:
     x (m, 1) at knots knot (m,); n_inf (k,) counts those at infinity and
     counts (k,) all of them.  Directed edges run tail -> head, each pair of
     consecutive knots once in each direction, with weight alpha / time gap.
-    terms (m + 2k - 2,) names the knot of every data force and energy
-    pull, to sum them with bincount.
+    slots, coef and base lay out the sums of `_pass` (`_layout`).
     """
 
     def __init__(self, times, groups, alpha):
@@ -72,11 +76,12 @@ class SplineProblem:
             raise ValueError("at least one knot is required")
         if not (np.isfinite(alpha) and alpha > 0):
             raise ValueError(f"alpha must be finite and positive, got {alpha}")
-        if not (np.all(np.isfinite(times)) and np.all(np.diff(times) > 0)):
+        gaps = np.diff(times)
+        if not (np.isfinite(times).all() and (gaps > 0).all()):
             raise ValueError("knot times must be finite and strictly increasing")
         with np.errstate(over="ignore"):
-            weights = alpha / np.diff(times)
-        if not np.all(np.isfinite(weights)):
+            weights = alpha / gaps
+        if not np.isfinite(weights).all():
             raise ValueError("a knot time gap is so small that the energy "
                              "weight alpha / gap overflows")
         try:
@@ -86,7 +91,7 @@ class SplineProblem:
             if not at_inf.any():
                 raise
             x = np.asarray([v for v, i in zip(values, at_inf) if not i], float)
-        if x.shape[1:] not in ((), (1,)) or not np.all(np.isfinite(x)):
+        if x.shape[1:] not in ((), (1,)) or not np.isfinite(x).all():
             raise ValueError("finite boundary points must be finite and of "
                              f"dimension 1, got shape {x.shape[1:]}")
         self.times, self.alpha, self.k = times, alpha, len(times)
@@ -100,8 +105,38 @@ class SplineProblem:
         edges = np.arange(self.k - 1)
         self.tail = np.concatenate([edges, edges + 1])
         self.head = np.concatenate([edges + 1, edges])
-        self.pull = np.tile(self.weights, 2)
-        self.terms = np.concatenate([self.knot, self.tail])
+        self.pull = np.concatenate([weights, weights])
+        # the unit tangent of an edge between equal knots, along the a axis
+        self.side = (self.head - self.tail).astype(float)
+        self.slots, self.coef, self.base = _layout(self)
+
+
+def _layout(problem):
+    """Where `_pass` sums its terms, and what it starts from.
+
+    Its terms are m + 2k - 2 data terms and directed edges, each of five
+    rows (the frame force, then the Hessian entries ss, sb and bb at the
+    term's knot), and the k - 1 cross blocks of four entries.  They are
+    summed with one bincount into the frame gradient (k, 2) followed by
+    the band (4, 2k): slots (5 (m + 2k - 2) + 4 (k - 1),) names the
+    entry of each.  coef (2, m + 2k - 2) holds each term's force and
+    Hessian coefficients, 1 and -1 for the data (the edges' are filled in
+    by the pass), and base (10 k,) what every entry starts from: the forces
+    at infinity, (-1, 0) in the frame, and the metric part of the data.
+    """
+    k, m = problem.k, len(problem.knot)
+    at = 2 * np.concatenate([problem.knot, problem.tail])
+    edge = 2 * np.arange(k - 1)
+    rows = np.array([[0], [1], [8 * k], [6 * k + 1], [8 * k + 1]])
+    cross = np.array([[4 * k + 2], [2 * k + 3], [6 * k + 2], [4 * k + 3]])
+    slots = np.concatenate([(at + rows).ravel(), (edge + cross).ravel()])
+    coef = np.zeros((2, len(at)))
+    coef[:, :m] = ((1.0,), (-1.0,))
+    base = np.zeros(10 * k)
+    base[:2 * k:2] = -problem.n_inf
+    base[8 * k::2] = problem.counts - problem.n_inf
+    base[8 * k + 1::2] = problem.counts
+    return slots, coef, base
 
 
 @dataclass
@@ -129,39 +164,71 @@ def _knots(problem, values):
     return values
 
 
-def _objective(problem, x):
+def _pass(problem, x):
+    """The objective at knots x (k, 2), its gradient (k, 2), the gradient's
+    total norm and the Hessian band (4, 2k), from one pass over the terms.
+
+    Each data term gives its Busemann value and unit force u, each directed
+    edge its length d and the unit tangent T at its tail toward its head,
+    both in the orthonormal frame (d/d log a, a d/db) of its knot
+    (`halfspace.busemann_frame_kernel`, `halfspace.log_frame_kernel`).
+    In that frame the gradient of a knot is the sum of its forces u and
+    of the pulls -w d T of its edges of weight w; the gradient returned is
+    (da, db), a times that.  The Riemannian Hessian, with the metric the
+    identity there, is banded as in `_solve_banded`: a Busemann term adds
+    I - u u^T at its knot, and an edge w (T T^T + d coth d n n^T) at its
+    tail and -w (T_1 T_2^T + (d / sinh d) n_1 n_2^T) across, with n the
+    tangent turned by 90 degrees and T_2 at the head, minus the reverse
+    edge's T.  Between equal knots T is taken along the a axis.
+    """
     a, b = x[:, 0], x[:, 1:]
-    d = halfspace.distance_kernel(a[:-1], b[:-1], a[1:], b[1:])
-    at = problem.knot
-    return float(halfspace.busemann_kernel(a[at], b[at], problem.x).sum()
+    at, tail, head, k = problem.knot, problem.tail, problem.head, problem.k
+    value, ua, ub = halfspace.busemann_frame_kernel(a[at], b[at], problem.x)
+    d, ta, tb = halfspace.log_frame_kernel(a[tail], b[tail], a[head], b[head])
+    forward = d[:k - 1]
+    loss = float(value.sum()
                  + problem.n_inf @ halfspace.busemann_kernel(a, b)
-                 + 0.5 * (problem.weights @ (d * d)))
+                 + 0.5 * (problem.weights @ (forward * forward)))
+    # every term's unit vector u (2, m + 2k - 2): the data, then the edges
+    m, flat = len(at), d == 0.0
+    u = np.empty((2, m + len(d)))
+    u[0, :m], u[1, :m], u[0, m:], u[1, m:] = ua, ub[:, 0], ta, tb[:, 0]
+    np.copyto(u[0, m:], problem.side, where=flat)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coth = np.where(flat, 1.0, d / np.tanh(d))
+        csch = np.where(flat[:k - 1], 1.0, forward / np.sinh(forward))
+    # every term's force c u and Hessian gamma I + delta u u^T, in rows;
+    # a data term's gamma is in problem.base
+    w = problem.pull
+    c, delta = problem.coef.copy()
+    np.multiply(w, -d, out=c[m:])
+    gamma = w * coth
+    np.subtract(w, gamma, out=delta[m:])
+    terms = np.empty(len(problem.slots))
+    rows = terms[:5 * len(c)].reshape(5, -1)
+    np.multiply(c, u, out=rows[:2])
+    np.multiply(delta * u[0], u, out=rows[2:4])
+    np.multiply(delta * u[1], u[1], out=rows[4])
+    rows[2::2, m:] += gamma
+    # the cross blocks from the tangents (c1, s1) of the forward edges and
+    # (c2, s2) of the reverse ones: w times their products [c1 c2, c1 s2,
+    # s1 c2, s1 s2] and csch times those of the normals, [s1 s2, -s1 c2,
+    # -c1 s2, c1 c2]
+    ends = (u[:, None, m:m + k - 1] * u[None, :, m + k - 1:]).reshape(4, -1)
+    np.multiply(problem.weights, ends + csch * _TURN * ends[::-1],
+                out=terms[5 * len(c):].reshape(4, -1))
+    sums = np.bincount(problem.slots, terms, minlength=10 * k) + problem.base
+    force = sums[:2 * k].reshape(k, 2)
+    norm = math.sqrt(np.vdot(force, force))
+    return loss, a[:, None] * force, norm, sums[2 * k:].reshape(4, 2 * k)
+
+
+_TURN = np.array([[1.0], [-1.0], [-1.0], [1.0]])
 
 
 def objective(problem, values):
     """Data Busemann terms plus the discrete path energy."""
-    return _objective(problem, _knots(problem, values))
-
-
-def _gradient(problem, x):
-    """Objective gradient (da, db) per knot (k, 2): data forces, energy pulls."""
-    a, b = x[:, 0], x[:, 1:]
-    at, tail, head = problem.knot, problem.tail, problem.head
-    fa, fb = halfspace.busemann_grad_kernel(a[at], b[at], problem.x)
-    ia, _ = halfspace.busemann_grad_kernel(a, b)  # at infinity: vertical, no db
-    # each knot is pulled toward both neighbours with weight alpha / gap
-    pa, pb = halfspace.log_kernel(a[tail], b[tail], a[head], b[head])
-    w = problem.pull
-    into = functools.partial(np.bincount, problem.terms, minlength=problem.k)
-    return np.column_stack([into(np.concatenate([fa, -w * pa]))
-                            + problem.n_inf * ia,
-                            into(np.concatenate([fb[:, 0], -w * pb[:, 0]]))])
-
-
-def _total_norm(x, grad):
-    """Root of the summed squared knot gradient norms, per member of a batch."""
-    norms = halfspace.norm_kernel(x[..., 0], grad[..., 0], grad[..., 1:])
-    return np.sqrt((norms ** 2).sum(axis=-1))
+    return _pass(problem, _knots(problem, values))[0]
 
 
 def _retract(x, tangent, t):
@@ -180,7 +247,7 @@ def junction_residuals(problem, values):
     objective gradient; its norm vanishes at a stationary spline.
     """
     x = _knots(problem, values)
-    g = _gradient(problem, x)
+    g = _pass(problem, x)[1]
     return halfspace.norm_kernel(x[:, 0], g[:, 0], g[:, 1:]).tolist()
 
 
@@ -188,50 +255,6 @@ def _initial_values(problem):
     """Every knot at (a, b) = (MAD, median) of the finite observations."""
     med, mad = halfspace.median_mad(problem.x)
     return np.tile(np.append(mad, med), (problem.k, 1))
-
-
-def _hessian(problem, x, shift=0.0):
-    """Riemannian Hessian plus shift * G in the chart (log a, b), banded.
-
-    The chart metric is G = diag(1, 1/a^2) per knot.  A Busemann term adds
-    G - u u^T at its knot, u its unit chart differential.  An energy edge
-    of length d and weight w adds w (T T^T + d coth d n n^T) at either end
-    and -w (T_1 T_2^T + (d / sinh d) n_1 n_2^T) across, with T the lowered
-    unit tangent of the edge geodesic at each end and n it turned by 90
-    degrees.  The knots are interleaved (s_0, b_0, s_1, b_1, ...), so the
-    Hessian is block-tridiagonal: upper band form (4, 2k) of LAPACK's
-    banded routines, as `_solve_banded` reads it.
-    """
-    a, b = x[:, 0], x[:, 1:]
-    at, tail, head, k = problem.knot, problem.tail, problem.head, problem.k
-    fa, fb = halfspace.busemann_grad_kernel(a[at], b[at], problem.x)
-    us, ub = fa / a[at], fb[:, 0] / a[at] ** 2
-    # (c, s): unit tangent from tail toward head in the orthonormal frame
-    # (d/d log a, a d/db); between coincident knots any one will do
-    pa, pb = halfspace.log_kernel(a[tail], b[tail], a[head], b[head])
-    r = np.hypot(pa, pb[:, 0])
-    flat = r == 0.0
-    r = np.where(flat, 1.0, r)
-    c, s, d = np.where(flat, head - tail, pa / r), pb[:, 0] / r, r / a[tail]
-    with np.errstate(over="ignore"):
-        coth = np.where(flat, 1.0, d / np.tanh(d))
-        csch = np.where(flat, 1.0, d / np.sinh(d))[:k - 1]
-    into = functools.partial(np.bincount, problem.terms, minlength=k)
-    ab = np.zeros((4, k, 2))
-    ab[3, :, 0] = problem.counts - problem.n_inf + shift + into(
-        np.concatenate([-us * us, problem.pull * (c * c + coth * s * s)]))
-    ab[2, :, 1] = into(np.concatenate(
-        [-us * ub, problem.pull * c * s * (1 - coth) / a[tail]]))
-    ab[3, :, 1] = (problem.counts + shift) / a ** 2 + into(np.concatenate(
-        [-ub * ub, problem.pull * (s * s + coth * c * c) / a[tail] ** 2]))
-    # T_2 is minus the reverse edge's tangent, so the cross block's sign flips
-    c1, s1, c2, s2 = c[:k - 1], s[:k - 1], c[k - 1:], s[k - 1:]
-    w, ai, aj = problem.weights, a[:-1], a[1:]
-    ab[1, 1:, 0] = w * (c1 * c2 + csch * s1 * s2)
-    ab[0, 1:, 1] = w * (c1 * s2 - csch * s1 * c2) / aj
-    ab[2, 1:, 0] = w * (s1 * c2 - csch * c1 * s2) / ai
-    ab[1, 1:, 1] = w * (s1 * s2 + csch * c1 * c2) / (ai * aj)
-    return ab.reshape(4, 2 * k)
 
 
 # Up to BASE knots the Newton system is solved knot by knot on Python
@@ -334,7 +357,7 @@ def _reduce(knots):
 
 def _solve_banded(ab, rhs):
     """Solve the symmetric block-tridiagonal system in the upper band form
-    (4, 2k) of `_hessian`, 2 x 2 blocks with the knots interleaved.
+    (4, 2k) of `_pass`, 2 x 2 blocks with the knots interleaved.
 
     Raises np.linalg.LinAlgError when the matrix is not positive definite,
     which in exact arithmetic is exactly when one of the pivot blocks of
@@ -355,33 +378,43 @@ def _solve_banded(ab, rhs):
     return _reduce(np.stack(_fields(*rows)).reshape(2, 5, n))[:, :k].T.ravel()
 
 
-def _newton(problem, x, grad, g):
-    """Newton tangents (k, 2) from (H + r G) p = chart gradient, and whether
-    the solve succeeded: a zero tangent where it failed.
+def _damped(band, r):
+    """The band of H + r I from the band of H."""
+    damped = band.copy()
+    damped[3] += r
+    return damped
 
-    Damping keeps a flat valley of minimizers solvable, and it fades as the
-    fit converges.  It is r = g / sqrt(k), the RMS knot gradient norm, not
-    the total norm g: the objective is a sum over knots.  Two far-apart
-    copies of a problem, joined by an energy edge of tiny weight, raise g
-    by sqrt(2) while each copy's Hessian is unchanged, so damping by g
-    would shrink each copy's step as the problem grows; by r it does not,
-    and long problems take the steps of short ones.
+
+def _newton(x, grad, band, r):
+    """Newton tangent (k, 2) from (H + r I) q = the frame gradient, H the
+    band of `_pass`: a q, as the gradient is a times the frame's.
+
+    Raises np.linalg.LinAlgError when H + r I is not positive definite.
     """
-    a = x[:, 0]
-    rhs = np.column_stack([grad[:, 0] / a, grad[:, 1] / a ** 2]).ravel()
-    try:
-        p = _solve_banded(_hessian(problem, x, g / np.sqrt(problem.k)),
-                          rhs).reshape(-1, 2)
-    except np.linalg.LinAlgError:
-        return np.zeros_like(x), False
-    p[:, 0] *= a
-    return p, True
+    a = x[:, :1]
+    q = _solve_banded(_damped(band, r), (grad / a).ravel())
+    return a * q.reshape(-1, 2)
 
 
-def _one(fn):
-    """fn of one point, and more arguments, as a function of a batch of one."""
-    return lambda x, members, *args: np.asarray(
-        fn(x[0], *[y[0] for y in args]))[None]
+def _oracle(problem):
+    """(loss_fn, read) of the descent of one problem, a batch of one.
+
+    loss_fn(x, members) runs `_pass` at the knots x (1, k, 2) and keeps all
+    it gives, which read(x) gives back at the point of the last loss
+    evaluation and recomputes at any other.
+    """
+    kept = [None, None]  # the knots of the last pass, and what it gave
+
+    def loss_fn(x, members):
+        kept[:] = x[0].copy(), _pass(problem, x[0])
+        return [kept[1][0]]
+
+    def read(x):
+        if (kept[0] != x[0]).any():
+            loss_fn(x, None)
+        return kept[1]
+
+    return loss_fn, read
 
 
 def fit(problem, config=None):
@@ -389,16 +422,25 @@ def fit(problem, config=None):
 
     Every knot starts at (a, b) = (MAD, median) of the finite observations;
     the objective is geodesically convex, so the start sets only the path.
-    Each iteration solves (H + |g| / sqrt(k) G) p = g in the chart
-    (log a, b) of every knot: H is the closed-form block-tridiagonal
-    Riemannian Hessian, positive semidefinite since the objective is
-    geodesically convex, G the metric and |g| the total gradient norm
-    (see `_newton`).  The knots move along the tangents (a p_s, p_b) by
-    the line search of `descent.newton_step`, which the two engines share.
-    When the budget runs out, or the factorization or that search fails,
-    the fit stops and the tail of the gradient norms names the outcome.
-    The step is the same under both step policies, and the loss trace
-    never increases beyond roundoff.
+    Each iteration solves (H + r I) q = g in the orthonormal frame
+    (d/d log a, a d/db) of every knot: H is the closed-form
+    block-tridiagonal Riemannian Hessian of `_pass`, positive semidefinite
+    since the objective is geodesically convex, and r = |g| / sqrt(k) the
+    RMS knot gradient norm.  Damping keeps a flat valley of minimizers
+    solvable, and it fades as the fit converges.  It is not the total
+    norm |g|: the objective is a sum over knots.  Two far-apart copies of
+    a problem, joined by an energy edge of tiny weight, raise |g| by
+    sqrt(2) while each copy's Hessian is unchanged, so damping by |g|
+    would shrink each copy's step as the problem grows; by r it does not,
+    and long problems take the steps of short ones.  The knots move along
+    the tangents a q by the line search of `descent.newton_step`, which
+    the engines share.  When the budget runs out, or the factorization or
+    that search fails, the fit stops and the tail of the gradient norms
+    names the outcome.  The step is the same under both step policies,
+    and the loss trace never increases beyond roundoff.
+
+    Each loss evaluation is one `_pass`, which gives the gradient, its
+    norm and the Hessian band too; the loop reads them there (`_oracle`).
 
     Converged means the total gradient norm (root of summed squared knot
     gradients) fell below config.tol, which bounds every junction residual.
@@ -406,18 +448,25 @@ def fit(problem, config=None):
     """
     config = config or DescentConfig()
     start = time.perf_counter()
-    grad_fn = _one(functools.partial(_gradient, problem))
+    loss_fn, read = _oracle(problem)
 
     def solve(x, members, grad, g):
-        tangent, ok = _newton(problem, x[0], grad[0], g[0])
-        return tangent[None], np.array([ok])
+        try:
+            tangent = _newton(x[0], grad[0], read(x)[3],
+                              g[0] / math.sqrt(problem.k))
+        except np.linalg.LinAlgError:
+            return np.zeros_like(x), np.array([False])
+        return tangent[None], np.array([True])
 
-    step = newton_step(solve, lambda x, members: _total_norm(x, grad_fn(x, members)))
+    def grad_norm(x, members):
+        return np.array([read(x)[2]])
+
     x, (report,) = _descend(
-        _initial_values(problem)[None], _one(functools.partial(_objective, problem)),
-        grad_fn, _total_norm,
+        _initial_values(problem)[None], loss_fn,
+        lambda x, members: read(x)[1][None], lambda x, v: grad_norm(x, None),
         lambda x, members: off_scale(x[..., 0]).any(axis=1),
-        _retract, step, config, classify=plateau_status)
+        _retract, newton_step(solve, grad_norm), config,
+        classify=plateau_status)
     report.wall_time = time.perf_counter() - start
     return SplineFit(problem.times, x[0], report)
 

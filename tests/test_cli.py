@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cauchymle import cauchy, datasets, montecarlo
+from cauchymle import cauchy, datasets, montecarlo, spline
 from cauchymle.cli import main
 
 
@@ -320,6 +320,30 @@ def test_regress_command(tmp_path, capsys):
     assert len(doc["knots"]) == 2
     assert doc["knots"][0]["u"] == pytest.approx(-doc["knots"][1]["u"], abs=1e-5)
     assert max(doc["junction_residuals"]) < 1e-7
+    # the objective is that of the knots written, bit for bit
+    knots = np.array([(knot["v"], knot["u"]) for knot in doc["knots"]])
+    problem = spline.SplineProblem.from_pairs([0.0, 1.0], [-1.0, 1.0], 1.0)
+    assert doc["objective"] == spline.objective(problem, knots)
+
+
+def test_regress_writes_each_knot_on_one_line(tmp_path):
+    # the indented dump of the same document but for whitespace: each knot
+    # and each residual on a line of its own
+    path, out = tmp_path / "r.csv", tmp_path / "r.json"
+    path.write_text("0,-1\n1,1\n2.5,3\n")
+    assert main(["regress", "--input", str(path), "--alpha", "1.0",
+                 "--output", str(out)]) == 0
+    text = out.read_text()
+    doc = json.loads(text)
+    indented = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert "".join(text.split()) == "".join(indented.split())
+    lines = [line.strip().rstrip(",") for line in text.splitlines()]
+    knots = [json.dumps(knot, sort_keys=True) for knot in doc["knots"]]
+    assert [line for line in lines if line.startswith('{"t"')] == knots
+    assert len(lines) == len(indented.splitlines()) - 4 * len(knots)
+    residuals = lines.index('"junction_residuals": [') + 1
+    assert lines[residuals:residuals + 3] == [
+        json.dumps(r) for r in doc["junction_residuals"]]
 
 
 @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])

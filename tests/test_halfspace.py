@@ -243,6 +243,26 @@ def test_kernels_match_wrappers_point_by_point(rng):
         _assert_close(ib, [g.db for g in infs])
 
 
+def test_exp_kernel_moves_vertical_rays_apart(rng):
+    # only the vertical rows take the ray's a exp(t da / a), bit for bit
+    # as a batch of all rows would give it; every row of a mixed batch,
+    # vertical, still or on a semicircle, has the bits it has alone
+    a, b = np.exp(rng.standard_normal(9)), rng.standard_normal((9, 2))
+    da, db = rng.standard_normal(9), rng.standard_normal((9, 2))
+    db[[1, 4, 7]] = 0.0
+    da[7] = 0.0
+    t = rng.uniform(-3.0, 3.0, 9)
+    at, bt, out = hs.exp_kernel_masked(a, b, da, db, t)
+    ray = a * np.exp(t * da / a)
+    assert at[[1, 4]].tobytes() == ray[[1, 4]].tobytes()
+    assert at[7] == a[7] and not out.any()
+    for i in range(9):
+        row = slice(i, i + 1)
+        alone = hs.exp_kernel_masked(a[row], b[row], da[row], db[row], t[row])
+        for got, want in zip(alone, (at[row], bt[row], out[row])):
+            assert got.tobytes() == want.tobytes()
+
+
 def test_kernels_raise_where_a_wrapper_call_raises(rng):
     good = [random_hpoint(1, rng) for _ in range(3)]
 

@@ -248,14 +248,19 @@ def test_fit_mirror_symmetric_pair_with_grid_oracle():
     assert fitted <= best + 1e-9
 
 
-def test_junction_residuals_vanish_at_convergence(rng):
-    for i in range(20):
+def twenty_problems(rng):
+    """The 20 problems of 2 to 6 knots of the junction-residual test."""
+    for _ in range(20):
         k = int(rng.integers(2, 7))
         ts = np.sort(rng.uniform(0, 5, size=k))
         ts = ts + np.arange(k) * 0.5  # enforce separation
         xs = rng.standard_normal(k) * 2
         alpha = float(np.exp(rng.uniform(-1.5, 2.5)))
-        prob = spline.SplineProblem.from_pairs(ts, xs, alpha)
+        yield spline.SplineProblem.from_pairs(ts, xs, alpha)
+
+
+def test_junction_residuals_vanish_at_convergence(rng):
+    for i, prob in enumerate(twenty_problems(rng)):
         sol = spline.fit(prob, DescentConfig(tol=1e-7, max_iters=20000))
         assert sol.report.status is FitStatus.CONVERGED
         res = spline.junction_residuals(prob, sol.values)
@@ -344,7 +349,7 @@ def test_gradient_matches_finite_differences_along_knot_geodesics(rng):
     for prob in FD_PROBLEMS:
         for _ in range(10):
             values = [random_hpoint(1, rng) for _ in range(prob.k)]
-            g = spline._gradient(prob, spline._knots(prob, values))
+            g = spline._pass(prob, spline._knots(prob, values))[1]
             da, db = g[:, 0], g[:, 1:]
             for i, z in enumerate(values):
                 v = random_htangent(z, rng)
@@ -362,7 +367,7 @@ def test_gradient_matches_finite_differences_along_knot_geodesics(rng):
 def chart_gradient(prob, a, b):
     """The differential of the objective in the chart (log a, b), knots
     interleaved as (s_0, b_0, s_1, b_1, ...)."""
-    da, db = spline._gradient(prob, np.column_stack([a, b])).T
+    da, db = spline._pass(prob, np.column_stack([a, b]))[1].T
     return np.column_stack([da / a, db / a**2]).ravel()
 
 
@@ -400,15 +405,79 @@ def test_hessian_matches_finite_differences_of_gradient(rng):
         fd[si, bi] += fb
         fd[bi, si] += fb
         fd[bi, bi] -= fs / a**2
-        hess = dense_from_upper_band(spline._hessian(prob, x))
+        # the pass gives the Hessian in the orthonormal frame (s, a b):
+        # the chart's is D H D, D = diag(1, 1/a) per knot
+        _, _, g, band = spline._pass(prob, x)
+        frame = np.column_stack([np.ones(k), 1.0 / a]).ravel()
+        hess = frame[:, None] * dense_from_upper_band(band) * frame
         assert np.abs(hess - fd).max() <= 1e-6 * np.abs(fd).max()
         # geodesic convexity: positive definite once damped by |g| G
-        g = spline._total_norm(x, spline._gradient(prob, x))
-        damped = dense_from_upper_band(spline._hessian(prob, x, g))
+        damped = frame[:, None] * dense_from_upper_band(
+            spline._damped(band, g)) * frame
         metric = np.column_stack([np.ones(k), 1.0 / a**2]).ravel()
         np.testing.assert_allclose(damped - hess, g * np.diag(metric),
                                    atol=1e-12 * np.abs(damped).max())
         np.linalg.cholesky(damped)
+
+
+def test_fused_oracle_matches_public_functions(rng, monkeypatch):
+    # one pass per loss evaluation: the loop reads the gradient, its norm
+    # and the Hessian band there, and a read anywhere else runs it again
+    passes = []
+    one_pass = spline._pass
+
+    def counted(prob, x):
+        passes.append(None)
+        return one_pass(prob, x)
+
+    monkeypatch.setattr(spline, "_pass", counted)
+    prob = FD_PROBLEMS[0]
+    loss_fn, read = spline._oracle(prob)
+
+    def check(x, recomputed):
+        before = len(passes)
+        loss, grad, norm, band = read(x[None])
+        assert len(passes) == before + recomputed
+        assert loss == spline.objective(prob, x)
+        knot_norms = spline.junction_residuals(prob, x)
+        assert hs.norm_kernel(x[:, 0], grad[:, 0], grad[:, 1:]).tolist() \
+            == knot_norms
+        assert norm == pytest.approx(math.hypot(*knot_norms), rel=1e-14)
+        fresh = one_pass(prob, x)
+        assert np.array_equal(grad, fresh[1])
+        assert np.array_equal(band, fresh[3])
+
+    x0 = spline._initial_values(prob)
+    assert loss_fn(x0[None], None) == [spline.objective(prob, x0)]
+    check(x0, 0)
+    # a backtracked trial: a long step, then a shorter one from the same base
+    _, grad, g, band = read(x0[None])
+    tangent = spline._newton(x0, grad, band, g / math.sqrt(prob.k))[None]
+    far, near = (spline._retract(x0[None], tangent, np.array([-t]))[0][0]
+                 for t in (1.0, 0.5))
+    for x in (far, near):
+        assert loss_fn(x[None], None) == [spline.objective(prob, x)]
+    check(near, 0)
+    # away from the last loss evaluation the pass is run again
+    check(far, 1)
+    check(x0, 1)
+    # a fit runs one pass per loss evaluation: on the 20 problems, which
+    # take the Newton steps of the three oracles the pass replaced, and on
+    # a problem whose last line search refuses all its trials
+    def fit(prob, config):
+        del passes[:]
+        sol = spline.fit(prob, config)
+        assert len(passes) == sol.report.loss_evals
+        assert spline.objective(prob, sol.knots) == sol.report.loss_trace[-1]
+        return sol.report
+
+    reports = [fit(prob, DescentConfig(tol=1e-7, max_iters=20000))
+               for prob in twenty_problems(rng)]
+    assert sum(r.iterations for r in reports) == 156
+    assert sum(r.loss_evals for r in reports) == 176
+    refusing = spline.SplineProblem.from_pairs([0.0, 0.25], [-130.0, 2.0],
+                                               0.007)
+    assert fit(refusing, DescentConfig()).backtracks >= 40
 
 
 def band_from_dense(dense, u=3):
@@ -506,11 +575,10 @@ def test_solve_banded_matches_lapack_on_damped_hessians(k):
     prob = spline.SplineProblem.from_pairs(t, xs, 1.0)
     sol = spline.fit(prob, DescentConfig(tol=1e-7))
     for x in (spline._initial_values(prob), sol.knots):
-        grad = spline._gradient(prob, x)
-        g = spline._total_norm(x, grad)
-        a = x[:, 0]
-        rhs = np.column_stack([grad[:, 0] / a, grad[:, 1] / a**2]).ravel()
-        ab = spline._hessian(prob, x, g / np.sqrt(k))
+        # the system of `spline._newton`, in the orthonormal frame
+        _, grad, g, band = spline._pass(prob, x)
+        rhs = (grad / x[:, :1]).ravel()
+        ab = spline._damped(band, g / np.sqrt(k))
         ref = solveh_banded(ab, rhs)
         got = spline._solve_banded(ab, rhs)
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
