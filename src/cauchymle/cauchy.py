@@ -30,7 +30,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from . import conformal, halfspace, matrix_cauchy, spd
+from . import conformal, halfspace, matrix_cauchy
 
 GENERAL_POSITION_EXACT_CAP = 20
 # subsets, or rows, per chunk of the general-position check
@@ -256,20 +256,6 @@ def to_params(T):
     if kappa <= 0:
         raise ValueError("matrix parameter has non-positive scatter scale")
     return CauchyParams(location=B[:, 0], scatter=kappa * row_scatter)
-
-
-def from_params(params):
-    """Inverse of to_params, rescaled to determinant one."""
-    b = np.asarray(params.location, dtype=float)
-    S = np.asarray(params.scatter, dtype=float)
-    n = b.shape[0]
-    Sinv = np.linalg.inv(S)
-    T = np.zeros((n + 1, n + 1))
-    T[:n, :n] = Sinv
-    T[:n, n] = -Sinv @ b
-    T[n, :n] = T[:n, n]
-    T[n, n] = 1.0 + float(b @ Sinv @ b)
-    return spd.unit_det(spd.sym(T))
 
 
 def location_scale(T):

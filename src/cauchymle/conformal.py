@@ -17,22 +17,19 @@ unit-speed geodesics; 1/n is a safe descent step.  In the orthonormal
 frame (a d/da, a d/db) its gradient is n times the mean unit force u_i
 of the data and its Hessian n (I - mean u_i u_i^T), which the damped
 Newton fit solves with.  The point at infinity is an admissible datum
-(Busemann -log a, unit force (-1, 0)).  Inside the package a point (a, b)
-is one array (n + 1,), the scale first; `fit` and `fit_batch` give
-HPoints.  `fit_batch` fits many datasets in one descent, each as `fit`
-fits it alone.
+(Busemann -log a, unit force (-1, 0)).  One pass of
+`descent.chunked_oracle` gives all three from the sums of log q_i, u_i
+and u_i u_i^T (`_force_sums`).  Inside the package a point (a, b) is one
+array (n + 1,), the scale first; `fit` and `fit_batch` give HPoints.
+`fit_batch` fits many datasets in one descent, each as `fit`, its batch
+of one, fits it alone.
 """
 
 import numpy as np
 
 from . import halfspace
-from .descent import (DescentConfig, FitReport, FitStatus,
-                      minimize_on_halfspace, minimize_on_halfspace_batch)
-
-# a loss evaluation of a batch runs over chunks holding about this many
-# data, whole members or slices of one, so that its temporaries stay in a
-# core's cache
-CHUNK_DATA = 2**14
+from .descent import (DescentConfig, FitReport, FitStatus, chunked_oracle,
+                      minimize_on_halfspace)
 
 
 def _split_data(data, n):
@@ -74,6 +71,21 @@ def _unit_forces(a, diff):
     return q, c
 
 
+def _force_sums(x, chunks):
+    """The sums over chunks of data (n, s), one per member of the points x
+    (k, n + 1): of log q, of the unit forces' scale (k,) and center (k, n)
+    parts, and of their products (k, n + 1, n + 1)."""
+    u = np.stack(chunks)
+    np.subtract(x[:, 1:, None], u, out=u)
+    q, u0 = _unit_forces(x[:, 0], u)
+    rows = [u0, *u.transpose(1, 0, 2)]
+    M = np.empty((len(u), len(rows), len(rows)))
+    for r in range(len(rows)):
+        for c in range(r, len(rows)):
+            M[:, r, c] = M[:, c, r] = np.einsum("kj,kj->k", rows[r], rows[c])
+    return [np.log(q, out=q).sum(axis=1), u0.sum(axis=1), u.sum(axis=2), M]
+
+
 def _oracle(F, n_inf):
     """(loss_fn, grad_fn, hess_fn) of a batch of validated datasets.
 
@@ -82,73 +94,25 @@ def _oracle(F, n_inf):
     x (k, n + 1), scale first, of the members with the sorted indices
     members (k,) and gives each one's loss, its gradient n mean u_i
     (k, n + 1) and its Hessian n (I - mean u_i u_i^T) (k, n + 1, n + 1) in
-    the orthonormal frame (a d/da, a d/db), u = (-1, 0) at infinity.  One
-    pass over the data gives all three: a loss evaluation keeps each
-    member's gradient and Hessian, which the other two functions read at
-    the point of the member's last evaluation, and recompute at any other
-    point.  The pass runs over chunks of about CHUNK_DATA data, whole
-    members while they fit and slices of a larger member, so that no
-    temporary grows with the sample size.
+    the orthonormal frame (a d/da, a d/db), u = (-1, 0) at infinity.  All
+    three come from one pass of `descent.chunked_oracle` over chunks of
+    CHUNK data, which keeps them at each member's last loss evaluation.
     """
     # each member's data as a contiguous (n, N) copy: at small n the
     # products and reductions over N run several times faster on columns
     Ft = [np.ascontiguousarray(X.T) for X in F]
-    B, (n, size) = len(Ft), Ft[0].shape
+    n = Ft[0].shape[0]
     n_inf = np.asarray(n_inf, dtype=float)
-    N = size + n_inf
-    grads, hessians = np.empty((B, n + 1)), np.empty((B, n + 1, n + 1))
-    at = np.full((B, n + 1), np.nan)  # where they were formed
+    N = Ft[0].shape[1] + n_inf
 
-    step = max(1, CHUNK_DATA // max(size, 1))
-    span = min(max(size, 1), CHUNK_DATA)
-    # each member's columns as views of span data, formed once
-    cols = [[X[:, j:j + span] for j in range(0, max(size, 1), span)]
-            for X in Ft]
-
-    def loss_fn(x, members):
-        return np.concatenate([
-            evaluate(x[i:i + step], members[i:i + step])
-            for i in range(0, len(members), step)])
-
-    def sums(a, b, members, s):
-        """Sum log q, the sums of the forces' scale (k,) and center
-        (k, n) parts, and of their products (k, n + 1, n + 1), over the
-        members' slice s of their data."""
-        u = np.stack([cols[i][s] for i in members])
-        np.subtract(b[:, :, None], u, out=u)
-        q, u0 = _unit_forces(a, u)
-        rows = [u0, *u.transpose(1, 0, 2)]
-        M = np.empty((len(members), n + 1, n + 1))
-        for r in range(n + 1):
-            for c in range(r, n + 1):
-                M[:, r, c] = M[:, c, r] = np.einsum("kj,kj->k", rows[r],
-                                                    rows[c])
-        return [np.log(q, out=q).sum(axis=1), u0.sum(axis=1), u.sum(axis=2), M]
-
-    def evaluate(x, members):
-        a, b = x[:, 0], x[:, 1:]
-        total = sums(a, b, members, 0)
-        for s in range(1, len(cols[0])):
-            for t, more in zip(total, sums(a, b, members, s)):
-                t += more
-        logq, g0, g, M = total
+    def finish(x, members, logq, g0, g, M):
         Nk = N[members]
         M[:, 0, 0] += n_inf[members]
-        hessians[members] = n * (np.eye(n + 1) - M / Nk[:, None, None])
-        g = np.column_stack([g0 - n_inf[members], g])
-        grads[members] = g * (n / Nk)[:, None]
-        at[members] = x
-        return n * (logq - Nk * np.log(a)) / Nk
+        g = np.column_stack([g0 - n_inf[members], g]) * (n / Nk)[:, None]
+        return (n * (logq - Nk * np.log(x[:, 0])) / Nk, g,
+                n * (np.eye(n + 1) - M / Nk[:, None, None]))
 
-    def reading(kept):
-        def fn(x, members):
-            stale = (at[members] != x).any(axis=1)
-            if stale.any():
-                loss_fn(x[stale], members[stale])
-            return kept[members]
-        return fn
-
-    return loss_fn, reading(grads), reading(hessians)
+    return chunked_oracle(Ft, _force_sums, finish)
 
 
 def _evaluate(F, n_inf, x):
@@ -234,16 +198,10 @@ def fit(data, n, config=None):
     standardizes them, an isometry that the steps commute with.  Data with
     a dominant point (see `has_dominant_point`) come back at once with
     status DEGENERATE_DATA; divergence to the boundary (the scale leaving
-    the caps around the start's) is reported the same way.  The fit is a
-    batch of one: `fit_batch` gives each member this same answer.
+    the caps around the start's) is reported the same way.  The fit is
+    `fit_batch` of one.
     """
-    F, n_inf = _split_data(data, n)
-    (x, report), = _starts(F[None], [n_inf], n)
-    if report is None:
-        x, report = minimize_on_halfspace(
-            x, *_oracle([F], [n_inf]), curvature=n,
-            config=config or DescentConfig())
-    return halfspace.HPoint(x[0], x[1:]), report
+    return fit_batch([_split_data(data, n)], n, config)[0]
 
 
 def fit_batch(members, n, config=None):
@@ -252,17 +210,17 @@ def fit_batch(members, n, config=None):
     members holds validated datasets as `_split_data` gives them, pairs
     (F, n_inf) with the same number of finite observations.  Returns one
     (HPoint, FitReport) per member, as `fit` gives it alone; every
-    report's wall time is that of the whole batch.
+    report's wall time is that of the whole batch.  A lone member's data
+    are not copied.
     """
-    starts = _starts(np.stack([F for F, _ in members]),
-                     [n_inf for _, n_inf in members], n)
+    F, n_inf = zip(*members)
+    starts = _starts(F[0][None] if len(F) == 1 else np.stack(F), n_inf, n)
     live = [i for i, (_, refused) in enumerate(starts) if refused is None]
     if live:
-        oracle = _oracle([members[i][0] for i in live],
-                         [members[i][1] for i in live])
-        x, reports = minimize_on_halfspace_batch(
-            np.stack([starts[i][0] for i in live]), *oracle, curvature=n,
-            config=config or DescentConfig())
+        x, reports = minimize_on_halfspace(
+            np.stack([starts[i][0] for i in live]),
+            *_oracle([F[i] for i in live], [n_inf[i] for i in live]),
+            curvature=n, config=config or DescentConfig())
         for i, xi, report in zip(live, x, reports):
             starts[i] = xi, report
     return [(halfspace.HPoint(x[0], x[1:]), report) for x, report in starts]

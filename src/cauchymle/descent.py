@@ -8,7 +8,7 @@ leading member axis, their gradients and directions arrays of the same
 shape, and each member keeps its own traces, counts, status and
 line-search multiplier, so that it takes the steps of its fit alone.
 Each engine fits a stack of datasets at once (`minimize_on_spd`,
-`minimize_on_halfspace_batch`), and returns its members' reports as one
+`minimize_on_halfspace`), and returns its members' reports as one
 BatchReport; a single fit, of either engine or of the spline, is the
 batch of one.  Under the default policy
 the three take the same damped Newton step (`newton_step`); the `safe`
@@ -16,10 +16,13 @@ policy takes one gradient step of a certified length.  Each oracle gives
 the gradient and the Riemannian Hessian in an orthonormal frame, from the
 one pass over the data that gave the loss at the point: it keeps them at
 each member's last loss evaluation, which is where the loop asks for
-them, and forms them again if asked anywhere else.  The spline's pass
-(`spline._pass`) gives its banded Hessian so, over the data terms and
-the energy edges.  The SPD
-engine moves a frame R of the point T = R R^T: its gradient is seen from
+them, and forms them again if asked anywhere else.  Both families' passes
+are `chunked_oracle`, over chunks of CHUNK data (frame entries for the
+SPD losses), with a kernel of sums over a chunk and a map from a
+member's totals to its loss, gradient and Hessian.  The spline keeps the
+loss, gradient and banded Hessian of its pass (`spline._pass`) in a
+cache of its own, which, unlike a read by member, copies no array.  The
+SPD engine moves a frame R of the point T = R R^T: its gradient is seen from
 R, a symmetric trace-free p x p matrix whose Frobenius norm is the
 Riemannian norm, and its Hessian is in an orthonormal basis of such
 matrices (`spd.frame_basis`); a step is one stacked symmetric
@@ -65,6 +68,10 @@ SHRINK = 0.999
 
 COND_CAP = 1e14          # SPD boundary-divergence guard
 SCALE_CAP = 1e10         # half-space guard: a outside [1/cap, cap] diverged
+
+# data of the half-space losses, or frame entries of the SPD losses, per
+# chunk of an oracle's pass: a chunk's temporaries stay in a core's cache
+CHUNK = 2**14
 
 
 class FitStatus(Enum):
@@ -216,19 +223,6 @@ def _capped_factor_step(x, D, t):
 
 
 def minimize_on_halfspace(x0, loss_fn, grad_fn, hess_fn, curvature, config):
-    """`minimize_on_halfspace_batch` of one fit: the batch of one.
-
-    x0 (n + 1,) is a scale and a center; the functions are those of the
-    batch.  Returns (x (n + 1,), FitReport).
-    """
-    x, (report,) = minimize_on_halfspace_batch(
-        np.asarray(x0, dtype=float)[None], loss_fn, grad_fn, hess_fn,
-        curvature, config)
-    return x[0], report
-
-
-def minimize_on_halfspace_batch(x0, loss_fn, grad_fn, hess_fn, curvature,
-                                config):
     """Geodesic descent for a batch of losses on the hyperbolic half-space.
 
     Member i starts at x0[i] (n + 1,), the scale x0[i, 0] and the center
@@ -276,6 +270,58 @@ def _frame_exp(x, d, t):
 def off_scale(a):
     """Half-space guard, elementwise: a scale left (1/SCALE_CAP, SCALE_CAP)."""
     return ~((a > 1.0 / SCALE_CAP) & (a < SCALE_CAP))
+
+
+def chunked_oracle(data, kernel, finish, per=None):
+    """(loss_fn, grad_fn, hess_fn) of an engine, from one pass over the data.
+
+    data holds each member's data, B arrays of one shape with the data on
+    the last axis.  A loss pass at the points x (k, ...) of the members
+    with the sorted indices members (k,) runs over chunks of per data,
+    CHUNK unless given: whole members while they fit, and slices of a
+    larger member.  kernel(x, chunks) gives a list of sums (k, ...) over
+    chunks, a view of the data for each member of x; the pass adds up each
+    member's sums over its slices, and finish(x, members, *totals) maps
+    them to the losses (k,), gradients and Hessians.  The pass keeps each
+    member's point and what it gave: grad_fn and hess_fn read them there,
+    and run a fresh pass for the members they are asked for elsewhere.
+    """
+    B, size = len(data), max(data[0].shape[-1], 1)
+    per = CHUNK if per is None else per
+    span, step = min(size, per), max(1, per // size)
+    # each member's slices of span data, as views formed once
+    slices = [[X[..., j:j + span] for j in range(0, size, span)]
+              for X in data]
+    kept = []  # each member's point of its last pass, and what that gave
+
+    def loss_fn(x, members):
+        parts = []
+        for i in range(0, len(members), step):
+            xs, group = x[i:i + step], members[i:i + step].tolist()
+            total = kernel(xs, [slices[k][0] for k in group])
+            for s in range(1, len(slices[0])):
+                for t, more in zip(total,
+                                   kernel(xs, [slices[k][s] for k in group])):
+                    t += more
+            parts.append(total)
+        loss, *forms = finish(x, members, *(
+            parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))))
+        if not kept:
+            kept.extend(np.full((B, *f.shape[1:]), np.nan) for f in [x, *forms])
+        for k, f in zip(kept, [x, *forms]):
+            k[members] = f
+        return loss
+
+    def read(x, members, j):
+        if not kept:
+            loss_fn(x, members)
+        stale = (kept[0][members] != x).reshape(len(x), -1).any(axis=1)
+        if stale.any():
+            loss_fn(x[stale], members[stale])
+        return kept[j][members]
+
+    return (loss_fn, lambda x, members: read(x, members, 1),
+            lambda x, members: read(x, members, 2))
 
 
 def _minimize(x, loss_fn, grad_fn, hess_fn, solve, retract, diverged,

@@ -22,9 +22,10 @@ velocity W seen from R, one datum's second derivative is
     |W U|^2 - |U^T W U|^2 = |(I - P) W U|^2,    P = U U^T,
 
 at most |W|^2 / 2, so the Riemannian Hessian, the mean of these, is
-positive semidefinite.  The fit's one kernel computes them, in one pass
-over chunks of the data that keeps only their sums; `loss` and `grad`
-run it at the Cholesky frame of T, so `check-grad` tests it.  At
+positive semidefinite.  One pass of `descent.chunked_oracle` gives them
+from the sums of the log determinants, projectors and their products
+(`_projector_sums`); `loss` and `grad` run it at the Cholesky frame of
+T, so `check-grad` tests it.  At
 m = 1 everything reduces exactly to the multivariate Cauchy family, and
 `fit` is the fit of both families.
 """
@@ -33,12 +34,9 @@ import functools
 
 import numpy as np
 
-from . import cauchy, halfspace, spd
+from . import cauchy, descent, halfspace, spd
 from .descent import DescentConfig, FitReport, FitStatus, minimize_on_spd
 
-# frame entries per chunk of the oracle's pass, m p per datum: a chunk's
-# temporaries stay in cache, and no (m, p, N) array is formed
-CHUNK = 2**14
 _ONE = np.zeros(1, dtype=int)  # the member indices of a batch of one
 
 
@@ -135,29 +133,23 @@ def _upper_triangle(p):
     return ia, ib, at
 
 
-def _moments(R, Fc):
-    """Mean log det, and the first two moments w1, w2 of the projectors.
-
-    w holds the upper-triangle entries P[ia, ib] of each datum's projector
-    P = Q Q^T of `_frame_forms`: w1 is their mean, the entries of the mean
-    projector S, and w2 the mean of w w^T, the entries of the mean of
-    P kron P.  One pass over chunks of CHUNK frame entries adds them up,
-    so it holds O(p^4) numbers and no per-datum array.
-    """
-    m, p, N = Fc.shape
-    ia, ib, _ = _upper_triangle(p)
-    step = max(1, CHUNK // (m * p))
-    logdet = w1 = w2 = 0.0
-    for i in range(0, N, step):
-        Q, chunk_logdet = _frame_forms(R, Fc[:, :, i:i + step])
+def _projector_sums(x, chunks):
+    """The sums over chunks of frames (m, p, s), one per member of the
+    frames x (k, p, p), of log det, w and w w^T, with w the upper-triangle
+    entries P[ia, ib] of each datum's projector P = Q Q^T of
+    `_frame_forms`: each member's alone, with no copy of its chunk."""
+    ia, ib, _ = _upper_triangle(x.shape[-1])
+    k, t = len(chunks), len(ia)
+    logdet, w1, w2 = np.empty(k), np.empty((k, t)), np.empty((k, t, t))
+    for j, (R, Fc) in enumerate(zip(x, chunks)):
+        Q, chunk_logdet = _frame_forms(R, Fc)
         # a multiply-add over the m columns: einsum's buffered path costs
         # several times more per datum once a chunk holds ~2000 data
         w = Q[0, ia] * Q[0, ib]
-        for k in range(1, m):
-            w += Q[k, ia] * Q[k, ib]
-        logdet += chunk_logdet.sum()
-        w1, w2 = w1 + w.sum(axis=1), w2 + w @ w.T
-    return logdet / N, w1 / N, w2 / N
+        for c in range(1, len(Q)):
+            w += Q[c, ia] * Q[c, ib]
+        logdet[j], w1[j], w2[j] = chunk_logdet.sum(), w.sum(axis=1), w @ w.T
+    return [logdet, w1, w2]
 
 
 def _frame_hessian(w1, w2, p):
@@ -165,9 +157,9 @@ def _frame_hessian(w1, w2, p):
 
     H[k, l] = mean of tr(E_k E_l P) - tr(P E_k P E_l) over the projectors
     P, the symmetric part of vec(E_k)^T (vec(E_l S) - K vec(E_l)) with S
-    the mean of P and K the mean of P kron P, read from the moments w1
-    (B, t) and w2 (B, t, t) of `_moments` of B members: (B, d, d), each
-    member's as it would be alone.
+    the mean of P and K the mean of P kron P, read from the means w1
+    (B, t) of w and w2 (B, t, t) of w w^T of `_projector_sums` of B
+    members: (B, d, d), each member's as it would be alone.
     """
     _, _, at = _upper_triangle(p)
     # K[(a, b), (c, d)] = mean of P[a, c] P[b, d]
@@ -206,7 +198,7 @@ def _standardize(Fc, n):
     A = np.tile(np.eye(p), (B, 1, 1))
     A[:, :n, :n] = np.eye(n) / mad[:, None, :]
     A[:, :n, n:] = -med / mad[:, :, None]
-    step = max(1, CHUNK // (m * p))
+    step = max(1, descent.CHUNK // (m * p))
     for F, Ai in zip(Fc, A):
         for i in range(0, N, step):
             F[:, :n, i:i + step] = Ai[:n] @ F[:, :, i:i + step]
@@ -227,7 +219,7 @@ def _fit(Fc, n, config):
     fits = [None] * B
     for i, F in enumerate(Fc):
         if m == 1 and not cauchy.check_general_position(F[0].T, n):
-            loss = float(_moments(np.eye(p), F)[0])
+            loss = float(_oracle([F])[0](np.eye(p)[None], _ONE)[0])
             fits[i] = np.eye(p), FitReport(FitStatus.DEGENERATE_DATA, 0,
                                            [loss], [], 0.0, loss_evals=1)
     live = [i for i, fit in enumerate(fits) if fit is None]
@@ -359,36 +351,21 @@ def _oracle(Fc):
     Each function takes the frames x (k, p, p) of the members with the
     sorted indices members (k,), and gives each one's loss, its gradient
     seen from the frame, the mean projector less (m/p) I (k, p, p), and
-    its Hessian (k, d, d) in `spd.frame_basis`.  A loss evaluation runs
-    one chunked pass of `_moments` per member, which gives all three: it
-    keeps each member's sums, which the other two functions read at the
-    point of the member's last evaluation, and recompute at any other
-    point.
+    its Hessian (k, d, d) in `spd.frame_basis`.  All three come from one
+    pass of `descent.chunked_oracle` over chunks of CHUNK frame entries,
+    CHUNK / (m p) data, which holds O(p^4) sums per member and no
+    per-datum array, and keeps them at each member's last loss evaluation.
     """
-    B, p = len(Fc), Fc[0].shape[1]
-    size = p * (p + 1) // 2
-    losses, w1, w2 = np.empty(B), np.empty((B, size)), np.empty((B, size, size))
-    at = np.full((B, p, p), np.nan)  # where they were formed
+    m, p, N = Fc[0].shape
+    at = _upper_triangle(p)[2]
 
-    def loss_fn(x, members):
-        for R, i in zip(x, members.tolist()):
-            losses[i], w1[i], w2[i] = _moments(R, Fc[i])
-        at[members] = x
-        return losses[members]
+    def finish(x, members, logdet, w1, w2):
+        w1, w2 = w1 / N, w2 / N
+        return (logdet / N, spd.trace_free(w1[:, at]),
+                _frame_hessian(w1, w2, p))
 
-    def sums(x, members):
-        stale = (at[members] != x).any(axis=(1, 2))
-        if stale.any():
-            loss_fn(x[stale], members[stale])
-        return w1[members], w2[members]
-
-    def grad_fn(x, members):
-        return spd.trace_free(sums(x, members)[0][:, _upper_triangle(p)[2]])
-
-    def hess_fn(x, members):
-        return _frame_hessian(*sums(x, members), p)
-
-    return loss_fn, grad_fn, hess_fn
+    return descent.chunked_oracle(Fc, _projector_sums, finish,
+                                  max(1, descent.CHUNK // (m * p)))
 
 
 def to_params(T, n, m):

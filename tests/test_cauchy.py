@@ -182,11 +182,22 @@ def test_univariate_dictionary():
 
 
 def test_params_round_trip(rng):
+    # xt^T T xt = kappa (1 + (x - b)^T S^-1 (x - b)), kappa = d - c^T A^-1 c
+    # for T = [[A, c], [c^T, d]]: at (n+1)(n+2)/2 generic x a quadratic form
+    # in xt is pinned, so (b, S) give T back
     for _ in range(100):
         n = int(rng.integers(1, 5))
         T = random_spd_point(n + 1, rng)
-        back = cauchy.from_params(cauchy.to_params(T))
-        assert np.allclose(back, T, atol=1e-10)
+        params = cauchy.to_params(T)
+        A, c, d = T[:n, :n], T[:n, n], T[n, n]
+        kappa = d - c @ np.linalg.solve(A, c)
+        X = rng.standard_normal(((n + 1) * (n + 2) // 2, n))
+        Xt = cauchy.lift(X)
+        r = X - params.location
+        want = kappa * (1.0 + np.einsum("ij,ij->i", r,
+                                        np.linalg.solve(params.scatter, r.T).T))
+        assert np.allclose(np.einsum("ij,jk,ik->i", Xt, T, Xt), want,
+                           rtol=1e-10, atol=0)
 
 
 def test_check_general_position_cases():

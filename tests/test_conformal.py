@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, optimize
 
-from cauchymle import cauchy, conformal, halfspace
+from cauchymle import cauchy, conformal, descent, halfspace
 from cauchymle.descent import (DescentConfig, FitStatus, _frame_norm,
-                               minimize_on_halfspace,
-                               minimize_on_halfspace_batch)
+                               minimize_on_halfspace)
 from cauchymle.gradcheck import random_hpoint, random_htangent
 from cauchymle.halfspace import INFINITY, HPoint, exp_map
 
@@ -318,9 +317,10 @@ def test_fit_univariate_two_halves_converge_onto_the_geodesic(data):
         assert report.status is FitStatus.ILL_CONDITIONED
         assert report.iterations <= 10
         assert math.hypot(u - 1.5, v) == pytest.approx(0.5, abs=1e-9)
-        (v, u), report = minimize_on_halfspace(
-            np.array([1.0, 0.0]), *conformal._oracle([F], [0]), curvature=1,
+        x, (report,) = minimize_on_halfspace(
+            np.array([[1.0, 0.0]]), *conformal._oracle([F], [0]), curvature=1,
             config=config)
+        v, u = x[0]
         assert report.status is FitStatus.ILL_CONDITIONED
         assert 0 < report.iterations <= 10
         assert math.hypot(u - 1.5, v) == pytest.approx(0.5, abs=1e-9)
@@ -515,12 +515,12 @@ def test_singular_damped_system_ends_only_its_member():
         return H
 
     config = DescentConfig()
-    x, (stuck, moved) = minimize_on_halfspace_batch(
+    x, (stuck, moved) = minimize_on_halfspace(
         x0, loss_fn, grad_fn, singular_first, curvature=2, config=config)
     assert stuck.status is FitStatus.DEGENERATE_DATA
     assert stuck.iterations == 0 and stuck.loss_evals == 1
     assert np.array_equal(x[0], x0[0])
-    x1, (alone,) = minimize_on_halfspace_batch(
+    x1, (alone,) = minimize_on_halfspace(
         x0[1:], *conformal._oracle(F[1:], [0]), curvature=2, config=config)
     assert moved.status is alone.status
     assert moved.iterations == alone.iterations > 0
@@ -547,9 +547,9 @@ def test_fit_holds_few_arrays_of_the_sample_size():
 
 @pytest.mark.parametrize("n", [1, 3])
 def test_loss_evaluation_holds_no_array_of_the_sample_size(n):
-    # a member larger than CHUNK_DATA is summed in slices of CHUNK_DATA
-    # data: besides the oracle's column copy of the data, one loss
-    # evaluation holds a few arrays of CHUNK_DATA (n + 1) floats, whatever N
+    # a member larger than CHUNK data is summed in slices of CHUNK data:
+    # besides the oracle's column copy of the data, one loss evaluation
+    # holds a few arrays of CHUNK (n + 1) floats, whatever N
     N = 1000000 // n
     F = np.random.default_rng(50).standard_cauchy((N, n))
     loss_fn, grad_fn, hess_fn = conformal._oracle([F], [0])
@@ -560,7 +560,7 @@ def test_loss_evaluation_holds_no_array_of_the_sample_size(n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * conformal.CHUNK_DATA * (n + 1) * F.itemsize
+    assert peak < 4 * descent.CHUNK * (n + 1) * F.itemsize
     # the sums of the slices are those of one pass over the data
     u = np.empty((N, n + 1))
     q = 1.0 + np.sum(F * F, axis=1)

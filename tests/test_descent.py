@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cauchymle import cauchy, matrix_cauchy as mc, spd, spline
+from cauchymle import cauchy, descent, matrix_cauchy as mc, spd, spline
 from cauchymle.datasets import GeneratorSpec, generate
 from cauchymle.descent import (COND_CAP, NEWTON_HALVINGS, STEP_POLICIES,
                                DescentConfig, FitStatus, minimize_on_spd)
@@ -134,6 +134,53 @@ def test_spd_fits_use_no_factorization_per_iteration(rng, monkeypatch):
         _, report = mc.fit(F, 2, 2, config)
         assert report.status is FitStatus.CONVERGED and report.iterations > 2
     assert len(factorizations) == 2 * len(STEP_POLICIES)
+
+
+@pytest.mark.parametrize("N", [2, 7])
+def test_chunked_oracle_groups_slices_and_keeps_the_last_pass(monkeypatch, N):
+    # chunks of 5 data: members of 2 data share a chunk, two at a time, and
+    # a member of 7 data is summed over slices of 5 and 2.  The toy loss is
+    # the mean of (d - x)^2 over a member's data d
+    monkeypatch.setattr(descent, "CHUNK", 5)
+    data = [np.arange(N, dtype=float) * (i + 1) for i in range(3)]
+    chunks, passes = [], []
+
+    def kernel(x, views):
+        chunks.append([len(v) for v in views])
+        r = [v - xi[0] for v, xi in zip(views, x)]
+        return [np.array([d @ d for d in r]), np.array([[d.sum()] for d in r])]
+
+    def finish(x, members, sq, lin):
+        passes.append(members.tolist())
+        return sq / N, -2.0 * lin / N, np.full((len(x), 1, 1), 2.0)
+
+    def want(x):
+        return [np.mean((d - xi[0]) ** 2) for d, xi in zip(data, x)]
+
+    loss_fn, grad_fn, hess_fn = descent.chunked_oracle(data, kernel, finish)
+    everyone = np.arange(3)
+    x = np.array([[1.0], [2.0], [3.0]])
+    # a read before any loss pass runs one
+    g = grad_fn(x, everyone)
+    assert passes == [[0, 1, 2]]
+    assert chunks == ([[2, 2], [2]] if N == 2 else [[5], [2]] * 3)
+    assert np.allclose(g[:, 0], [-2.0 * np.mean(d - xi[0])
+                                 for d, xi in zip(data, x)], rtol=1e-14)
+    assert np.allclose(loss_fn(x, everyone), want(x), rtol=1e-14)
+    # reads at the last point run no pass
+    chunks.clear(), passes.clear()
+    assert np.array_equal(hess_fn(x[1:], everyone[1:]), np.full((2, 1, 1), 2.0))
+    assert np.array_equal(grad_fn(x, everyone), g)
+    assert chunks == passes == []
+    # a stale read runs a pass of the stale members only
+    y = x.copy()
+    y[1] += 0.5
+    moved = grad_fn(y, everyone)
+    assert passes == [[1]]
+    assert np.array_equal(moved[[0, 2]], g[[0, 2]])
+    assert moved[1, 0] == pytest.approx(-2.0 * np.mean(data[1] - y[1, 0]),
+                                        rel=1e-14)
+    assert np.allclose(loss_fn(y[1:], everyone[1:]), want(y)[1:], rtol=1e-14)
 
 
 def test_reports_count_loss_evaluations_of_every_solver(rng):

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cauchymle import cauchy, descent, halfspace, matrix_cauchy as mc, spd
+from cauchymle import (cauchy, conformal, descent, halfspace,
+                       matrix_cauchy as mc, spd)
 from cauchymle.datasets import GeneratorSpec, generate
 from cauchymle.descent import STEP_POLICIES, DescentConfig, FitStatus
-from cauchymle.gradcheck import check_gradients, random_spd_point, random_tangent
+from cauchymle.gradcheck import (check_gradients, random_hpoint,
+                                 random_spd_point, random_tangent)
 
 
 # The paper's closed forms through the Gram matrices G = Xt^T T Xt, a
@@ -207,30 +209,47 @@ def test_hessian_is_second_derivative_of_loss_along_geodesics(rng, m, n):
 
 
 @pytest.mark.parametrize("N", [13, 14, 15])
-@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, "conformal"])
 def test_chunked_oracle_matches_per_datum_sums(rng, m, N, monkeypatch):
-    # the oracle's one pass sums over chunks of CHUNK frame entries, here
-    # of 7 data, so that N straddles a chunk boundary.  The reference works
-    # datum by datum: log det(Xt^T T Xt), T M T - (m/p) T, and the Hessian
-    # of each datum's projector P = U U^T, U an orthonormal basis of
-    # R^T Xt from a QR factorization
+    # the oracles' one pass sums over chunks of descent.CHUNK frame entries
+    # (m p per datum), or of CHUNK data of the conformal family, here of 7
+    # data, so that N straddles a chunk boundary.  The reference works
+    # datum by datum.  For the frames: log det(Xt^T T Xt), T M T - (m/p) T,
+    # and the Hessian of each datum's projector P = U U^T, U an orthonormal
+    # basis of R^T Xt from a QR factorization.  For the conformal family,
+    # 3 of whose N data lie at infinity: n log(q / a), or -n log a at
+    # infinity, and n u and n (I - u u^T) of each datum's unit force u
     n = 2
-    p = m + n
-    monkeypatch.setattr(mc, "CHUNK", 7 * m * p)
-    F = mc.lift(rng.standard_normal((N, n, m)) * 2.0)
-    R = np.linalg.cholesky(random_spd_point(p, rng))
-    T = R @ R.T
-    E = spd.frame_basis(p)
-    H = np.zeros((len(E), len(E)))
-    for frame in F:
-        U = np.linalg.qr(R.T @ frame)[0]
-        P = U @ U.T
-        H += (np.einsum("kab,lbc,ca->kl", E, E, P)
-              - np.einsum("ab,kbc,cd,lda->kl", P, E, P, E))
-    loss_fn, grad_fn, hess_fn = one_frame(F.transpose(2, 1, 0))
-    assert abs(loss_fn(R) - gram_loss(T, F)) < 1e-13
-    assert np.abs(spd.from_frame(R, grad_fn(R)) - gram_grad(T, F)).max() < 1e-13
-    assert np.abs(hess_fn(R) - H / N).max() < 1e-13
+    if m == "conformal":
+        monkeypatch.setattr(descent, "CHUNK", 7)
+        X = rng.standard_normal((N - 3, n)) * 2.0
+        z = random_hpoint(n, rng)
+        q = z.a ** 2 + np.sum((z.b - X) ** 2, axis=1)
+        u = np.vstack([np.column_stack([2 * z.a ** 2 / q - 1,
+                                        2 * z.a * (z.b - X) / q[:, None]]),
+                       np.tile(-np.eye(n + 1)[0], (3, 1))])
+        x, one = np.append(z.a, z.b)[None], np.zeros(1, dtype=int)
+        got = [fn(x, one)[0] for fn in conformal._oracle([X], [3])]
+        want = [n * (np.sum(np.log(q)) - N * np.log(z.a)) / N,
+                n * u.mean(axis=0), n * (np.eye(n + 1) - u.T @ u / N)]
+    else:
+        p = m + n
+        monkeypatch.setattr(descent, "CHUNK", 7 * m * p)
+        F = mc.lift(rng.standard_normal((N, n, m)) * 2.0)
+        R = np.linalg.cholesky(random_spd_point(p, rng))
+        T = R @ R.T
+        E = spd.frame_basis(p)
+        H = np.zeros((len(E), len(E)))
+        for frame in F:
+            U = np.linalg.qr(R.T @ frame)[0]
+            P = U @ U.T
+            H += (np.einsum("kab,lbc,ca->kl", E, E, P)
+                  - np.einsum("ab,kbc,cd,lda->kl", P, E, P, E))
+        loss_fn, grad_fn, hess_fn = one_frame(F.transpose(2, 1, 0))
+        got = [loss_fn(R), spd.from_frame(R, grad_fn(R)), hess_fn(R)]
+        want = [gram_loss(T, F), gram_grad(T, F), H / N]
+    for value, reference in zip(got, want):
+        assert np.abs(value - reference).max() < 1e-13
 
 
 def test_fit_at_twelve_dimensions_holds_little_memory(rng):
